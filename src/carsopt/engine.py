@@ -227,15 +227,9 @@ def _sample_iteration(state: RunState, iteration: int, n: int):
     offsets = rng.random((n * n_over, n_dim))
     units = (mis + offsets) / n_sub
 
-    if n_over > 1:
-        cand_units = units.reshape(n, n_over, n_dim)
-        cand_mis = mis.reshape(n, n_over, n_dim)
-        k = neighbor_count(n_dim)
-        est = state.store.estimate_many(units, k).reshape(n, n_over)
-        best = np.argmax(est, axis=1)
-        units = cand_units[np.arange(n), best, :]
-        mis = cand_mis[np.arange(n), best, :]
-    return mis, units
+    cols = state.store.select_oversampled(units.reshape(n, n_over, n_dim), neighbor_count(n_dim))
+    picked = np.arange(n) * n_over + cols
+    return mis[picked], units[picked]
 
 
 def _evaluate(evaluator, requests):
@@ -324,9 +318,9 @@ def run(
             fitnesses = np.array([bd.scalar(state.consts) for bd in breakdowns])
 
             state.tensor.update_many(mis, fitnesses)
+            state.store.extend(units, fitnesses)
             for i, (req, res, bd) in enumerate(zip(requests, results, breakdowns)):
                 f = float(fitnesses[i])
-                state.store.append(units[i], f)
                 rec = SampleRecord(
                     sample_id=req.sample_id,
                     iteration=iteration,
@@ -446,7 +440,9 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
             rec = _record_from_json(obj)
             state.records.append(rec)
             state.tensor.update_fitness(rec.subdomain, rec.fitness)
-            state.store.append(np.asarray(rec.unit), rec.fitness)
+    # reshape keeps the (0, n_dim) shape when no sample is logged yet
+    units = np.array([r.unit for r in state.records], dtype=float).reshape(len(state.records), len(dims))
+    state.store.extend(units, [r.fitness for r in state.records])
     # An iteration counts as done only once its samples are logged; a run
     # aborted mid-evaluation leaves a bare iteration header that is redone.
     state.iteration = state.records[-1].iteration + 1 if state.records else 0

@@ -136,6 +136,14 @@ def _boost_problem(n_dim=None) -> tuple[ProblemSpec, BuiltinEvaluator]:
 # Constrained analytic test functions
 # ---------------------------------------------------------------------------
 
+def _coordinates(params: dict) -> list[float]:
+    """x0, x1, ... in order: the request, not the model, fixes the dimension."""
+    x = []
+    while f"x{len(x)}" in params:
+        x.append(params[f"x{len(x)}"][0])
+    return x
+
+
 def _sphere_ring_problem(n_dim: int = 4) -> tuple[ProblemSpec, BuiltinEvaluator]:
     """Sphere minimization constrained to a spherical shell.
 
@@ -145,8 +153,7 @@ def _sphere_ring_problem(n_dim: int = 4) -> tuple[ProblemSpec, BuiltinEvaluator]
     """
 
     def fn(params):
-        x = [params[f"x{i}"][0] for i in range(n_dim)]
-        s = sum(v * v for v in x)
+        s = sum(v * v for v in _coordinates(params))
         return {"sphere": [s], "radius": [math.sqrt(s)]}
 
     spec = ProblemSpec(
@@ -165,8 +172,8 @@ def _rosenbrock_box_problem(n_dim: int = 4) -> tuple[ProblemSpec, BuiltinEvaluat
     """
 
     def fn(params):
-        x = [params[f"x{i}"][0] - 0.5 for i in range(n_dim)]
-        r = sum(100.0 * (x[i + 1] - x[i] ** 2) ** 2 + (1.0 - x[i]) ** 2 for i in range(n_dim - 1))
+        x = [v - 0.5 for v in _coordinates(params)]
+        r = sum(100.0 * (x[i + 1] - x[i] ** 2) ** 2 + (1.0 - x[i]) ** 2 for i in range(len(x) - 1))
         return {"rosen": [r], "max_abs": [max(abs(v + 0.5) for v in x)]}
 
     spec = ProblemSpec(
@@ -185,8 +192,8 @@ def _rastrigin_multi_problem(n_dim: int = 4) -> tuple[ProblemSpec, BuiltinEvalua
     """
 
     def fn(params):
-        x = [params[f"x{i}"][0] - 0.5 for i in range(n_dim)]
-        r = 10.0 * n_dim + sum(v * v - 10.0 * math.cos(2.0 * math.pi * v) for v in x)
+        x = [v - 0.5 for v in _coordinates(params)]
+        r = 10.0 * len(x) + sum(v * v - 10.0 * math.cos(2.0 * math.pi * v) for v in x)
         return {"rastrigin": [r], "radius": [math.sqrt(sum(v * v for v in x))]}
 
     spec = ProblemSpec(

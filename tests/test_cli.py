@@ -1,4 +1,5 @@
 import csv
+import json
 
 import pytest
 
@@ -59,6 +60,21 @@ class TestRun:
         assert rc == 0
         assert "evaluations: 30" in capsys.readouterr().out  # 2 * 5 * (2 + 1)
         assert (out / "run.log").exists()
+
+    def test_builtin_model_takes_dimension_from_config(self, tmp_path):
+        # A 6-D sphere_ring config must be scored over all six coordinates.
+        config = tmp_path / "sphere6.yaml"
+        extra = "".join(f"  - {{name: x{i}, scale: linear, bounds: [-1.0, 1.0]}}\n" for i in (4, 5))
+        config.write_text(CONFIG.replace("objectives:", extra + "objectives:", 1))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--n-total", "60", "--out-dir", str(out)]) == 0
+        with open(out / "run.log") as fh:
+            samples = [e for e in map(json.loads, fh) if e["type"] == "sample"]
+        assert len(samples) == 60
+        for e in samples:
+            assert len(e["params"]) == 6
+            want = sum(v[0] ** 2 for v in e["params"].values())
+            assert e["meas"]["sphere"][0] == pytest.approx(want, rel=1e-12)
 
     def test_env_out_dir(self, config, tmp_path, monkeypatch):
         monkeypatch.setenv("CARSOPT_OUT_DIR", str(tmp_path / "envout"))

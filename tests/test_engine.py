@@ -1,4 +1,5 @@
 import collections
+import hashlib
 
 import numpy as np
 import pytest
@@ -128,6 +129,15 @@ class TestDeterminismAndResume:
         c.run(spec, cfg, ev, log_path=tmp_path / "part.log", stop_after_iteration=4)
         c.resume(tmp_path / "part.log", spec, cfg, ev)
         assert (tmp_path / "full.log").read_bytes() == (tmp_path / "part.log").read_bytes()
+
+    def test_pinned_log_with_oversampling(self, tmp_path):
+        # sphere_ring 6-D with pooling and oversampling: 10 iterations of 60,
+        # each scoring 60 x 14 candidates by kNN.  The digest pins the log
+        # bytes, so any change in kNN estimates or selection shows here.
+        spec, ev = c.builtin_problem("sphere_ring", 6)
+        c.run(spec, RunConfig(n_total=600, seed=11), ev, log_path=tmp_path / "r.log")
+        digest = hashlib.sha256((tmp_path / "r.log").read_bytes()).hexdigest()
+        assert digest == "565b8ac8b26cb6c7e79ebb354c1e7d09df1d6bd6e1a8253c11fe052bae0a0df8"
 
     def test_resume_after_completion_is_identity(self, tmp_path):
         spec, ev = c.builtin_problem("sphere_ring", 2)
