@@ -36,9 +36,11 @@ EXIT_CONFIG = 2
 EXIT_EVALUATOR = 3
 EXIT_INTERRUPTED = 4
 
-# Softmax and sampling peak at roughly this many bytes per cell (float32
-# cells, float64 effective/exp/cdf copies).
-_BYTES_PER_CELL = 28
+# Traced peak bytes per cell of the sampling step (construction, then an
+# alpha = 0 and a pooled alpha = 2 step of a 7-D tensor measured 22.8): float32
+# cells, bool touched flags, the float64 probabilities, the float64 draw
+# scratch and the pooling temporaries.
+_BYTES_PER_CELL = 23
 
 
 def _out_dir(args) -> Path:

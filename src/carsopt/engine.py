@@ -437,12 +437,15 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
         elif kind == "normalization":
             state.consts = fit.NormalizationConstants.from_dict(obj)
         elif kind == "sample":
-            rec = _record_from_json(obj)
-            state.records.append(rec)
-            state.tensor.update_fitness(rec.subdomain, rec.fitness)
-    # reshape keeps the (0, n_dim) shape when no sample is logged yet
-    units = np.array([r.unit for r in state.records], dtype=float).reshape(len(state.records), len(dims))
-    state.store.extend(units, [r.fitness for r in state.records])
+            state.records.append(_record_from_json(obj))
+    # One max-fold of all logged samples; reshape keeps the (0, n_dim) shape
+    # when no sample is logged yet.
+    n = len(state.records)
+    fitnesses = [r.fitness for r in state.records]
+    subdomains = np.array([r.subdomain for r in state.records], dtype=np.intp).reshape(n, len(dims))
+    state.tensor.update_many(subdomains, fitnesses)
+    units = np.array([r.unit for r in state.records], dtype=float).reshape(n, len(dims))
+    state.store.extend(units, fitnesses)
     # An iteration counts as done only once its samples are logged; a run
     # aborted mid-evaluation leaves a bare iteration header that is redone.
     state.iteration = state.records[-1].iteration + 1 if state.records else 0

@@ -8,7 +8,10 @@ probabilities come from a numerically stable weighted softmax, optionally on
 top of a block-max pooling overlay that spreads fitness to neighbouring cells.
 
 Cells are stored as float32 (a 9-dim tensor with 9 sub-domains each is ~1.5 GB)
-while all probability accumulation runs in float64.
+while all probability accumulation runs in float64.  A sampling step holds
+about 23 bytes per cell at its peak (float32 cells, bool touched flags, one
+float64 probability array and a reused float64 draw scratch), so ~8.9 GB at
+9 parameters.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ __all__ = ["SubdomainTensor", "TensorError", "DEFAULT_CELL_CAP", "OPTIMISTIC_INI
 
 DEFAULT_CELL_CAP = 500_000_000
 OPTIMISTIC_INIT = 0.75
+# Contiguous row length of the pooling broadcast in effective_cells.
+_ROW_ELEMENTS = 65_536
 
 
 class TensorError(ValueError):
@@ -43,6 +48,7 @@ class SubdomainTensor:
         self.cells = np.full(n_cells, OPTIMISTIC_INIT, dtype=np.float32)
         self.touched = np.zeros(n_cells, dtype=bool)
         self._updates_started = False
+        self._cdf = None  # float64 draw scratch, reused across draws
 
     # -- indexing -----------------------------------------------------------
 
@@ -130,15 +136,36 @@ class SubdomainTensor:
             pooled = pooled.max(axis=axis + 1)
         return pooled.reshape(-1)
 
-    def effective_cells(self, n_pool: int | None) -> np.ndarray:
-        """Cells plus the broadcast pooling overlay (or plain cells if off)."""
+    def effective_cells(self, n_pool: int | None, out: np.ndarray | None = None) -> np.ndarray:
+        """Cells plus the broadcast pooling overlay (or plain cells if off).
+
+        The sum is taken in float32.  With ``out`` it is written there (a
+        float64 ``out`` receives exactly ``.astype(np.float64)`` of it) and
+        ``self.cells`` is never written to; without ``out`` and with pooling
+        off, ``self.cells`` itself is returned.
+        """
         if not n_pool:
-            return self.cells
+            if out is None:
+                return self.cells
+            np.copyto(out, self.cells)
+            return out
         blocks = self.n_sub // n_pool
         pooled = self.max_pool(n_pool).reshape((blocks,) * self.n_dim)
-        for axis in range(self.n_dim):
+        # Repeat the overlay over the trailing axes only until a contiguous row
+        # holds about _ROW_ELEMENTS cells; the leading axes broadcast block-wise.
+        n_rep = 1
+        while n_rep < self.n_dim and self.n_sub ** (n_rep + 1) <= _ROW_ELEMENTS:
+            n_rep += 1
+        for axis in range(self.n_dim - n_rep, self.n_dim):
             pooled = pooled.repeat(n_pool, axis=axis)
-        return self.cells + pooled.reshape(-1)
+        n_lead = self.n_dim - n_rep
+        row = self.n_sub**n_rep
+        cells = self.cells.reshape((blocks, n_pool) * n_lead + (row,))
+        overlay = pooled.reshape((blocks, 1) * n_lead + (row,))
+        if out is None:
+            out = np.empty(self.n_cells, dtype=np.float32)
+        np.add(cells, overlay, out=out.reshape(cells.shape), dtype=np.float32)
+        return out
 
     # -- sampling -----------------------------------------------------------
 
@@ -146,31 +173,31 @@ class SubdomainTensor:
         """Sampling probability per cell: softmax of (effective fitness * alpha).
 
         alpha = 0 is exactly uniform; the exponent maximum is subtracted for
-        stability and the normalizing sum accumulates in float64.
+        stability and the normalizing sum accumulates in float64.  The result
+        is a fresh float64 array, computed in place without other full-size
+        temporaries.
         """
         if alpha < 0:
             raise TensorError("softmax weighting alpha must be >= 0")
         if alpha == 0:
             return np.full(self.n_cells, 1.0 / self.n_cells)
-        eff = self.effective_cells(n_pool).astype(np.float64)
-        if not np.all(np.isfinite(eff)):
+        z = self.effective_cells(n_pool, out=np.empty(self.n_cells))
+        # Float32-range values cannot overflow a float64 sum, so the sum is
+        # finite exactly when every cell is.
+        if not np.isfinite(z.sum()):
             raise TensorError("tensor contains non-finite cells")
-        z = eff * alpha
+        z *= alpha
         z -= z.max()
-        e = np.exp(z)
-        return e / e.sum(dtype=np.float64)
+        np.exp(z, out=z)
+        z /= z.sum(dtype=np.float64)
+        return z
 
     def sample_subdomains(self, probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` cells i.i.d. with replacement; returns (n, n_dim) multi-indices."""
-        cdf = np.cumsum(probs, dtype=np.float64)
+        if self._cdf is None or self._cdf.shape != probs.shape:
+            self._cdf = np.empty(probs.shape)
+        cdf = np.cumsum(probs, dtype=np.float64, out=self._cdf)
         cdf /= cdf[-1]
         flats = np.searchsorted(cdf, rng.random(n), side="right")
         np.clip(flats, 0, self.n_cells - 1, out=flats)
         return self.multi_indices(flats)
-
-    # -- persistence --------------------------------------------------------
-
-    def touched_items(self) -> list[tuple[int, float]]:
-        """(flat index, fitness) for every observed cell, ascending by index."""
-        idx = np.flatnonzero(self.touched)
-        return [(int(i), float(self.cells[i])) for i in idx]

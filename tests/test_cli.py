@@ -1,11 +1,14 @@
 import csv
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import carsopt as c
-from carsopt.cli import EXIT_CONFIG, STUDY_VARIANTS, main
+from carsopt.cli import _BYTES_PER_CELL, EXIT_CONFIG, STUDY_VARIANTS, main
 from carsopt.engine import RunConfig
+from carsopt.tensor import SubdomainTensor
 
 
 CONFIG = """\
@@ -182,6 +185,25 @@ class TestBench:
         assert not by_params[1]["skipped"] and not by_params[2]["skipped"]
         assert "cell cap" in by_params[3]["skipped"]
         assert "skipped" in capsys.readouterr().out
+
+    def test_memory_guard_covers_traced_peak(self):
+        # The bench guard's bytes per cell must bound what the sampling step
+        # really allocates: construction, then an alpha = 0 and an alpha = 2
+        # step of a pooled 7-D tensor, as bench_sampling runs them.
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            tensor = SubdomainTensor(7, 9)
+            mis = tensor.multi_indices(rng.integers(0, tensor.n_cells, size=1000))
+            for alpha in (0.0, 2.0):
+                tensor.update_many(mis, rng.random(1000))
+                probs = tensor.softmax_probabilities(alpha, n_pool=3)
+                mis = tensor.sample_subdomains(probs, 1000, rng)
+                del probs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _BYTES_PER_CELL * tensor.n_cells
 
 
 class TestStudy:

@@ -16,6 +16,7 @@ from carsopt.engine import (
     read_log,
     restore_state,
 )
+from carsopt.tensor import OPTIMISTIC_INIT, SubdomainTensor
 
 
 class TestHeuristics:
@@ -139,6 +140,15 @@ class TestDeterminismAndResume:
         digest = hashlib.sha256((tmp_path / "r.log").read_bytes()).hexdigest()
         assert digest == "565b8ac8b26cb6c7e79ebb354c1e7d09df1d6bd6e1a8253c11fe052bae0a0df8"
 
+    def test_pinned_log_pooled_7d(self, tmp_path):
+        # rosenbrock_box 7-D with pooling: 5 iterations whose softmax and draw
+        # run over 9^7 cells.  The digest pins the log bytes, so any change in
+        # probabilities or drawn sub-domains shows here.
+        spec, ev = c.builtin_problem("rosenbrock_box", 7)
+        c.run(spec, RunConfig(n_total=300, seed=5, oversampling=False), ev, log_path=tmp_path / "r.log")
+        digest = hashlib.sha256((tmp_path / "r.log").read_bytes()).hexdigest()
+        assert digest == "24d4fd40d27a3b45c366490d7b44c848db4968a1083397c7070f1ca36698879b"
+
     def test_resume_after_completion_is_identity(self, tmp_path):
         spec, ev = c.builtin_problem("sphere_ring", 2)
         cfg = RunConfig(n_total=100, seed=1)
@@ -156,6 +166,38 @@ class TestDeterminismAndResume:
         assert np.array_equal(rs.tensor.cells, st.tensor.cells)
         assert np.array_equal(rs.tensor.touched, st.tensor.touched)
         assert rs.consts.to_dict() == st.consts.to_dict()
+
+    def test_restore_equals_per_sample_fold(self, tmp_path):
+        # 4 cells and 200 samples: cells repeat with falling fitness, and some
+        # first observations lie below the 0.75 prior they must overwrite.
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        cfg = RunConfig(n_total=200, seed=3, n_subdomain=2, n_pool=0)
+        c.run(spec, cfg, ev, log_path=tmp_path / "r.log")
+        samples = [e for e in read_log(tmp_path / "r.log") if e["type"] == "sample"]
+        first, last, falls = {}, {}, 0
+        for e in samples:
+            cell = tuple(e["subdomain"])
+            falls += cell in last and e["fitness"] < last[cell]
+            last[cell] = e["fitness"]
+            first.setdefault(cell, e["fitness"])
+        assert falls > 0 and min(first.values()) < OPTIMISTIC_INIT
+
+        fold = SubdomainTensor(2, 2)
+        for e in samples:
+            fold.update_fitness(e["subdomain"], e["fitness"])
+        rs = restore_state(tmp_path / "r.log", spec, cfg)
+        assert np.array_equal(rs.tensor.cells, fold.cells)
+        assert np.array_equal(rs.tensor.touched, fold.touched)
+
+    def test_restore_log_without_samples(self, tmp_path):
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        cfg = RunConfig(n_total=100, seed=1)
+        c.run(spec, cfg, ev, log_path=tmp_path / "full.log")
+        header, iteration = (tmp_path / "full.log").read_text().splitlines()[:2]
+        (tmp_path / "r.log").write_text(header + "\n" + iteration + "\n")
+        rs = restore_state(tmp_path / "r.log", spec, cfg)
+        assert rs.records == [] and rs.iteration == 0 and len(rs.store) == 0
+        assert np.all(rs.tensor.cells == OPTIMISTIC_INIT) and not rs.tensor.touched.any()
 
     def test_geometry_mismatch_rejected(self, tmp_path):
         spec, ev = c.builtin_problem("sphere_ring", 2)

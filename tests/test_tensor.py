@@ -1,9 +1,11 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carsopt import tensor as tensor_module
 from carsopt.engine import iteration_rng
 from carsopt.tensor import OPTIMISTIC_INIT, SubdomainTensor, TensorError
 
@@ -241,3 +243,79 @@ def test_pooling_property(n_dim, seed):
     t = SubdomainTensor(n_dim, 9)
     t.cells = rng.random(t.n_cells).astype(np.float32)
     assert np.array_equal(t.max_pool(3), brute_force_pool(t.cells, n_dim, 9, 3))
+
+
+# Reference: the allocating implementation of effective_cells,
+# softmax_probabilities and sample_subdomains that the single-buffer code
+# replaced.  Probabilities and draws must match it bit for bit.
+
+def reference_effective_cells(t, n_pool):
+    if not n_pool:
+        return t.cells
+    blocks = t.n_sub // n_pool
+    pooled = t.max_pool(n_pool).reshape((blocks,) * t.n_dim)
+    for axis in range(t.n_dim):
+        pooled = pooled.repeat(n_pool, axis=axis)
+    return t.cells + pooled.reshape(-1)
+
+
+def reference_softmax(t, alpha, n_pool=None):
+    if alpha == 0:
+        return np.full(t.n_cells, 1.0 / t.n_cells)
+    eff = reference_effective_cells(t, n_pool).astype(np.float64)
+    z = eff * alpha
+    z -= z.max()
+    e = np.exp(z)
+    return e / e.sum(dtype=np.float64)
+
+
+def reference_draw(t, probs, n, rng):
+    cdf = np.cumsum(probs, dtype=np.float64)
+    cdf /= cdf[-1]
+    flats = np.searchsorted(cdf, rng.random(n), side="right")
+    np.clip(flats, 0, t.n_cells - 1, out=flats)
+    return t.multi_indices(flats)
+
+
+@st.composite
+def tensor_cases(draw):
+    n_dim = draw(st.integers(1, 7))
+    max_sub = int(round(100_000 ** (1 / n_dim)))
+    n_pool = draw(st.integers(1, 3))
+    blocks = draw(st.integers(2 if n_pool == 1 else 1, max(1, max_sub // n_pool)))
+    pooling = draw(st.booleans())
+    return n_dim, n_pool * blocks, n_pool if pooling else None
+
+
+class TestBitIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=tensor_cases(),
+        prior=st.booleans(),
+        alpha=st.floats(1e-3, 50.0),
+        row=st.sampled_from([1, 7, 64, tensor_module._ROW_ELEMENTS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference(self, case, prior, alpha, row, seed):
+        n_dim, n_sub, n_pool = case
+        rng = np.random.default_rng(seed)
+        t = SubdomainTensor(n_dim, n_sub)
+        if prior:
+            t.seed_prior(rng.normal(OPTIMISTIC_INIT, 0.5, t.n_cells))
+        n = max(1, t.n_cells // 4)
+        mis = t.multi_indices(rng.integers(0, t.n_cells, size=n))
+        # The row length sets how much of the pooling overlay is repeated
+        # before it broadcasts; small rows reach the block-wise path.
+        with mock.patch.object(tensor_module, "_ROW_ELEMENTS", row):
+            for a in (0.0, alpha):
+                t.update_many(mis, rng.normal(0.0, 2.0, len(mis)))
+                cells = t.cells.copy()
+                want = reference_softmax(t, a, n_pool)
+                got = t.softmax_probabilities(a, n_pool)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                assert np.array_equal(t.cells, cells) and not np.shares_memory(got, t.cells)
+                draw_seed = int(rng.integers(2**32))
+                want_mis = reference_draw(t, want, 3 * n, np.random.default_rng(draw_seed))
+                mis = t.sample_subdomains(got, 3 * n, np.random.default_rng(draw_seed))
+                assert np.array_equal(mis, want_mis)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
