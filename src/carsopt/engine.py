@@ -17,13 +17,16 @@ an uninterrupted one.
 
 from __future__ import annotations
 
+import collections
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fitness as fit
+from .evaluators import EvaluationRequest
 from .knn import NeighborStore
 from .problem import ProblemSpec, sampled_dimensions, to_physical
 from .tensor import DEFAULT_CELL_CAP, SubdomainTensor
@@ -41,6 +44,11 @@ __all__ = [
     "run",
     "resume",
     "read_log",
+    "evaluate_units",
+    "sample_records",
+    "run_header",
+    "open_log",
+    "sample_json",
     "iteration_stats",
     "export_summary_csv",
     "export_valid_samples_csv",
@@ -144,7 +152,10 @@ class SampleRecord:
     error: str | None
     breakdown: fit.FitnessBreakdown
     fitness: float
-    valid: bool
+
+    @property
+    def valid(self) -> bool:
+        return self.breakdown.valid
 
 
 @dataclass
@@ -195,7 +206,8 @@ def iteration_rng(seed: int, iteration: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# The loop
+# The sample pipeline shared with the GA: unit points -> requests -> results
+# -> breakdowns -> records -> log lines
 # ---------------------------------------------------------------------------
 
 def _physical_params(spec: ProblemSpec, dims, unit: np.ndarray) -> dict:
@@ -211,141 +223,69 @@ def _physical_params(spec: ProblemSpec, dims, unit: np.ndarray) -> dict:
     return params
 
 
-def _sample_iteration(state: RunState, iteration: int, n: int):
-    """Draw the unit points and sub-domain indices for one iteration."""
-    cfg = state.config
-    rng = iteration_rng(cfg.seed, iteration)
-    n_dim = state.tensor.n_dim
-    n_sub = cfg.n_subdomain
+def evaluate_units(spec: ProblemSpec, dims, evaluator, units, first_id: int):
+    """Evaluate unit points as samples ``first_id, first_id + 1, ...``.
 
-    use_over = cfg.oversampling and iteration > 0 and len(state.store) > 0
-    n_over = oversampling_width(n_dim) if use_over else 1
-
-    n_pool = cfg.n_pool if cfg.n_pool else None
-    probs = state.tensor.softmax_probabilities(state.alpha, n_pool)
-    mis = state.tensor.sample_subdomains(probs, n * n_over, rng)
-    offsets = rng.random((n * n_over, n_dim))
-    units = (mis + offsets) / n_sub
-
-    cols = state.store.select_oversampled(units.reshape(n, n_over, n_dim), neighbor_count(n_dim))
-    picked = np.arange(n) * n_over + cols
-    return mis[picked], units[picked]
-
-
-def _evaluate(evaluator, requests):
-    """Dispatch a batch and reassociate results by sample id."""
-    results = evaluator.evaluate_batch(requests)
-    by_id = {r.sample_id: r for r in results}
+    Returns (requests, results, breakdowns), each in the order of ``units``;
+    results are re-associated by sample id.
+    """
+    requests = [EvaluationRequest(first_id + i, _physical_params(spec, dims, u)) for i, u in enumerate(units)]
+    by_id = {r.sample_id: r for r in evaluator.evaluate_batch(requests)}
     missing = [req.sample_id for req in requests if req.sample_id not in by_id]
     if missing:
         raise EngineError(f"evaluator dropped sample ids {missing[:5]}")
-    return [by_id[req.sample_id] for req in requests]
+    results = [by_id[req.sample_id] for req in requests]
+    return requests, results, [fit.evaluate_breakdown(spec, r.meas) for r in results]
 
 
-def run(
-    spec: ProblemSpec,
-    config: RunConfig,
-    evaluator,
-    log_path=None,
-    stop_after_iteration: int | None = None,
-    _initial: RunState | None = None,
-    _log_mode: str = "w",
-) -> RunState:
-    """Execute the sampling loop for ``config.n_total`` samples.
-
-    ``stop_after_iteration`` ends the run early (the log stays resumable).
-    """
-    from .evaluators import EvaluationRequest
-
-    dims = sampled_dimensions(spec)
-    n_dim = len(dims)
-    if n_dim < 1:
-        raise EngineError("problem has no sampled dimensions")
-    schedule = parse_alpha_schedule(config.alpha_schedule)
-    sizes = iteration_sizes(config.n_total)
-
-    if _initial is None:
-        state = RunState(
-            spec=spec,
-            config=config,
-            tensor=SubdomainTensor(n_dim, config.n_subdomain, config.cell_cap),
-            store=NeighborStore(n_dim),
+def sample_records(iteration: int, units, subdomains, requests, results, breakdowns, fitnesses) -> list[SampleRecord]:
+    """One record per evaluated sample, all from the same iteration."""
+    return [
+        SampleRecord(
+            sample_id=req.sample_id,
+            iteration=iteration,
+            subdomain=tuple(int(c) for c in sub),
+            unit=tuple(float(u) for u in unit),
+            params=req.params,
+            meas=res.meas,
+            error=res.error,
+            breakdown=bd,
+            fitness=float(f),
         )
-    else:
-        state = _initial
-
-    log = open(log_path, _log_mode) if log_path else None
-
-    def emit(obj):
-        if log:
-            log.write(json.dumps(obj) + "\n")
-
-    if _initial is None:
-        emit(
-            {
-                "type": "run",
-                "version": LOG_VERSION,
-                "method": "cars",
-                "seed": config.seed,
-                "n_total": config.n_total,
-                "n_subdomain": config.n_subdomain,
-                "n_pool": config.n_pool,
-                "oversampling": config.oversampling,
-                "alpha_schedule": config.alpha_schedule,
-                "n_dim": n_dim,
-                "dimensions": [d.label for d in dims],
-            }
-        )
-
-    sample_id = len(state.records)
-    try:
-        for iteration in range(state.iteration, len(sizes)):
-            n = sizes[iteration]
-            state.alpha = schedule(iteration)
-            emit({"type": "iteration", "iteration": iteration, "alpha": state.alpha, "n_samples": n})
-
-            mis, units = _sample_iteration(state, iteration, n)
-            requests = [
-                EvaluationRequest(sample_id + i, _physical_params(spec, dims, units[i]))
-                for i in range(n)
-            ]
-            results = _evaluate(evaluator, requests)
-
-            breakdowns = [fit.evaluate_breakdown(spec, r.meas) for r in results]
-            if state.consts is None:
-                state.consts = fit.NormalizationConstants.from_first_batch(spec, breakdowns)
-                emit({"type": "normalization", **state.consts.to_dict()})
-            fitnesses = np.array([bd.scalar(state.consts) for bd in breakdowns])
-
-            state.tensor.update_many(mis, fitnesses)
-            state.store.extend(units, fitnesses)
-            for i, (req, res, bd) in enumerate(zip(requests, results, breakdowns)):
-                f = float(fitnesses[i])
-                rec = SampleRecord(
-                    sample_id=req.sample_id,
-                    iteration=iteration,
-                    subdomain=tuple(int(c) for c in mis[i]),
-                    unit=tuple(float(u) for u in units[i]),
-                    params=req.params,
-                    meas=res.meas,
-                    error=res.error,
-                    breakdown=bd,
-                    fitness=f,
-                    valid=bd.valid,
-                )
-                state.records.append(rec)
-                emit(_sample_to_json(rec))
-            sample_id += n
-            state.iteration = iteration + 1
-            if stop_after_iteration is not None and iteration >= stop_after_iteration:
-                break
-    finally:
-        if log:
-            log.close()
-    return state
+        for unit, sub, req, res, bd, f in zip(units, subdomains, requests, results, breakdowns, fitnesses)
+    ]
 
 
-def _sample_to_json(rec: SampleRecord) -> dict:
+def run_header(method: str, seed: int, n_total: int, dims, config: RunConfig | None) -> dict:
+    """A log's first line; without a CARS ``config`` the sampling fields are empty."""
+    return {
+        "type": "run",
+        "version": LOG_VERSION,
+        "method": method,
+        "seed": seed,
+        "n_total": n_total,
+        "n_subdomain": config.n_subdomain if config else 0,
+        "n_pool": config.n_pool if config else 0,
+        "oversampling": config.oversampling if config else False,
+        "alpha_schedule": config.alpha_schedule if config else "",
+        "n_dim": len(dims),
+        "dimensions": [d.label for d in dims],
+    }
+
+
+@contextmanager
+def open_log(path, mode: str):
+    """Yield ``emit(obj)``, which writes ``obj`` as one JSON line to ``path``
+    (a no-op without a path); the file is closed on exit."""
+    if not path:
+        yield lambda obj: None
+        return
+    with open(path, mode) as fh:
+        yield lambda obj: fh.write(json.dumps(obj) + "\n")
+
+
+def sample_json(rec: SampleRecord) -> dict:
+    """A record as its log line."""
     return {
         "type": "sample",
         "id": rec.sample_id,
@@ -368,6 +308,88 @@ def _nan_safe(vals):
 
 def _nan_restore(vals):
     return [math.nan if v is None else v for v in vals]
+
+
+# ---------------------------------------------------------------------------
+# The loop
+# ---------------------------------------------------------------------------
+
+def _sample_iteration(state: RunState, iteration: int, n: int):
+    """Draw the unit points and sub-domain indices for one iteration."""
+    cfg = state.config
+    rng = iteration_rng(cfg.seed, iteration)
+    n_dim = state.tensor.n_dim
+    n_sub = cfg.n_subdomain
+
+    use_over = cfg.oversampling and iteration > 0 and len(state.store) > 0
+    n_over = oversampling_width(n_dim) if use_over else 1
+
+    n_pool = cfg.n_pool if cfg.n_pool else None
+    probs = state.tensor.softmax_probabilities(state.alpha, n_pool)
+    mis = state.tensor.sample_subdomains(probs, n * n_over, rng)
+    offsets = rng.random((n * n_over, n_dim))
+    units = (mis + offsets) / n_sub
+
+    cols = state.store.select_oversampled(units.reshape(n, n_over, n_dim), neighbor_count(n_dim))
+    picked = np.arange(n) * n_over + cols
+    return mis[picked], units[picked]
+
+
+def run(
+    spec: ProblemSpec,
+    config: RunConfig,
+    evaluator,
+    log_path=None,
+    stop_after_iteration: int | None = None,
+    _initial: RunState | None = None,
+    _log_mode: str = "w",
+) -> RunState:
+    """Execute the sampling loop for ``config.n_total`` samples.
+
+    ``stop_after_iteration`` ends the run early (the log stays resumable).
+    """
+    dims = sampled_dimensions(spec)
+    n_dim = len(dims)
+    if n_dim < 1:
+        raise EngineError("problem has no sampled dimensions")
+    schedule = parse_alpha_schedule(config.alpha_schedule)
+    sizes = iteration_sizes(config.n_total)
+
+    if _initial is None:
+        state = RunState(
+            spec=spec,
+            config=config,
+            tensor=SubdomainTensor(n_dim, config.n_subdomain, config.cell_cap),
+            store=NeighborStore(n_dim),
+        )
+    else:
+        state = _initial
+
+    with open_log(log_path, _log_mode) as emit:
+        if _initial is None:
+            emit(run_header("cars", config.seed, config.n_total, dims, config))
+        for iteration in range(state.iteration, len(sizes)):
+            n = sizes[iteration]
+            state.alpha = schedule(iteration)
+            emit({"type": "iteration", "iteration": iteration, "alpha": state.alpha, "n_samples": n})
+
+            mis, units = _sample_iteration(state, iteration, n)
+            requests, results, breakdowns = evaluate_units(spec, dims, evaluator, units, len(state.records))
+            if state.consts is None:
+                state.consts = fit.NormalizationConstants.from_first_batch(spec, breakdowns)
+                emit({"type": "normalization", **state.consts.to_dict()})
+            fitnesses = np.array([bd.scalar(state.consts) for bd in breakdowns])
+
+            state.tensor.update_many(mis, fitnesses)
+            state.store.extend(units, fitnesses)
+            records = sample_records(iteration, units, mis, requests, results, breakdowns, fitnesses)
+            state.records.extend(records)
+            for rec in records:
+                emit(sample_json(rec))
+            state.iteration = iteration + 1
+            if stop_after_iteration is not None and iteration >= stop_after_iteration:
+                break
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +430,17 @@ def _record_from_json(obj: dict) -> SampleRecord:
         error=obj.get("error"),
         breakdown=bd,
         fitness=obj["fitness"],
-        valid=obj["valid"],
     )
 
 
 def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
-    """Rebuild engine state from a run log (no new samples)."""
+    """Rebuild engine state from a run log (no new samples).
+
+    An iteration counts as done once all of its ``iteration_sizes`` samples
+    are logged.  A trailing incomplete one (what a run killed mid-iteration
+    leaves) is left out, and so are the normalization constants if that is
+    iteration 0; resuming redoes it.
+    """
     entries = read_log(log_path)
     header = entries[0]
     dims = sampled_dimensions(spec)
@@ -422,33 +449,39 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
             "log geometry mismatch: log has "
             f"n_dim={header['n_dim']}, n_subdomain={header['n_subdomain']}"
         )
-    if header["seed"] != config.seed:
-        raise EngineError("log was written with a different seed")
+    # The alpha schedule alone may change on resume.
+    for key in ("seed", "n_total", "n_pool", "oversampling"):
+        if header[key] != getattr(config, key):
+            raise EngineError(f"log was written with {key}={header[key]!r}, config has {getattr(config, key)!r}")
+    sizes = iteration_sizes(config.n_total)
+    logged = collections.Counter(obj["iteration"] for obj in entries if obj["type"] == "sample")
+    done = 0
+    while done < len(sizes) and logged[done] == sizes[done]:
+        done += 1
+
     state = RunState(
         spec=spec,
         config=config,
         tensor=SubdomainTensor(len(dims), config.n_subdomain, config.cell_cap),
         store=NeighborStore(len(dims)),
+        iteration=done,
     )
     for obj in entries[1:]:
         kind = obj["type"]
-        if kind == "iteration":
-            state.alpha = obj["alpha"]
-        elif kind == "normalization":
+        if kind == "normalization" and done:
             state.consts = fit.NormalizationConstants.from_dict(obj)
-        elif kind == "sample":
+        elif kind == "iteration" and obj["iteration"] < done:
+            state.alpha = obj["alpha"]
+        elif kind == "sample" and obj["iteration"] < done:
             state.records.append(_record_from_json(obj))
-    # One max-fold of all logged samples; reshape keeps the (0, n_dim) shape
-    # when no sample is logged yet.
+    # One max-fold of all kept samples; reshape keeps the (0, n_dim) shape
+    # when there are none.
     n = len(state.records)
     fitnesses = [r.fitness for r in state.records]
     subdomains = np.array([r.subdomain for r in state.records], dtype=np.intp).reshape(n, len(dims))
     state.tensor.update_many(subdomains, fitnesses)
     units = np.array([r.unit for r in state.records], dtype=float).reshape(n, len(dims))
     state.store.extend(units, fitnesses)
-    # An iteration counts as done only once its samples are logged; a run
-    # aborted mid-evaluation leaves a bare iteration header that is redone.
-    state.iteration = state.records[-1].iteration + 1 if state.records else 0
     return state
 
 
@@ -464,11 +497,23 @@ def resume(
     The tensor is re-established as the max-fold of logged (sub-domain,
     fitness) pairs; normalization constants and the iteration counter are
     restored, and per-iteration RNG streams make the continuation identical
-    to an uninterrupted run.  A different alpha schedule may be supplied.
+    to an uninterrupted one.  The log must match ``config`` except for the
+    alpha schedule, which may change.  Lines past the last complete
+    iteration are cut off before new ones are appended.
     """
     state = restore_state(log_path, spec, config)
-    if state.iteration >= len(iteration_sizes(config.n_total)):
+    sizes = iteration_sizes(config.n_total)
+    if state.iteration >= len(sizes):
         return state
+    # Kept lines: the run header, then each complete iteration's header and
+    # samples, plus the normalization line that follows iteration 0's header.
+    keep = 1 + sum(1 + n for n in sizes[: state.iteration]) + (state.consts is not None)
+    with open(log_path, "r+b") as fh:
+        for _ in range(keep):
+            line = fh.readline()
+        fh.truncate(fh.tell())
+        if not line.endswith(b"\n"):  # cut just before the last kept newline
+            fh.write(b"\n")
     return run(
         spec,
         config,

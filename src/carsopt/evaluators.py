@@ -344,11 +344,17 @@ class ExternalEvaluator:
             results[sid] = EvaluationResult(sid, None, str(obj.get("error", "evaluator error")))
 
     def close(self):
+        """Close the child's stdin and reap it; a child still running 5 s
+        later is killed."""
         try:
             self._proc.stdin.close()
         except OSError:
             pass
-        self._proc.wait(timeout=5)
+        try:
+            self._proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
 
 
 def make_evaluator(ref: str, timeout: float = 60.0, max_inflight: int = 16):

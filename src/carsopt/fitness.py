@@ -30,7 +30,6 @@ __all__ = [
     "NormalizationConstants",
     "FitnessBreakdown",
     "evaluate_breakdown",
-    "scalar_fitness",
     "ga_objective_vector",
 ]
 
@@ -52,28 +51,37 @@ def _op_values(meas: dict, name: str, ops) -> list[float]:
     return [vals[i] for i in ops]
 
 
-def boundary_penalty(b: BoundaryDef, meas: dict, n_ops: int, rho: float) -> float:
-    """Mean penalty of one boundary condition over its operating points."""
+def _boundary_pass(b: BoundaryDef, meas: dict, n_ops: int, rho: float) -> tuple[float, bool]:
+    """Mean penalty of one boundary condition over its operating points, and
+    whether it holds at every one of them.
+
+    The ``larger`` kind is strict, so a value exactly at the threshold does
+    not hold even though its distance-based penalty is 0.
+    """
     ops = b.ops(n_ops)
-    per_op = b.per_op_values(len(ops))
-    vals = _op_values(meas, b.name, ops)
-    pens = []
-    for v, bound in zip(vals, per_op):
+    pens, holds = [], True
+    for v, bound in zip(_op_values(meas, b.name, ops), b.per_op_values(len(ops))):
         if not math.isfinite(v):
             pens.append(rho)  # failed measurement counts as maximal unit distance
+            holds = False
             continue
         if b.kind == "range":
             lo, hi = bound
-            if lo <= v <= hi:
-                pens.append(0.0)
-            else:
-                nearest = lo if v < lo else hi
-                pens.append(rho * canberra_sqrt(v, nearest))
+            ok = lo <= v <= hi
+            pens.append(0.0 if ok else rho * canberra_sqrt(v, lo if v < lo else hi))
         elif b.kind == "target":
+            ok = v == bound
             pens.append(rho * canberra_sqrt(v, bound))
         else:  # larger: strict threshold
-            pens.append(0.0 if v > bound else rho * canberra_sqrt(v, bound))
-    return sum(pens) / len(pens)
+            ok = v > bound
+            pens.append(0.0 if ok else rho * canberra_sqrt(v, bound))
+        holds = holds and ok
+    return sum(pens) / len(pens), holds
+
+
+def boundary_penalty(b: BoundaryDef, meas: dict, n_ops: int, rho: float) -> float:
+    """Mean penalty of one boundary condition over its operating points."""
+    return _boundary_pass(b, meas, n_ops, rho)[0]
 
 
 def objective_fitness(o: ObjectiveDef, meas: dict, n_ops: int) -> float:
@@ -93,29 +101,22 @@ def objective_fitness(o: ObjectiveDef, meas: dict, n_ops: int) -> float:
     return -max(vals) + min(vals)
 
 
-def is_valid(spec: ProblemSpec, meas: dict) -> bool:
-    """True iff every boundary condition holds at every covered operating point.
-
-    The ``larger`` kind is strict, so a value exactly at the threshold is
-    invalid even though its distance-based penalty is 0.
-    """
+def _measured(spec: ProblemSpec, meas: dict | None) -> bool:
+    """True iff every measurement the spec reads is present and finite."""
+    if meas is None:
+        return False
     for name in spec.measurement_names():
         vals = meas.get(name)
         if vals is None or any(not math.isfinite(v) for v in vals):
             return False
-    for b in spec.boundaries:
-        ops = b.ops(spec.n_operating_points)
-        per_op = b.per_op_values(len(ops))
-        for v, bound in zip(_op_values(meas, b.name, ops), per_op):
-            if b.kind == "range":
-                if not bound[0] <= v <= bound[1]:
-                    return False
-            elif b.kind == "target":
-                if v != bound:
-                    return False
-            elif not v > bound:
-                return False
     return True
+
+
+def is_valid(spec: ProblemSpec, meas: dict) -> bool:
+    """True iff every boundary condition holds at every covered operating point."""
+    return _measured(spec, meas) and all(
+        _boundary_pass(b, meas, spec.n_operating_points, RHO_SCALAR)[1] for b in spec.boundaries
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -236,39 +237,27 @@ class FitnessBreakdown:
         return [v - total_pen for v in self.objective_raw]
 
 
-def evaluate_breakdown(spec: ProblemSpec, meas: dict | None, rho: float = RHO_SCALAR) -> FitnessBreakdown:
+def evaluate_breakdown(spec: ProblemSpec, meas: dict | None) -> FitnessBreakdown:
     """Compute raw objectives and penalties for one sample's measurements.
 
     ``meas`` of None, missing measurements or non-finite values mark the
     sample failed (scalar fitness 0, GA vector heavily penalized).
     """
-    n_ops = spec.n_operating_points
-    failed = meas is None
-    if not failed:
-        for name in spec.measurement_names():
-            vals = meas.get(name)
-            if vals is None or any(not math.isfinite(v) for v in vals):
-                failed = True
-                break
-    if failed:
+    if not _measured(spec, meas):
         return FitnessBreakdown(
             objective_raw=[math.nan] * len(spec.objectives),
             penalty_raw=[math.nan] * len(spec.boundaries),
             valid=False,
             failed=True,
         )
-    objective_raw = [objective_fitness(o, meas, n_ops) for o in spec.objectives]
-    penalty_raw = [boundary_penalty(b, meas, n_ops, rho) for b in spec.boundaries]
+    n_ops = spec.n_operating_points
+    passes = [_boundary_pass(b, meas, n_ops, RHO_SCALAR) for b in spec.boundaries]
     return FitnessBreakdown(
-        objective_raw=objective_raw,
-        penalty_raw=penalty_raw,
-        valid=is_valid(spec, meas),
+        objective_raw=[objective_fitness(o, meas, n_ops) for o in spec.objectives],
+        penalty_raw=[pen for pen, _ in passes],
+        valid=all(holds for _, holds in passes),
         failed=False,
     )
-
-
-def scalar_fitness(bd: FitnessBreakdown, consts: NormalizationConstants) -> float:
-    return bd.scalar(consts)
 
 
 def ga_objective_vector(bd: FitnessBreakdown) -> np.ndarray:

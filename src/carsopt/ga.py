@@ -1,4 +1,4 @@
-"""Island-based NSGA-II baseline sharing the problem/fitness/evaluator stack.
+"""Island-based NSGA-II baseline (Deb et al. 2002) on CARS's sample pipeline.
 
 Each island evolves independently (no migration) with binary tournament
 selection on (rank, crowding distance), simulated binary crossover with an
@@ -6,22 +6,27 @@ extra blend stage, and two-level Gaussian mutation.  All genomes live in the
 unit hypercube; clamping keeps variation inside it.  After the last
 generation the islands' non-dominated sets are merged and re-sorted.
 
+A generation is evaluated, scored, recorded and logged by the same engine
+functions as a CARS iteration (``evaluate_units``, ``sample_records``,
+``sample_json``), so both methods write the same log format: a run header,
+then per island an ``island`` line and its sample lines, each tagged with
+the island.  A record's ``iteration`` is its generation.
+
 Objectives follow the maximization convention; boundary penalties (weighted
-by rho = 10,000) are subtracted from every objective of an individual.
+by rho = 10,000) are subtracted from every objective of an individual.  A
+record's fitness is the mean of that objective vector.
 """
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import fitness as fit
-from .engine import LOG_VERSION, SampleRecord
+from .engine import SampleRecord, evaluate_units, open_log, run_header, sample_json, sample_records
 from .problem import ProblemSpec, sampled_dimensions
-from .evaluators import EvaluationRequest
 
 __all__ = [
     "IslandConfig",
@@ -209,78 +214,34 @@ def _assign_ranks(pop: list[Individual]) -> list[list[int]]:
     return fronts
 
 
-class _IslandRun:
-    def __init__(self, spec, evaluator, cfg, island_id, emit, id_start):
-        self.spec = spec
-        self.evaluator = evaluator
-        self.cfg = cfg
-        self.island_id = island_id
-        self.emit = emit
-        self.dims = sampled_dimensions(spec)
-        self.next_id = id_start
-        self.records: list[SampleRecord] = []
-
-    def evaluate(self, genomes: list[np.ndarray], generation: int) -> list[Individual]:
-        from .engine import _physical_params
-
-        requests = []
-        for g in genomes:
-            requests.append(EvaluationRequest(self.next_id, _physical_params(self.spec, self.dims, g)))
-            self.next_id += 1
-        results = self.evaluator.evaluate_batch(requests)
-        by_id = {r.sample_id: r for r in results}
-        individuals = []
-        for g, req in zip(genomes, requests):
-            res = by_id[req.sample_id]
-            bd = fit.evaluate_breakdown(self.spec, res.meas)
-            vec = fit.ga_objective_vector(bd)
-            ind = Individual(genome=g, objectives=vec, valid=bd.valid, record_id=req.sample_id)
-            rec = SampleRecord(
-                sample_id=req.sample_id,
-                iteration=generation,
-                subdomain=(),
-                unit=tuple(float(x) for x in g),
-                params=req.params,
-                meas=res.meas,
-                error=res.error,
-                breakdown=bd,
-                fitness=float(np.mean(vec)),
-                valid=bd.valid,
-            )
-            self.records.append(rec)
-            self.emit(rec, generation, self.island_id)
-            individuals.append(ind)
-        return individuals
-
-    def evolve(self, rng: np.random.Generator) -> list[Individual]:
-        cfg = self.cfg
-        n_dim = len(self.dims)
-        genomes = [rng.random(n_dim) for _ in range(cfg.population_size)]
-        pop = self.evaluate(genomes, 0)
-        _assign_ranks(pop)
-        for gen in range(1, cfg.generations + 1):
-            offspring_genomes = []
-            while len(offspring_genomes) < cfg.population_size:
-                p1 = _tournament(pop, rng)
-                p2 = _tournament(pop, rng)
-                c1, c2 = sbx_crossover(p1.genome, p2.genome, rng, cfg)
-                offspring_genomes.append(gaussian_mutate(c1, rng, cfg))
-                if len(offspring_genomes) < cfg.population_size:
-                    offspring_genomes.append(gaussian_mutate(c2, rng, cfg))
-            offspring = self.evaluate(offspring_genomes, gen)
-            combined = pop + offspring
-            fronts = _assign_ranks(combined)
-            survivors: list[Individual] = []
-            for front in fronts:
-                if len(survivors) + len(front) <= cfg.population_size:
-                    survivors.extend(combined[i] for i in front)
-                else:
-                    room = cfg.population_size - len(survivors)
-                    ordered = sorted(front, key=lambda i: -combined[i].crowding)
-                    survivors.extend(combined[i] for i in ordered[:room])
-                    break
-            pop = survivors
-        return pop
+def _evolve(cfg: IslandConfig, n_dim: int, rng: np.random.Generator, evaluate) -> list[Individual]:
+    """One island's NSGA-II run; ``evaluate(generation, genomes)`` scores a
+    generation's genomes as individuals."""
+    pop = evaluate(0, [rng.random(n_dim) for _ in range(cfg.population_size)])
+    _assign_ranks(pop)
+    for gen in range(1, cfg.generations + 1):
+        offspring_genomes = []
+        while len(offspring_genomes) < cfg.population_size:
+            p1 = _tournament(pop, rng)
+            p2 = _tournament(pop, rng)
+            c1, c2 = sbx_crossover(p1.genome, p2.genome, rng, cfg)
+            offspring_genomes.append(gaussian_mutate(c1, rng, cfg))
+            if len(offspring_genomes) < cfg.population_size:
+                offspring_genomes.append(gaussian_mutate(c2, rng, cfg))
+        offspring = evaluate(gen, offspring_genomes)
+        combined = pop + offspring
+        fronts = _assign_ranks(combined)
+        survivors: list[Individual] = []
+        for front in fronts:
+            if len(survivors) + len(front) <= cfg.population_size:
+                survivors.extend(combined[i] for i in front)
+            else:
+                room = cfg.population_size - len(survivors)
+                ordered = sorted(front, key=lambda i: -combined[i].crowding)
+                survivors.extend(combined[i] for i in ordered[:room])
+                break
+        pop = survivors
+    return pop
 
 
 def run_islands(
@@ -293,53 +254,43 @@ def run_islands(
     """Evolve every island independently and merge their non-dominated sets.
 
     Island i uses an RNG stream derived from (seed, i), so its trajectory is
-    unaffected by the other islands.  Sample ids are unique across islands.
+    unaffected by the other islands.  Sample ids are unique across islands:
+    island i's generation g holds ids from (i * (generations + 1) + g) *
+    population_size on.
     """
-    log = open(log_path, "w") if log_path else None
-
-    def emit_obj(obj):
-        if log:
-            log.write(json.dumps(obj) + "\n")
-
-    def emit_sample(rec: SampleRecord, generation: int, island: int):
-        from .engine import _sample_to_json
-
-        obj = _sample_to_json(rec)
-        obj["island"] = island
-        emit_obj(obj)
-
-    emit_obj(
-        {
-            "type": "run",
-            "version": LOG_VERSION,
-            "method": "ga",
-            "seed": seed,
-            "n_total": cfg.total_evaluations,
-            "n_subdomain": 0,
-            "n_pool": 0,
-            "oversampling": False,
-            "alpha_schedule": "",
-            "n_dim": len(sampled_dimensions(spec)),
-            "dimensions": [d.label for d in sampled_dimensions(spec)],
-            "islands": cfg.n_islands,
-            "population_size": cfg.population_size,
-            "generations": cfg.generations,
-        }
-    )
-
-    all_records: list[SampleRecord] = []
+    dims = sampled_dimensions(spec)
+    records: list[SampleRecord] = []
     merged_front: list[Individual] = []
-    id_stride = cfg.population_size * (cfg.generations + 1)
-    try:
+
+    with open_log(log_path, "w") as emit:
+
+        def evaluate(island: int, generation: int, genomes: list[np.ndarray]) -> list[Individual]:
+            first_id = (island * (cfg.generations + 1) + generation) * cfg.population_size
+            requests, results, breakdowns = evaluate_units(spec, dims, evaluator, genomes, first_id)
+            vecs = [fit.ga_objective_vector(bd) for bd in breakdowns]
+            batch = sample_records(
+                generation, genomes, [()] * len(genomes), requests, results, breakdowns, [np.mean(v) for v in vecs]
+            )
+            for rec in batch:
+                emit({**sample_json(rec), "island": island})
+            records.extend(batch)
+            return [
+                Individual(genome=g, objectives=vec, valid=rec.valid, record_id=rec.sample_id)
+                for g, vec, rec in zip(genomes, vecs, batch)
+            ]
+
+        emit(
+            {
+                **run_header("ga", seed, cfg.total_evaluations, dims, None),
+                "islands": cfg.n_islands,
+                "population_size": cfg.population_size,
+                "generations": cfg.generations,
+            }
+        )
         for island in range(cfg.n_islands):
-            emit_obj({"type": "island", "island": island})
-            runner = _IslandRun(spec, evaluator, cfg, island, emit_sample, island * id_stride)
-            final_pop = runner.evolve(_island_rng(seed, island))
-            all_records.extend(runner.records)
+            emit({"type": "island", "island": island})
+            final_pop = _evolve(cfg, len(dims), _island_rng(seed, island), partial(evaluate, island))
             merged_front.extend(ind for ind in final_pop if ind.rank == 0)
-    finally:
-        if log:
-            log.close()
 
     if merged_front:
         objs = np.array([ind.objectives for ind in merged_front])
@@ -348,7 +299,7 @@ def run_islands(
     else:
         front0 = []
     return GAResult(
-        records=all_records,
+        records=records,
         front0=front0,
         total_evaluations=cfg.total_evaluations,
         config=cfg,

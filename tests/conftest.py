@@ -49,3 +49,22 @@ class CountingEvaluator:
 @pytest.fixture
 def counting():
     return CountingEvaluator
+
+
+class DroppingEvaluator:
+    """Wraps an evaluator and leaves out the result for sample id ``drop``."""
+
+    def __init__(self, inner, drop):
+        self.inner = inner
+        self.drop = drop
+
+    def evaluate_batch(self, requests):
+        return [r for r in self.inner.evaluate_batch(requests) if r.sample_id != self.drop]
+
+    def close(self):
+        self.inner.close()
+
+
+@pytest.fixture
+def dropping():
+    return DroppingEvaluator

@@ -1,10 +1,13 @@
 import collections
+import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 import carsopt as c
+from carsopt import BoundaryDef, BuiltinEvaluator, ObjectiveDef, ParameterDef, ProblemSpec
 from carsopt.engine import (
     EngineError,
     RunConfig,
@@ -17,6 +20,41 @@ from carsopt.engine import (
     restore_state,
 )
 from carsopt.tensor import OPTIMISTIC_INIT, SubdomainTensor
+
+
+def two_op_problem():
+    """Two operating points, a log and a linear parameter beside a grid one,
+    and one boundary of each kind.  The model raises for L > 0.9 (failed
+    sample), returns NaN ripple when fsw[0] < 2e3, and clamps eff at the
+    strict ``larger`` threshold for large L (penalty 0, yet invalid)."""
+    spec = ProblemSpec(
+        parameters=(
+            ParameterDef("fsw", "log", (1e3, 1e6), op_count=2),
+            ParameterDef("L", "linear", (0.0, 1.0)),
+            ParameterDef("V", "grid", grid_values=(300.0, 350.0), op_count=2),
+        ),
+        objectives=(ObjectiveDef("eff", "max"), ObjectiveDef("ripple", "min")),
+        boundaries=(
+            BoundaryDef("eff", "larger", (0.5,)),
+            BoundaryDef("vout", "target", (12.0,), op_scope=(1,)),
+            BoundaryDef("ripple", "range", ((0.0, 0.5),)),
+        ),
+        n_operating_points=2,
+    )
+
+    def model(params):
+        L = params["L"][0]
+        if L > 0.9:
+            raise RuntimeError("diverged")
+        f0, f1 = params["fsw"]
+        ripple = [1e3 / f0, 1e3 / f1]
+        if f0 < 2e3:
+            ripple[0] = math.nan
+        eff = [max(0.5, 1.0 - L), max(0.5, 0.9 - L * params["V"][1] / 350.0)]
+        vout = [12.0 + L, 12.0 if L < 0.7 else 12.0 + L]
+        return {"eff": eff, "vout": vout, "ripple": ripple}
+
+    return spec, BuiltinEvaluator(model, "two_op")
 
 
 class TestHeuristics:
@@ -95,6 +133,11 @@ class TestRun:
         assert cev.samples == 200
         assert cev.batches == len(iteration_sizes(200))
 
+    def test_dropped_sample_id_raises(self, dropping):
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        with pytest.raises(EngineError, match="dropped sample ids \\[3\\]"):
+            c.run(spec, RunConfig(n_total=100, seed=0), dropping(ev, 3))
+
     def test_failed_samples_do_not_abort(self):
         from carsopt import BuiltinEvaluator, ObjectiveDef, ParameterDef, ProblemSpec
 
@@ -149,6 +192,19 @@ class TestDeterminismAndResume:
         digest = hashlib.sha256((tmp_path / "r.log").read_bytes()).hexdigest()
         assert digest == "24d4fd40d27a3b45c366490d7b44c848db4968a1083397c7070f1ca36698879b"
 
+    def test_pinned_log_with_failed_samples(self, tmp_path):
+        # Failed, NaN-measurement and valid samples over two operating
+        # points; the digest pins how each is scored, flagged and logged.
+        spec, ev = two_op_problem()
+        c.run(spec, RunConfig(n_total=200, seed=4), ev, log_path=tmp_path / "r.log")
+        samples = [e for e in read_log(tmp_path / "r.log") if e["type"] == "sample"]
+        assert any(e["meas"] is None for e in samples)
+        assert any(e["meas"] and math.isnan(e["meas"]["ripple"][0]) for e in samples)
+        assert any(e["valid"] for e in samples)
+        assert any(not e["valid"] and e["meas"] and not any(e["penalty_raw"]) for e in samples)
+        digest = hashlib.sha256((tmp_path / "r.log").read_bytes()).hexdigest()
+        assert digest == "8b48953a3b68e337850875c8fb9a7b495eb755cfe64ffc4d307f847abd8def4c"
+
     def test_resume_after_completion_is_identity(self, tmp_path):
         spec, ev = c.builtin_problem("sphere_ring", 2)
         cfg = RunConfig(n_total=100, seed=1)
@@ -198,6 +254,50 @@ class TestDeterminismAndResume:
         rs = restore_state(tmp_path / "r.log", spec, cfg)
         assert rs.records == [] and rs.iteration == 0 and len(rs.store) == 0
         assert np.all(rs.tensor.cells == OPTIMISTIC_INIT) and not rs.tensor.touched.any()
+
+    @pytest.mark.parametrize(
+        "keep,torn",
+        [(2, 0), (49, 0), (44, 1)],
+        ids=["bare-first-header", "mid-iteration-2", "unterminated-iteration-1"],
+    )
+    def test_resume_cut_log_equals_uninterrupted(self, tmp_path, keep, torn):
+        # 5 iterations of 20: line 2 is iteration 0's header, lines 45-49
+        # are iteration 2's header and its first 4 samples, and line 44 is
+        # iteration 1's last sample; ``torn`` bytes are cut off the end.
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        cfg = RunConfig(n_total=100, seed=0)
+        c.run(spec, cfg, ev, log_path=tmp_path / "full.log")
+        full = (tmp_path / "full.log").read_bytes()
+        assert len(full.splitlines()) == 107
+        cut = b"".join(full.splitlines(keepends=True)[:keep])
+        (tmp_path / "cut.log").write_bytes(cut[: len(cut) - torn])
+        c.resume(tmp_path / "cut.log", spec, cfg, ev)
+        assert (tmp_path / "cut.log").read_bytes() == full
+
+    def test_restore_drops_incomplete_iteration(self, tmp_path):
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        cfg = RunConfig(n_total=100, seed=0)
+        c.run(spec, cfg, ev, log_path=tmp_path / "full.log")
+        lines = (tmp_path / "full.log").read_text().splitlines(keepends=True)
+        (tmp_path / "r.log").write_text("".join(lines[:49]))
+        rs = restore_state(tmp_path / "r.log", spec, cfg)
+        assert rs.iteration == 2 and len(rs.records) == 40 and len(rs.store) == 40
+        (tmp_path / "r.log").write_text("".join(lines[:13]))  # normalization + 10 samples
+        rs = restore_state(tmp_path / "r.log", spec, cfg)
+        assert rs.iteration == 0 and rs.records == [] and rs.consts is None
+
+    @pytest.mark.parametrize(
+        "field,value", [("n_total", 3000), ("n_pool", 0), ("oversampling", False)]
+    )
+    def test_config_drift_rejected(self, tmp_path, field, value):
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        cfg = RunConfig(n_total=2000, seed=0)
+        c.run(spec, cfg, ev, log_path=tmp_path / "r.log", stop_after_iteration=1)
+        before = (tmp_path / "r.log").read_bytes()
+        drifted = dataclasses.replace(cfg, **{field: value})
+        with pytest.raises(EngineError, match=field):
+            c.resume(tmp_path / "r.log", spec, drifted, ev)
+        assert (tmp_path / "r.log").read_bytes() == before
 
     def test_geometry_mismatch_rejected(self, tmp_path):
         spec, ev = c.builtin_problem("sphere_ring", 2)

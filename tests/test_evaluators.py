@@ -230,6 +230,18 @@ class TestExternalEvaluator:
         assert [r.sample_id for r in done] == [0]
         assert done[0].ok
 
+    def test_close_kills_stuck_child(self, tmp_path):
+        body = """\
+            import signal, sys, time
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            sys.stdin.read()
+            while True:
+                time.sleep(1)
+        """
+        ev = ExternalEvaluator(child_script(tmp_path, body))
+        ev.close()
+        assert ev._proc.poll() is not None
+
     def test_missing_command(self):
         with pytest.raises(EvaluatorTransportError):
             ExternalEvaluator("/no/such/binary-xyz")

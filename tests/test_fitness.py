@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from carsopt.fitness import (
     FAILED_GA_OBJECTIVE,
+    RHO_SCALAR,
     NormalizationConstants,
     boundary_penalty,
     canberra_sqrt,
@@ -214,3 +215,64 @@ class TestIsValid:
         meas = {"a": [1.0], "b": [1.0], "c": [v]}
         bd = evaluate_breakdown(spec, meas)
         assert bd.valid == (sum(bd.penalty_raw) == 0.0)
+
+
+# Separate penalty and validity walks, as they were before one boundary pass
+# produced both; kept as the reference the pass must equal.
+def reference_penalty(b, meas, n_ops, rho):
+    ops = b.ops(n_ops)
+    pens = []
+    for v, bound in zip([meas[b.name][i] for i in ops], b.per_op_values(len(ops))):
+        if not math.isfinite(v):
+            pens.append(rho)
+        elif b.kind == "range":
+            lo, hi = bound
+            pens.append(0.0 if lo <= v <= hi else rho * canberra_sqrt(v, lo if v < lo else hi))
+        elif b.kind == "target":
+            pens.append(rho * canberra_sqrt(v, bound))
+        else:
+            pens.append(0.0 if v > bound else rho * canberra_sqrt(v, bound))
+    return sum(pens) / len(pens)
+
+
+def reference_is_valid(spec, meas):
+    for name in spec.measurement_names():
+        if any(not math.isfinite(v) for v in meas[name]):
+            return False
+    for b in spec.boundaries:
+        ops = b.ops(spec.n_operating_points)
+        for v, bound in zip([meas[b.name][i] for i in ops], b.per_op_values(len(ops))):
+            if b.kind == "range" and not bound[0] <= v <= bound[1]:
+                return False
+            if b.kind == "target" and v != bound:
+                return False
+            if b.kind == "larger" and not v > bound:
+                return False
+    return True
+
+
+class TestBoundaryPass:
+    BOUNDARIES = [
+        BoundaryDef("m", "larger", (0.5,)),
+        BoundaryDef("m", "target", (12.0,), op_scope=(1,)),
+        BoundaryDef("m", "range", ((0.0, 0.5), (1.0, 2.0))),
+    ]
+    # Edges (thresholds, targets, range ends) and non-finite values come up
+    # as often as arbitrary floats.
+    VALUE = st.sampled_from([0.0, 0.5, 1.0, 2.0, 12.0, math.nan, math.inf]) | st.floats(-20, 20)
+
+    @pytest.mark.parametrize("b", BOUNDARIES, ids=lambda b: b.kind)
+    @given(vals=st.lists(VALUE, min_size=2, max_size=2))
+    def test_matches_reference(self, b, vals):
+        spec = ProblemSpec(
+            parameters=(ParameterDef("x", "linear", (0.0, 1.0)),),
+            objectives=(ObjectiveDef("m", "max"),),
+            boundaries=(b,),
+            n_operating_points=2,
+        )
+        meas = {"m": vals}
+        bd = evaluate_breakdown(spec, meas)
+        assert is_valid(spec, meas) == bd.valid == reference_is_valid(spec, meas)
+        pen = reference_penalty(b, meas, 2, RHO_SCALAR)
+        assert boundary_penalty(b, meas, 2, RHO_SCALAR) == pen
+        assert bd.failed or bd.penalty_raw == [pen]

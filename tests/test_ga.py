@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import carsopt as c
+from carsopt.engine import EngineError
 from carsopt.ga import (
     GA_DEFAULTS,
     IslandConfig,
@@ -209,3 +212,16 @@ class TestRunIslands:
         samples = [l for l in lines if l["type"] == "sample"]
         assert len(samples) == cfg.total_evaluations
         assert {s["island"] for s in samples} == {0, 1}
+
+    def test_pinned_log(self, tmp_path):
+        # Boost over 3 islands: the digest pins the GA log bytes (header,
+        # island markers, sample records and their order).
+        spec, ev = c.builtin_problem("boost")
+        run_islands(spec, IslandConfig(3, 10, 4), ev, seed=3, log_path=tmp_path / "ga.log")
+        digest = hashlib.sha256((tmp_path / "ga.log").read_bytes()).hexdigest()
+        assert digest == "cfc0e57e85da6cc8ddab8dfe1cbbfd8a7b74d45ec65e4d0cc0e8aeb779eaac8b"
+
+    def test_dropped_sample_id_raises(self, dropping):
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        with pytest.raises(EngineError, match="dropped sample ids \\[3\\]"):
+            run_islands(spec, make_cfg(population_size=6), dropping(ev, 3), seed=0)
