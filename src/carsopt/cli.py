@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -30,7 +31,7 @@ from .engine import EngineError, RunConfig
 from .evaluators import EvaluatorTransportError, make_evaluator
 from .ga import IslandConfig, run_islands
 from .problem import ProblemError, load_problem
-from .tensor import DEFAULT_CELL_CAP, SubdomainTensor, TensorError
+from .tensor import MAX_CELLS, SubdomainTensor, TensorError
 
 EXIT_CONFIG = 2
 EXIT_EVALUATOR = 3
@@ -50,28 +51,38 @@ def _out_dir(args) -> Path:
     return path
 
 
+# The flags --method ga refuses, by the RunConfig field they set.
+_CARS_FLAGS = {
+    "n_total": "--n-total",
+    "n_pool": "--no-pooling",
+    "oversampling": "--no-oversampling",
+    "alpha_schedule": "--alpha-schedule",
+}
+
+
 def _load(args):
+    """The problem, its RunConfig (flags given over ``run:`` keys over the
+    defaults) and its evaluator."""
     spec = load_problem(args.config)
-    run_settings = dict(spec.run_settings)
-    evaluator_ref = args.evaluator or run_settings.get("evaluator")
+    fields = dataclasses.fields(RunConfig)
+    unknown = sorted(set(spec.run_settings) - {f.name for f in fields} - {"evaluator", "ga"})
+    if unknown:
+        raise ProblemError(f"unknown run key(s) in the config: {', '.join(unknown)}")
+    values = {}
+    for f in fields:
+        if getattr(args, f.name, None) is not None:
+            values[f.name] = getattr(args, f.name)
+        elif f.name in spec.run_settings:
+            try:
+                values[f.name] = type(f.default)(spec.run_settings[f.name])
+            except (TypeError, ValueError) as exc:
+                raise ProblemError(f"run.{f.name}: {exc}") from exc
+    cfg = RunConfig(**values)
+    evaluator_ref = args.evaluator or spec.run_settings.get("evaluator")
     if evaluator_ref is None:
         raise ProblemError("no evaluator: pass --evaluator or set run.evaluator in the config")
     evaluator = make_evaluator(evaluator_ref, timeout=args.timeout)
-    return spec, run_settings, evaluator
-
-
-def _run_config(args, run_settings) -> RunConfig:
-    n_total = args.n_total or int(run_settings.get("n_total", 1000))
-    cfg = RunConfig(
-        n_total=n_total,
-        seed=args.seed if args.seed is not None else int(run_settings.get("seed", 0)),
-        n_subdomain=int(run_settings.get("n_subdomain", 9)),
-        n_pool=0 if args.no_pooling else int(run_settings.get("n_pool", 3)),
-        oversampling=not args.no_oversampling and bool(run_settings.get("oversampling", True)),
-        alpha_schedule=args.alpha_schedule or str(run_settings.get("alpha_schedule", "identity")),
-        cell_cap=args.cell_cap or int(run_settings.get("cell_cap", DEFAULT_CELL_CAP)),
-    )
-    return cfg
+    return spec, cfg, evaluator
 
 
 def _island_config(run_settings) -> IslandConfig:
@@ -84,18 +95,18 @@ def _island_config(run_settings) -> IslandConfig:
 
 
 def cmd_run(args) -> int:
-    spec, run_settings, evaluator = _load(args)
+    if args.method == "ga":
+        refused = [flag for name, flag in _CARS_FLAGS.items() if getattr(args, name) is not None]
+        if refused:
+            raise ProblemError(f"--method ga does not take {', '.join(refused)}")
+    spec, cfg, evaluator = _load(args)
     out = _out_dir(args)
     log_path = out / "run.log"
     try:
         if args.method == "cars":
-            cfg = _run_config(args, run_settings)
-            state = engine.run(spec, cfg, evaluator, log_path=log_path)
-            records = state.records
+            records = engine.run(spec, cfg, evaluator, log_path=log_path).records
         else:
-            icfg = _island_config(run_settings)
-            seed = args.seed if args.seed is not None else int(run_settings.get("seed", 0))
-            result = run_islands(spec, icfg, evaluator, seed=seed, log_path=log_path)
+            result = run_islands(spec, _island_config(spec.run_settings), evaluator, seed=cfg.seed, log_path=log_path)
             records = result.records
             print(f"evaluations: {result.total_evaluations}")
     finally:
@@ -108,9 +119,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_resume(args) -> int:
-    spec, run_settings, evaluator = _load(args)
+    spec, cfg, evaluator = _load(args)
     try:
-        cfg = _run_config(args, run_settings)
         state = engine.resume(args.log, spec, cfg, evaluator)
     finally:
         evaluator.close()
@@ -133,29 +143,20 @@ def _available_memory() -> int:
         return 1 << 62
 
 
-def bench_sampling(
-    max_params: int,
-    batch_sizes: list[int],
-    repeats: int = 20,
-    n_sub: int = 9,
-    n_pool: int = 3,
-    cell_cap: int = DEFAULT_CELL_CAP,
-    seed: int = 0,
-    memory_budget: int | None = None,
-) -> list[dict]:
+def bench_sampling(max_params: int, batch_sizes: list[int], repeats: int = 20, n_sub: int = 9) -> list[dict]:
     """Time one full sampling step per (n_params, batch_size) configuration.
 
     A step = assign the previous batch's fitness, recompute the pooling
-    overlay, softmax, draw the batch and place in-cell points.  Evaluation is
-    excluded.  Configurations whose tensor exceeds the cell cap or the memory
-    budget are reported as skipped instead of attempted.
+    overlay (RunConfig's default width, when it divides ``n_sub``), softmax,
+    draw the batch and place in-cell points.  Evaluation is excluded.
+    Configurations whose tensor exceeds the cell cap or 70% of the available
+    memory are reported as skipped instead of attempted.
     """
-    if memory_budget is None:
-        memory_budget = int(_available_memory() * 0.7)
+    memory_budget = int(_available_memory() * 0.7)
+    pool = RunConfig.n_pool if n_sub % RunConfig.n_pool == 0 else 0
     rows = []
     for n_params in range(1, max_params + 1):
         n_cells = n_sub**n_params
-        pool = n_pool if n_sub % n_pool == 0 else 0
         for batch in batch_sizes:
             row = {
                 "n_params": n_params,
@@ -163,8 +164,8 @@ def bench_sampling(
                 "n_cells": n_cells,
                 "batch_size": batch,
             }
-            if n_cells > cell_cap:
-                row.update(skipped=f"exceeds cell cap {cell_cap}")
+            if n_cells > MAX_CELLS:
+                row.update(skipped=f"exceeds cell cap {MAX_CELLS}")
                 rows.append(row)
                 continue
             if n_cells * _BYTES_PER_CELL > memory_budget:
@@ -176,15 +177,15 @@ def bench_sampling(
                 )
                 rows.append(row)
                 continue
-            tensor = SubdomainTensor(n_params, n_sub, cell_cap)
-            rng = np.random.default_rng(seed)
+            tensor = SubdomainTensor(n_params, n_sub)
+            rng = np.random.default_rng(0)
             mis = tensor.multi_indices(rng.integers(0, n_cells, size=batch))
             fits = rng.random(batch)
             times = []
             for rep in range(repeats):
                 t0 = time.perf_counter()
                 tensor.update_many(mis, fits)
-                probs = tensor.softmax_probabilities(alpha=float(rep), n_pool=pool or None)
+                probs = tensor.softmax_probabilities(alpha=float(rep), n_pool=pool)
                 mis = tensor.sample_subdomains(probs, batch, rng)
                 offsets = rng.random((batch, n_params))
                 _ = (mis + offsets) / n_sub
@@ -203,13 +204,7 @@ def bench_sampling(
 
 def cmd_bench(args) -> int:
     batch_sizes = [int(b) for b in args.batch_sizes.split(",")]
-    rows = bench_sampling(
-        args.max_params,
-        batch_sizes,
-        repeats=args.repeats,
-        n_sub=args.n_subdomain,
-        cell_cap=args.cell_cap or DEFAULT_CELL_CAP,
-    )
+    rows = bench_sampling(args.max_params, batch_sizes, repeats=args.repeats, n_sub=args.n_subdomain)
     out = _out_dir(args)
     path = out / "bench.csv"
     with open(path, "w", newline="") as fh:
@@ -244,13 +239,13 @@ STUDY_VARIANTS = {
 }
 
 
-def run_study(spec, evaluator, n_total: int, seeds: list[int], n_subdomain: int = 9) -> list[dict]:
-    """Run the four extension variants per seed; returns per-iteration stats rows."""
+def run_study(spec, evaluator, config: RunConfig, seeds: list[int]) -> list[dict]:
+    """Run ``config`` in the four extension variants per seed; returns
+    per-iteration stats rows."""
     rows = []
     for variant, overrides in STUDY_VARIANTS.items():
         for seed in seeds:
-            cfg = RunConfig(n_total=n_total, seed=seed, n_subdomain=n_subdomain, **overrides)
-            state = engine.run(spec, cfg, evaluator)
+            state = engine.run(spec, dataclasses.replace(config, seed=seed, **overrides), evaluator)
             for s in state.iteration_stats():
                 rows.append(
                     {
@@ -266,11 +261,10 @@ def run_study(spec, evaluator, n_total: int, seeds: list[int], n_subdomain: int 
 
 
 def cmd_study(args) -> int:
-    spec, run_settings, evaluator = _load(args)
     seeds = [int(s) for s in args.seeds.split(",")]
-    n_total = args.n_total or int(run_settings.get("n_total", 1000))
+    spec, cfg, evaluator = _load(args)
     try:
-        rows = run_study(spec, evaluator, n_total, seeds, int(run_settings.get("n_subdomain", 9)))
+        rows = run_study(spec, evaluator, cfg, seeds)
     finally:
         evaluator.close()
     out = _out_dir(args)
@@ -341,15 +335,19 @@ def _add_common(p):
 
 
 def _add_run_opts(p):
+    """Flags of run, resume and study; one that sets a RunConfig field has it as dest."""
     p.add_argument("--config", required=True, help="problem configuration YAML")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--n-total", type=int, default=None)
-    p.add_argument("--no-pooling", action="store_true")
-    p.add_argument("--no-oversampling", action="store_true")
-    p.add_argument("--alpha-schedule", default=None, help="identity | const:<v> | scale:<k>")
+    p.add_argument("--n-total", type=int)
+    p.add_argument("--alpha-schedule", help="identity | const:<v> | scale:<k>")
     p.add_argument("--evaluator", default=None, help="builtin:<name> or cmd:<command>")
-    p.add_argument("--cell-cap", type=int, default=None)
     p.add_argument("--timeout", type=float, default=60.0, help="per-sample evaluator timeout [s]")
+
+
+def _add_single_run_opts(p):
+    """Flags of run and resume that study sets itself, per seed and variant."""
+    p.add_argument("--seed", type=int)
+    p.add_argument("--no-pooling", dest="n_pool", action="store_const", const=0)
+    p.add_argument("--no-oversampling", dest="oversampling", action="store_const", const=False)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,12 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run an optimization")
     _add_run_opts(p)
+    _add_single_run_opts(p)
     p.add_argument("--method", choices=("cars", "ga"), default="cars")
     _add_common(p)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("resume", help="continue a logged run")
     _add_run_opts(p)
+    _add_single_run_opts(p)
     p.add_argument("--log", required=True)
     _add_common(p)
     p.set_defaults(fn=cmd_resume)
@@ -373,11 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-sizes", default="1000,100000,1000000")
     p.add_argument("--repeats", type=int, default=20)
     p.add_argument("--n-subdomain", type=int, default=9)
-    p.add_argument("--cell-cap", type=int, default=None)
     _add_common(p)
     p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser("study", help="extension ablation study")
+    # Without abbreviations, so that --seed is refused rather than read as --seeds.
+    p = sub.add_parser("study", help="extension ablation study", allow_abbrev=False)
     _add_run_opts(p)
     p.add_argument("--seeds", default="0,1,2")
     _add_common(p)

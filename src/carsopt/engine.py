@@ -29,7 +29,7 @@ from . import fitness as fit
 from .evaluators import EvaluationRequest
 from .knn import NeighborStore
 from .problem import ProblemSpec, sampled_dimensions, to_physical
-from .tensor import DEFAULT_CELL_CAP, SubdomainTensor
+from .tensor import SubdomainTensor
 
 __all__ = [
     "RunConfig",
@@ -126,13 +126,14 @@ def parse_alpha_schedule(spec_str: str):
 
 @dataclass
 class RunConfig:
-    n_total: int
+    """Every setting of a CARS run."""
+
+    n_total: int = 1000
     seed: int = 0
     n_subdomain: int = 9
     n_pool: int = 3  # 0 disables pooling
     oversampling: bool = True
     alpha_schedule: str = "identity"
-    cell_cap: int = DEFAULT_CELL_CAP
 
     def __post_init__(self):
         if self.n_subdomain < 2:
@@ -324,8 +325,7 @@ def _sample_iteration(state: RunState, iteration: int, n: int):
     use_over = cfg.oversampling and iteration > 0 and len(state.store) > 0
     n_over = oversampling_width(n_dim) if use_over else 1
 
-    n_pool = cfg.n_pool if cfg.n_pool else None
-    probs = state.tensor.softmax_probabilities(state.alpha, n_pool)
+    probs = state.tensor.softmax_probabilities(state.alpha, cfg.n_pool)
     mis = state.tensor.sample_subdomains(probs, n * n_over, rng)
     offsets = rng.random((n * n_over, n_dim))
     units = (mis + offsets) / n_sub
@@ -359,7 +359,7 @@ def run(
         state = RunState(
             spec=spec,
             config=config,
-            tensor=SubdomainTensor(n_dim, config.n_subdomain, config.cell_cap),
+            tensor=SubdomainTensor(n_dim, config.n_subdomain),
             store=NeighborStore(n_dim),
         )
     else:
@@ -397,16 +397,22 @@ def run(
 # ---------------------------------------------------------------------------
 
 def read_log(path) -> list[dict]:
-    """Parse a run log into its records; raises EngineError on corruption."""
+    """Parse a run log into its records; raises EngineError on corruption.
+
+    A last line without its newline that does not parse is what a crash
+    mid-write leaves; it is dropped.
+    """
     records = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
             if not line:
                 continue
             try:
                 records.append(json.loads(line))
             except json.JSONDecodeError as exc:
+                if not raw.endswith("\n"):
+                    break
                 raise EngineError(f"corrupt log line {lineno}: {exc}")
     if not records or records[0].get("type") != "run":
         raise EngineError("log does not start with a run header")
@@ -436,23 +442,26 @@ def _record_from_json(obj: dict) -> SampleRecord:
 def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
     """Rebuild engine state from a run log (no new samples).
 
+    Raises EngineError unless the log header equals this run's ``run_header``
+    but for the alpha schedule, and the first sample's parameters match.
     An iteration counts as done once all of its ``iteration_sizes`` samples
     are logged.  A trailing incomplete one (what a run killed mid-iteration
     leaves) is left out, and so are the normalization constants if that is
     iteration 0; resuming redoes it.
     """
     entries = read_log(log_path)
-    header = entries[0]
     dims = sampled_dimensions(spec)
-    if header["n_dim"] != len(dims) or header["n_subdomain"] != config.n_subdomain:
-        raise EngineError(
-            "log geometry mismatch: log has "
-            f"n_dim={header['n_dim']}, n_subdomain={header['n_subdomain']}"
-        )
-    # The alpha schedule alone may change on resume.
-    for key in ("seed", "n_total", "n_pool", "oversampling"):
-        if header[key] != getattr(config, key):
-            raise EngineError(f"log was written with {key}={header[key]!r}, config has {getattr(config, key)!r}")
+    for key, want in run_header("cars", config.seed, config.n_total, dims, config).items():
+        if key != "alpha_schedule" and entries[0].get(key) != want:
+            raise EngineError(
+                "log geometry or settings mismatch: log was written with "
+                f"{key}={entries[0].get(key)!r}, this run has {want!r}"
+            )
+    # Dimension labels do not pin bounds or scales; the parameter values
+    # logged for the first sample's unit point do.
+    first = next((obj for obj in entries if obj["type"] == "sample"), None)
+    if first and first["params"] != _physical_params(spec, dims, first["unit"]):
+        raise EngineError(f"log dimensions mismatch: this problem maps sample {first['id']}'s unit point elsewhere")
     sizes = iteration_sizes(config.n_total)
     logged = collections.Counter(obj["iteration"] for obj in entries if obj["type"] == "sample")
     done = 0
@@ -462,7 +471,7 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
     state = RunState(
         spec=spec,
         config=config,
-        tensor=SubdomainTensor(len(dims), config.n_subdomain, config.cell_cap),
+        tensor=SubdomainTensor(len(dims), config.n_subdomain),
         store=NeighborStore(len(dims)),
         iteration=done,
     )
@@ -503,8 +512,6 @@ def resume(
     """
     state = restore_state(log_path, spec, config)
     sizes = iteration_sizes(config.n_total)
-    if state.iteration >= len(sizes):
-        return state
     # Kept lines: the run header, then each complete iteration's header and
     # samples, plus the normalization line that follows iteration 0's header.
     keep = 1 + sum(1 + n for n in sizes[: state.iteration]) + (state.consts is not None)

@@ -17,6 +17,7 @@ import queue
 import shlex
 import subprocess
 import threading
+import time
 from dataclasses import dataclass
 
 from .problem import BoundaryDef, ObjectiveDef, ParameterDef, ProblemSpec
@@ -267,12 +268,9 @@ class ExternalEvaluator:
             return self._evaluate_batch(requests)
 
     def _evaluate_batch(self, requests):
-        import time
-
         results: dict[int, EvaluationResult] = {}
         pending: dict[int, float] = {}  # id -> deadline
         it = iter(requests)
-        by_id = {r.sample_id: r for r in requests}
 
         def send_next():
             for req in it:
@@ -357,11 +355,11 @@ class ExternalEvaluator:
             self._proc.wait()
 
 
-def make_evaluator(ref: str, timeout: float = 60.0, max_inflight: int = 16):
+def make_evaluator(ref: str, timeout: float = 60.0):
     """Resolve an evaluator reference: ``builtin:<name>`` or ``cmd:<command>``."""
     if ref.startswith("builtin:"):
         _, evaluator = builtin_problem(ref.split(":", 1)[1])
         return evaluator
     if ref.startswith("cmd:"):
-        return ExternalEvaluator(ref.split(":", 1)[1], timeout=timeout, max_inflight=max_inflight)
+        return ExternalEvaluator(ref.split(":", 1)[1], timeout=timeout)
     raise ValueError(f"unknown evaluator reference {ref!r} (use builtin:<name> or cmd:<command>)")

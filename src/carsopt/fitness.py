@@ -130,7 +130,6 @@ class NormalizationConstants:
     objective: dict[str, tuple[float, float]] = field(default_factory=dict)
     boundary: dict[str, tuple[float, float]] = field(default_factory=dict)
     scalar: tuple[float, float] | None = None
-    frozen: bool = False
 
     @staticmethod
     def normalize(value: float, lo_hi: tuple[float, float]) -> float:
@@ -158,7 +157,6 @@ class NormalizationConstants:
             consts.boundary[_bnd_key(b, i)] = _min_max(vals)
         scalars = [bd.pre_scalar(consts) for bd in ok]
         consts.scalar = _min_max([s for s in scalars if math.isfinite(s)])
-        consts.frozen = True
         return consts
 
     def to_dict(self) -> dict:
@@ -170,7 +168,6 @@ class NormalizationConstants:
             objective={k: tuple(v) for k, v in d["objective"].items()},
             boundary={k: tuple(v) for k, v in d["boundary"].items()},
             scalar=tuple(d["scalar"]) if d.get("scalar") else None,
-            frozen=True,
         )
 
 

@@ -179,6 +179,15 @@ class ProblemSpec:
         names = [p.name for p in self.parameters]
         if len(set(names)) != len(names):
             raise ProblemError("duplicate parameter names")
+        for item in (*self.objectives, *self.boundaries):
+            if any(not 0 <= op < self.n_operating_points for op in item.ops(self.n_operating_points)):
+                raise ProblemError(
+                    f"{item.name}: op_scope {item.op_scope} outside the {self.n_operating_points} operating points"
+                )
+        for b in self.boundaries:
+            n_ops = len(b.ops(self.n_operating_points))
+            if len(b.per_op_values(n_ops)) != n_ops:
+                raise ProblemError(f"boundary {b.name}: needs one value or one per operating point ({n_ops})")
         for o in self.objectives:
             if o.kind == "min_range" and len(o.ops(self.n_operating_points)) < 2:
                 raise ProblemError(f"objective {o.name}: min_range needs >= 2 operating points")

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SubdomainTensor", "TensorError", "DEFAULT_CELL_CAP", "OPTIMISTIC_INIT"]
+__all__ = ["SubdomainTensor", "TensorError", "MAX_CELLS", "OPTIMISTIC_INIT"]
 
-DEFAULT_CELL_CAP = 500_000_000
+# 2 GB of float32 cells, 11.5 GB at the peak of a sampling step.
+MAX_CELLS = 500_000_000
 OPTIMISTIC_INIT = 0.75
 # Contiguous row length of the pooling broadcast in effective_cells.
 _ROW_ELEMENTS = 65_536
@@ -33,15 +34,12 @@ class TensorError(ValueError):
 class SubdomainTensor:
     """Dense per-cell fitness over the discretized unit hypercube."""
 
-    def __init__(self, n_dim: int, n_sub: int, cell_cap: int = DEFAULT_CELL_CAP):
+    def __init__(self, n_dim: int, n_sub: int):
         if n_dim < 1 or n_sub < 2:
             raise TensorError("need n_dim >= 1 and n_sub >= 2")
         n_cells = n_sub**n_dim
-        if n_cells > cell_cap:
-            raise TensorError(
-                f"{n_sub}^{n_dim} = {n_cells} cells exceeds the cell cap ({cell_cap}); "
-                "reduce n_sub or raise the cap"
-            )
+        if n_cells > MAX_CELLS:
+            raise TensorError(f"{n_sub}^{n_dim} = {n_cells} cells exceeds the cell cap ({MAX_CELLS}); reduce n_sub")
         self.n_dim = n_dim
         self.n_sub = n_sub
         self.n_cells = n_cells

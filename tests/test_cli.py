@@ -95,6 +95,27 @@ class TestRun:
         )
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "line,named",
+        [("  cell_cap: 100\n", "cell_cap"), ("  n_total: lots\n", "n_total"), ("  n_total:\n", "n_total")],
+        ids=["unknown", "non-integer", "null"],
+    )
+    def test_bad_run_key_is_config_error(self, tmp_path, capsys, line, named):
+        config = tmp_path / "problem.yaml"
+        config.write_text(CONFIG.replace("  n_total: 200\n", line))
+        rc = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o/run.log").exists()
+
+    @pytest.mark.parametrize(
+        "flag", [["--n-total", "50"], ["--no-pooling"], ["--no-oversampling"], ["--alpha-schedule", "const:1"]]
+    )
+    def test_ga_refuses_cars_flags(self, config, tmp_path, capsys, flag):
+        rc = main(["run", "--config", str(config), "--method", "ga", "--out-dir", str(tmp_path / "o")] + flag)
+        assert rc == EXIT_CONFIG
+        assert flag[0] in capsys.readouterr().err
+
 
 class TestResume:
     def test_resume_matches_uninterrupted(self, config, tmp_path):
@@ -173,8 +194,8 @@ class TestBench:
                 "100",
                 "--repeats",
                 "1",
-                "--cell-cap",
-                "100",
+                "--n-subdomain",
+                "800",
                 "--out-dir",
                 str(out),
             ]
@@ -227,6 +248,24 @@ class TestStudy:
         assert set(rows[0]) == {"variant", "seed", "iteration", "fit_min", "fit_mean", "fit_max"}
         assert {r["variant"] for r in rows} == set(STUDY_VARIANTS)
         assert {r["seed"] for r in rows} == {"0", "1"}
+
+    def test_study_runs_the_config(self, config, tmp_path):
+        # The variants override pooling and oversampling of the run config;
+        # its other settings, from the file and the flags, hold.
+        out = tmp_path / "out"
+        args = ["--config", str(config), "--seeds", "3", "--alpha-schedule", "const:0", "--out-dir", str(out)]
+        assert main(["study", "--n-total", "100"] + args) == 0
+        rows = [r for r in read_csv(out / "study.csv") if r["variant"] == "none"]
+        spec, ev = c.builtin_problem("sphere_ring", 4)
+        cfg = RunConfig(n_total=100, seed=3, alpha_schedule="const:0", **STUDY_VARIANTS["none"])
+        want = c.run(spec, cfg, ev).iteration_stats()
+        assert [float(r["fit_mean"]) for r in rows] == [s["fit_mean"] for s in want]
+
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--no-pooling"], ["--no-oversampling"]])
+    def test_study_refuses_flags_it_sets_itself(self, config, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["study", "--config", str(config)] + flag)
+        assert exc.value.code == EXIT_CONFIG
 
 
 class TestReport:

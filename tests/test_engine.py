@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import carsopt as c
 from carsopt import BoundaryDef, BuiltinEvaluator, ObjectiveDef, ParameterDef, ProblemSpec
@@ -309,6 +310,41 @@ class TestDeterminismAndResume:
         spec3, ev3 = c.builtin_problem("sphere_ring", 3)
         with pytest.raises(EngineError, match="geometry"):
             c.resume(tmp_path / "r.log", spec3, cfg, ev3)
+
+    def test_other_problem_rejected(self, tmp_path):
+        # Both problems label their dimensions x0[0], x1[0]; their bounds differ.
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        cfg = RunConfig(n_total=100, seed=0)
+        c.run(spec, cfg, ev, log_path=tmp_path / "r.log", stop_after_iteration=1)
+        before = (tmp_path / "r.log").read_bytes()
+        other, other_ev = c.builtin_problem("rosenbrock_box", 2)
+        with pytest.raises(EngineError, match="dimensions"):
+            c.resume(tmp_path / "r.log", other, cfg, other_ev)
+        assert (tmp_path / "r.log").read_bytes() == before
+
+    def test_ga_log_rejected(self, tmp_path):
+        spec, ev = c.builtin_problem("boost")
+        c.run_islands(spec, c.IslandConfig(2, 4, 1), ev, seed=0, log_path=tmp_path / "r.log")
+        before = (tmp_path / "r.log").read_bytes()
+        with pytest.raises(EngineError, match="method"):
+            c.resume(tmp_path / "r.log", spec, RunConfig(n_total=100, seed=0), ev)
+        assert (tmp_path / "r.log").read_bytes() == before
+
+    @settings(max_examples=60, deadline=None)
+    @given(removed=st.integers(min_value=0))
+    @example(removed=1)  # only the final newline
+    def test_resume_log_cut_at_any_byte(self, tmp_path_factory, removed):
+        # A crash may stop the log at any byte after the run header; resuming
+        # must give the uninterrupted log back.
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        cfg = RunConfig(n_total=100, seed=0)
+        path = tmp_path_factory.mktemp("cut") / "r.log"
+        c.run(spec, cfg, ev, log_path=path)
+        full = path.read_bytes()
+        after_header = len(full) - full.index(b"\n") - 1
+        path.write_bytes(full[: len(full) - removed % (after_header + 1)])
+        c.resume(path, spec, cfg, ev)
+        assert path.read_bytes() == full
 
     def test_resume_with_exploitative_schedule(self, tmp_path, hit_problem):
         spec, ev = hit_problem

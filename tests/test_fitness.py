@@ -131,7 +131,6 @@ class TestAggregate:
             objective={"obj0:a": (0.0, 1.0), "obj1:b": (0.0, 1.0)},
             boundary={"bnd0:c": (0.0, 1.0)},
             scalar=None,
-            frozen=True,
         )
         bd = evaluate_breakdown(two_obj_spec(), {"a": [0.6], "b": [0.8], "c": [5.0]})
         assert bd.pre_scalar(consts) == pytest.approx(0.7)
@@ -145,7 +144,6 @@ class TestAggregate:
         consts = NormalizationConstants(
             objective={"obj0:a": (0.0, 1.0)},
             boundary={"bnd0:c": (0.0, 1.0)},
-            frozen=True,
         )
         bd = evaluate_breakdown(spec, {"a": [0.5], "c": [5.0]})
         bd.penalty_raw = [0.2]
@@ -163,7 +161,7 @@ class TestAggregate:
     def test_failed_sample(self):
         bd = evaluate_breakdown(two_obj_spec(), {"a": [float("nan")], "b": [0.8], "c": [5.0]})
         assert bd.failed and not bd.valid
-        consts = NormalizationConstants(scalar=(0.0, 1.0), frozen=True)
+        consts = NormalizationConstants(scalar=(0.0, 1.0))
         assert bd.scalar(consts) == 0.0
         assert bd.ga_vector() == [FAILED_GA_OBJECTIVE, FAILED_GA_OBJECTIVE]
 

@@ -135,6 +135,38 @@ class TestValidation:
                 n_operating_points=1,
             )
 
+    @pytest.mark.parametrize(
+        "boundary",
+        [BoundaryDef("m", "range", ((0.0, 1.0), (0.0, 1.0))), BoundaryDef("m", "target", (1.0, 2.0))],
+        ids=["range", "target"],
+    )
+    def test_boundary_needs_value_per_op(self, boundary):
+        # Two values on three operating points would leave op 2 unchecked.
+        with pytest.raises(ProblemError, match="per operating point"):
+            ProblemSpec(
+                parameters=(ParameterDef("x", "linear", (0, 1)),),
+                objectives=(),
+                boundaries=(boundary,),
+                n_operating_points=3,
+            )
+
+    @pytest.mark.parametrize(
+        "objectives,boundaries",
+        [
+            ((ObjectiveDef("m", "max", op_scope=(3,)),), ()),
+            ((), (BoundaryDef("m", "larger", (0.0,), op_scope=(-1,)),)),
+        ],
+        ids=["objective", "boundary"],
+    )
+    def test_op_scope_within_operating_points(self, objectives, boundaries):
+        with pytest.raises(ProblemError, match="op_scope"):
+            ProblemSpec(
+                parameters=(ParameterDef("x", "linear", (0, 1)),),
+                objectives=objectives,
+                boundaries=boundaries,
+                n_operating_points=2,
+            )
+
 
 class TestConfigParsing:
     def test_round_trip(self):

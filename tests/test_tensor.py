@@ -25,7 +25,7 @@ class TestSizeLaw:
 
     def test_cell_cap(self):
         with pytest.raises(TensorError, match="cell cap"):
-            SubdomainTensor(9, 9, cell_cap=100_000_000)
+            SubdomainTensor(10, 9)
 
 
 class TestIndexing:
