@@ -40,7 +40,6 @@ from .problem import (
     ProblemSpec,
     load_problem,
     sampled_dimensions,
-    subdomain_unit_interval,
     to_physical,
 )
 from .tensor import SubdomainTensor
@@ -76,7 +75,6 @@ __all__ = [
     "ProblemSpec",
     "sampled_dimensions",
     "to_physical",
-    "subdomain_unit_interval",
     "load_problem",
     "SubdomainTensor",
 ]

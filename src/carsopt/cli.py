@@ -60,38 +60,40 @@ _CARS_FLAGS = {
 }
 
 
-def _load(args):
-    """The problem, its RunConfig (flags given over ``run:`` keys over the
-    defaults) and its evaluator."""
-    spec = load_problem(args.config)
-    fields = dataclasses.fields(RunConfig)
-    unknown = sorted(set(spec.run_settings) - {f.name for f in fields} - {"evaluator", "ga"})
+def _from_mapping(cls, mapping, prefix: str, other_keys=(), **given):
+    """``cls`` built from the YAML ``mapping`` at ``prefix`` by field name,
+    each value coerced by its field's type; ``given`` values win.  Keys in
+    ``other_keys`` belong to the caller."""
+    if not isinstance(mapping, dict):
+        raise ProblemError(f"{prefix} must be a mapping, not {mapping!r}")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(mapping) - {f.name for f in fields} - set(other_keys))
     if unknown:
-        raise ProblemError(f"unknown run key(s) in the config: {', '.join(unknown)}")
+        raise ProblemError(f"unknown key(s) in the config: {', '.join(f'{prefix}.{k}' for k in unknown)}")
     values = {}
     for f in fields:
-        if getattr(args, f.name, None) is not None:
-            values[f.name] = getattr(args, f.name)
-        elif f.name in spec.run_settings:
+        if f.name in mapping:
             try:
-                values[f.name] = type(f.default)(spec.run_settings[f.name])
+                values[f.name] = type(f.default)(mapping[f.name])
             except (TypeError, ValueError) as exc:
-                raise ProblemError(f"run.{f.name}: {exc}") from exc
-    cfg = RunConfig(**values)
-    evaluator_ref = args.evaluator or spec.run_settings.get("evaluator")
+                raise ProblemError(f"{prefix}.{f.name}: {exc}") from exc
+    return cls(**{**values, **given})
+
+
+def _load(args):
+    """The problem, its RunConfig (flags given over ``run:`` keys over the
+    defaults), its IslandConfig (``run.ga`` keys over the defaults) and its
+    evaluator."""
+    spec = load_problem(args.config)
+    run = spec.run_settings
+    flags = {f.name: v for f in dataclasses.fields(RunConfig) if (v := getattr(args, f.name, None)) is not None}
+    cfg = _from_mapping(RunConfig, run, "run", ("evaluator", "ga"), **flags)
+    ga_cfg = _from_mapping(IslandConfig, run.get("ga", {}), "run.ga")
+    evaluator_ref = args.evaluator or run.get("evaluator")
     if evaluator_ref is None:
         raise ProblemError("no evaluator: pass --evaluator or set run.evaluator in the config")
     evaluator = make_evaluator(evaluator_ref, timeout=args.timeout)
-    return spec, cfg, evaluator
-
-
-def _island_config(run_settings) -> IslandConfig:
-    ga = run_settings.get("ga", {})
-    return IslandConfig(
-        n_islands=int(ga.get("islands", 5)),
-        population_size=int(ga.get("population", 20)),
-        generations=int(ga.get("generations", 50)),
-    )
+    return spec, cfg, ga_cfg, evaluator
 
 
 def cmd_run(args) -> int:
@@ -99,14 +101,14 @@ def cmd_run(args) -> int:
         refused = [flag for name, flag in _CARS_FLAGS.items() if getattr(args, name) is not None]
         if refused:
             raise ProblemError(f"--method ga does not take {', '.join(refused)}")
-    spec, cfg, evaluator = _load(args)
+    spec, cfg, ga_cfg, evaluator = _load(args)
     out = _out_dir(args)
     log_path = out / "run.log"
     try:
         if args.method == "cars":
             records = engine.run(spec, cfg, evaluator, log_path=log_path).records
         else:
-            result = run_islands(spec, _island_config(spec.run_settings), evaluator, seed=cfg.seed, log_path=log_path)
+            result = run_islands(spec, ga_cfg, evaluator, seed=cfg.seed, log_path=log_path)
             records = result.records
             print(f"evaluations: {result.total_evaluations}")
     finally:
@@ -119,7 +121,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_resume(args) -> int:
-    spec, cfg, evaluator = _load(args)
+    spec, cfg, _, evaluator = _load(args)
     try:
         state = engine.resume(args.log, spec, cfg, evaluator)
     finally:
@@ -203,8 +205,7 @@ def bench_sampling(max_params: int, batch_sizes: list[int], repeats: int = 20, n
 
 
 def cmd_bench(args) -> int:
-    batch_sizes = [int(b) for b in args.batch_sizes.split(",")]
-    rows = bench_sampling(args.max_params, batch_sizes, repeats=args.repeats, n_sub=args.n_subdomain)
+    rows = bench_sampling(args.max_params, args.batch_sizes, repeats=args.repeats, n_sub=args.n_subdomain)
     out = _out_dir(args)
     path = out / "bench.csv"
     with open(path, "w", newline="") as fh:
@@ -231,9 +232,10 @@ def cmd_bench(args) -> int:
 # study: extension ablation (pooling / oversampling on and off)
 # ---------------------------------------------------------------------------
 
+# The pooled variants keep the config's own n_pool.
 STUDY_VARIANTS = {
-    "both": dict(n_pool=3, oversampling=True),
-    "pooling_only": dict(n_pool=3, oversampling=False),
+    "both": dict(oversampling=True),
+    "pooling_only": dict(oversampling=False),
     "oversampling_only": dict(n_pool=0, oversampling=True),
     "none": dict(n_pool=0, oversampling=False),
 }
@@ -242,6 +244,8 @@ STUDY_VARIANTS = {
 def run_study(spec, evaluator, config: RunConfig, seeds: list[int]) -> list[dict]:
     """Run ``config`` in the four extension variants per seed; returns
     per-iteration stats rows."""
+    if not config.n_pool:
+        raise ProblemError("study compares pooling on and off, so n_pool must not be 0")
     rows = []
     for variant, overrides in STUDY_VARIANTS.items():
         for seed in seeds:
@@ -261,10 +265,9 @@ def run_study(spec, evaluator, config: RunConfig, seeds: list[int]) -> list[dict
 
 
 def cmd_study(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",")]
-    spec, cfg, evaluator = _load(args)
+    spec, cfg, _, evaluator = _load(args)
     try:
-        rows = run_study(spec, evaluator, cfg, seeds)
+        rows = run_study(spec, evaluator, cfg, args.seeds)
     finally:
         evaluator.close()
     out = _out_dir(args)
@@ -330,6 +333,11 @@ def cmd_report(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _int_list(text: str) -> list[int]:
+    """A comma-separated list of integers, such as ``0,1,2``."""
+    return [int(s) for s in text.split(",")]
+
+
 def _add_common(p):
     p.add_argument("--out-dir", default=None, help="output directory (or $CARSOPT_OUT_DIR)")
 
@@ -370,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the sampling step")
     p.add_argument("--max-params", type=int, default=6)
-    p.add_argument("--batch-sizes", default="1000,100000,1000000")
+    p.add_argument("--batch-sizes", type=_int_list, default="1000,100000,1000000")
     p.add_argument("--repeats", type=int, default=20)
     p.add_argument("--n-subdomain", type=int, default=9)
     _add_common(p)
@@ -379,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Without abbreviations, so that --seed is refused rather than read as --seeds.
     p = sub.add_parser("study", help="extension ablation study", allow_abbrev=False)
     _add_run_opts(p)
-    p.add_argument("--seeds", default="0,1,2")
+    p.add_argument("--seeds", type=_int_list, default="0,1,2")
     _add_common(p)
     p.set_defaults(fn=cmd_study)
 
@@ -394,7 +402,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ProblemError, EngineError, TensorError, FileNotFoundError, ValueError) as exc:
+    except (ProblemError, EngineError, TensorError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EvaluatorTransportError as exc:

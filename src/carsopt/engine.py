@@ -276,13 +276,20 @@ def run_header(method: str, seed: int, n_total: int, dims, config: RunConfig | N
 
 @contextmanager
 def open_log(path, mode: str):
-    """Yield ``emit(obj)``, which writes ``obj`` as one JSON line to ``path``
-    (a no-op without a path); the file is closed on exit."""
+    """Yield ``emit(objs)``, which writes ``objs`` as JSON lines to ``path`` in
+    one write and flushes them (a no-op without a path); the file is closed
+    on exit.  Emitting once per iteration or generation means a killed
+    process loses at most the one in progress."""
     if not path:
-        yield lambda obj: None
+        yield lambda objs: None
         return
     with open(path, mode) as fh:
-        yield lambda obj: fh.write(json.dumps(obj) + "\n")
+
+        def emit(objs):
+            fh.write("".join(json.dumps(obj) + "\n" for obj in objs))
+            fh.flush()
+
+        yield emit
 
 
 def sample_json(rec: SampleRecord) -> dict:
@@ -367,25 +374,24 @@ def run(
 
     with open_log(log_path, _log_mode) as emit:
         if _initial is None:
-            emit(run_header("cars", config.seed, config.n_total, dims, config))
+            emit([run_header("cars", config.seed, config.n_total, dims, config)])
         for iteration in range(state.iteration, len(sizes)):
             n = sizes[iteration]
             state.alpha = schedule(iteration)
-            emit({"type": "iteration", "iteration": iteration, "alpha": state.alpha, "n_samples": n})
+            lines = [{"type": "iteration", "iteration": iteration, "alpha": state.alpha, "n_samples": n}]
 
             mis, units = _sample_iteration(state, iteration, n)
             requests, results, breakdowns = evaluate_units(spec, dims, evaluator, units, len(state.records))
             if state.consts is None:
                 state.consts = fit.NormalizationConstants.from_first_batch(spec, breakdowns)
-                emit({"type": "normalization", **state.consts.to_dict()})
+                lines.append({"type": "normalization", **state.consts.to_dict()})
             fitnesses = np.array([bd.scalar(state.consts) for bd in breakdowns])
 
             state.tensor.update_many(mis, fitnesses)
             state.store.extend(units, fitnesses)
             records = sample_records(iteration, units, mis, requests, results, breakdowns, fitnesses)
             state.records.extend(records)
-            for rec in records:
-                emit(sample_json(rec))
+            emit(lines + [sample_json(rec) for rec in records])
             state.iteration = iteration + 1
             if stop_after_iteration is not None and iteration >= stop_after_iteration:
                 break

@@ -20,7 +20,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .problem import BoundaryDef, ObjectiveDef, ParameterDef, ProblemSpec
+from .problem import BoundaryDef, ObjectiveDef, ParameterDef, ProblemError, ProblemSpec
 
 __all__ = [
     "EvaluationRequest",
@@ -220,7 +220,7 @@ def builtin_problem(name: str, n_dim: int | None = None) -> tuple[ProblemSpec, B
     try:
         factory = BUILTIN_PROBLEMS[name]
     except KeyError:
-        raise ValueError(f"unknown built-in problem {name!r}; have {sorted(BUILTIN_PROBLEMS)}")
+        raise ProblemError(f"unknown built-in problem {name!r}; have {sorted(BUILTIN_PROBLEMS)}") from None
     if n_dim is None:
         return factory()
     return factory(n_dim)
@@ -362,4 +362,4 @@ def make_evaluator(ref: str, timeout: float = 60.0):
         return evaluator
     if ref.startswith("cmd:"):
         return ExternalEvaluator(ref.split(":", 1)[1], timeout=timeout)
-    raise ValueError(f"unknown evaluator reference {ref!r} (use builtin:<name> or cmd:<command>)")
+    raise ProblemError(f"unknown evaluator reference {ref!r} (use builtin:<name> or cmd:<command>)")

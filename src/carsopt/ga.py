@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fitness as fit
 from .engine import SampleRecord, evaluate_units, open_log, run_header, sample_json, sample_records
-from .problem import ProblemSpec, sampled_dimensions
+from .problem import ProblemError, ProblemSpec, sampled_dimensions
 
 __all__ = [
     "IslandConfig",
@@ -37,38 +37,33 @@ __all__ = [
     "gaussian_mutate",
     "sbx_crossover",
     "run_islands",
-    "GA_DEFAULTS",
 ]
-
-# Variation defaults: deliberately explorative settings.
-GA_DEFAULTS = dict(
-    p_mutate=0.1,
-    p_mutate_val=0.3,
-    sigma_mutate=0.4,
-    p_crossover=0.95,
-    alpha_crossover=0.2,
-    eta_crossover=1.0,
-)
 
 
 @dataclass
 class IslandConfig:
-    n_islands: int
-    population_size: int
-    generations: int
-    p_mutate: float = GA_DEFAULTS["p_mutate"]
-    p_mutate_val: float = GA_DEFAULTS["p_mutate_val"]
-    sigma_mutate: float = GA_DEFAULTS["sigma_mutate"]
-    p_crossover: float = GA_DEFAULTS["p_crossover"]
-    alpha_crossover: float = GA_DEFAULTS["alpha_crossover"]
-    eta_crossover: float = GA_DEFAULTS["eta_crossover"]
+    """Every setting of a GA run; the variation defaults are deliberately
+    explorative."""
+
+    n_islands: int = 5
+    population_size: int = 20
+    generations: int = 50
+    p_mutate: float = 0.1
+    p_mutate_val: float = 0.3
+    sigma_mutate: float = 0.4
+    p_crossover: float = 0.95
+    alpha_crossover: float = 0.2
+    eta_crossover: float = 1.0
 
     def __post_init__(self):
+        for name, least in (("n_islands", 1), ("population_size", 1), ("generations", 0), ("eta_crossover", 0)):
+            if getattr(self, name) < least:
+                raise ProblemError(f"{name} must be >= {least}")
         for p in (self.p_mutate, self.p_mutate_val, self.p_crossover):
             if not 0.0 <= p <= 1.0:
-                raise ValueError("probabilities must be in [0, 1]")
+                raise ProblemError("probabilities must be in [0, 1]")
         if self.sigma_mutate <= 0:
-            raise ValueError("sigma_mutate must be > 0")
+            raise ProblemError("sigma_mutate must be > 0")
 
     @property
     def total_evaluations(self) -> int:
@@ -82,7 +77,6 @@ class Individual:
     rank: int = -1
     crowding: float = 0.0
     valid: bool = False
-    record_id: int = -1
 
 
 @dataclass
@@ -90,7 +84,6 @@ class GAResult:
     records: list[SampleRecord]
     front0: list[Individual]
     total_evaluations: int
-    config: IslandConfig
 
 
 # ---------------------------------------------------------------------------
@@ -271,24 +264,18 @@ def run_islands(
             batch = sample_records(
                 generation, genomes, [()] * len(genomes), requests, results, breakdowns, [np.mean(v) for v in vecs]
             )
-            for rec in batch:
-                emit({**sample_json(rec), "island": island})
+            emit([{**sample_json(rec), "island": island} for rec in batch])
             records.extend(batch)
             return [
-                Individual(genome=g, objectives=vec, valid=rec.valid, record_id=rec.sample_id)
+                Individual(genome=g, objectives=vec, valid=rec.valid)
                 for g, vec, rec in zip(genomes, vecs, batch)
             ]
 
-        emit(
-            {
-                **run_header("ga", seed, cfg.total_evaluations, dims, None),
-                "islands": cfg.n_islands,
-                "population_size": cfg.population_size,
-                "generations": cfg.generations,
-            }
-        )
+        header = run_header("ga", seed, cfg.total_evaluations, dims, None)
+        sizes = {"islands": cfg.n_islands, "population_size": cfg.population_size, "generations": cfg.generations}
+        emit([{**header, **sizes}])
         for island in range(cfg.n_islands):
-            emit({"type": "island", "island": island})
+            emit([{"type": "island", "island": island}])
             final_pop = _evolve(cfg, len(dims), _island_rng(seed, island), partial(evaluate, island))
             merged_front.extend(ind for ind in final_pop if ind.rank == 0)
 
@@ -298,9 +285,4 @@ def run_islands(
         front0 = [merged_front[i] for i in front0_idx]
     else:
         front0 = []
-    return GAResult(
-        records=records,
-        front0=front0,
-        total_evaluations=cfg.total_evaluations,
-        config=cfg,
-    )
+    return GAResult(records=records, front0=front0, total_evaluations=cfg.total_evaluations)

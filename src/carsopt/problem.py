@@ -23,8 +23,6 @@ __all__ = [
     "ProblemError",
     "sampled_dimensions",
     "to_physical",
-    "from_physical",
-    "subdomain_unit_interval",
     "load_problem",
     "parse_problem",
 ]
@@ -232,20 +230,6 @@ def to_physical(dim: DimensionDescriptor, u: float) -> float:
     return dim.lo + u * (dim.hi - dim.lo)
 
 
-def from_physical(dim: DimensionDescriptor, value: float) -> float:
-    """Inverse of :func:`to_physical`."""
-    if dim.scale == "log":
-        return (math.log(value) - math.log(dim.lo)) / (math.log(dim.hi) - math.log(dim.lo))
-    return (value - dim.lo) / (dim.hi - dim.lo)
-
-
-def subdomain_unit_interval(j: int, n_sub: int) -> tuple[float, float]:
-    """Unit-space interval [j/n_sub, (j+1)/n_sub] of sub-domain ``j``."""
-    if not 0 <= j < n_sub:
-        raise ProblemError(f"sub-domain index {j} out of range for {n_sub}")
-    return (j / n_sub, (j + 1) / n_sub)
-
-
 # ---------------------------------------------------------------------------
 # Configuration file parsing (YAML key/value tree)
 # ---------------------------------------------------------------------------
@@ -311,14 +295,18 @@ def parse_problem(data: dict) -> ProblemSpec:
                     op_scope=_parse_scope(b.get("op_scope", "all")),
                 )
             )
-    except (KeyError, TypeError) as exc:
+        n_operating_points = int(data.get("n_operating_points", 1))
+        run_settings = dict(data.get("run", {}))
+    except ProblemError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ProblemError(f"malformed problem configuration: {exc}") from exc
     return ProblemSpec(
         parameters=tuple(params),
         objectives=tuple(objectives),
         boundaries=tuple(boundaries),
-        n_operating_points=int(data.get("n_operating_points", 1)),
-        run_settings=dict(data.get("run", {})),
+        n_operating_points=n_operating_points,
+        run_settings=run_settings,
     )
 
 
@@ -331,5 +319,8 @@ def _parse_scope(scope):
 def load_problem(path) -> ProblemSpec:
     """Load a problem configuration from a YAML file."""
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ProblemError(f"{path}: not valid YAML: {exc}") from exc
     return parse_problem(data)

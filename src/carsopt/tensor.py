@@ -59,12 +59,6 @@ class SubdomainTensor:
             raise TensorError("multi-index coordinate out of range")
         return int(np.ravel_multi_index(tuple(mi), (self.n_sub,) * self.n_dim))
 
-    def multi_index(self, flat: int) -> tuple[int, ...]:
-        """Inverse of :meth:`flat_index`."""
-        if not 0 <= flat < self.n_cells:
-            raise TensorError(f"flat index {flat} out of range")
-        return tuple(int(c) for c in np.unravel_index(flat, (self.n_sub,) * self.n_dim))
-
     def flat_indices(self, mis: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`flat_index` for an (n, n_dim) array."""
         mis = np.asarray(mis)
@@ -73,7 +67,7 @@ class SubdomainTensor:
         return np.ravel_multi_index(tuple(mis.T), (self.n_sub,) * self.n_dim)
 
     def multi_indices(self, flats: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`multi_index`; returns an (n, n_dim) array."""
+        """Inverse of :meth:`flat_indices`; returns an (n, n_dim) array."""
         return np.stack(np.unravel_index(np.asarray(flats), (self.n_sub,) * self.n_dim), axis=-1)
 
     # -- updates ------------------------------------------------------------

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import carsopt
 from carsopt import (
     BuiltinEvaluator,
     ObjectiveDef,
@@ -68,3 +74,39 @@ class DroppingEvaluator:
 @pytest.fixture
 def dropping():
     return DroppingEvaluator
+
+
+_DYING_CHILD = """
+import itertools, os, sys
+import carsopt as c
+
+spec, inner = c.builtin_problem("sphere_ring", 2)
+calls = itertools.count(1)
+
+
+def model(params):
+    if next(calls) == int(sys.argv[2]):
+        os._exit(1)
+    return inner.evaluate_batch([c.EvaluationRequest(0, params)])[0].meas
+
+
+ev = c.BuiltinEvaluator(model)
+log = sys.argv[1]
+"""
+
+
+@pytest.fixture
+def killed_run(tmp_path):
+    """``killed_run(call, die_at)`` runs ``call`` in a child process, with
+    ``spec`` (sphere_ring 2-D), ``ev`` and ``log`` defined; the evaluator
+    kills the child on its ``die_at``-th sample.  Returns the log path."""
+
+    def run(call: str, die_at: int) -> Path:
+        log = tmp_path / "killed.log"
+        src = str(Path(carsopt.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        args = [sys.executable, "-c", _DYING_CHILD + call, str(log), str(die_at)]
+        assert subprocess.run(args, env=env, timeout=120).returncode == 1
+        return log
+
+    return run

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import carsopt as c
+from carsopt import engine
 from carsopt.cli import _BYTES_PER_CELL, EXIT_CONFIG, STUDY_VARIANTS, main
 from carsopt.engine import RunConfig
 from carsopt.tensor import SubdomainTensor
@@ -26,7 +27,7 @@ run:
   evaluator: "builtin:sphere_ring"
   n_total: 200
   seed: 0
-  ga: {islands: 2, population: 5, generations: 2}
+  ga: {n_islands: 2, population_size: 5, generations: 2}
 """
 
 
@@ -96,17 +97,51 @@ class TestRun:
         assert rc == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "line,named",
-        [("  cell_cap: 100\n", "cell_cap"), ("  n_total: lots\n", "n_total"), ("  n_total:\n", "n_total")],
-        ids=["unknown", "non-integer", "null"],
+        "old,new,named",
+        [
+            ("  n_total: 200", "  cell_cap: 100", "run.cell_cap"),
+            ("  n_total: 200", "  n_total: lots", "run.n_total"),
+            ("  n_total: 200", "  n_total:", "run.n_total"),
+            ("population_size: 5", "populaton: 5", "run.ga.populaton"),
+            ("n_islands: 2", "islands: 2", "run.ga.islands"),
+            ("{n_islands: 2, population_size: 5, generations: 2}", "5", "run.ga"),
+            ("population_size: 5", "population_size: 0", "population_size"),
+        ],
+        ids=["unknown", "non-integer", "null", "ga-misspelled", "ga-old-key", "ga-not-mapping", "ga-empty-population"],
     )
-    def test_bad_run_key_is_config_error(self, tmp_path, capsys, line, named):
+    def test_bad_run_key_is_config_error(self, tmp_path, capsys, old, new, named):
         config = tmp_path / "problem.yaml"
-        config.write_text(CONFIG.replace("  n_total: 200\n", line))
-        rc = main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")])
-        assert rc == EXIT_CONFIG
-        assert named in capsys.readouterr().err
-        assert not (tmp_path / "o/run.log").exists()
+        config.write_text(CONFIG.replace(old, new))
+        for method in ("cars", "ga"):
+            rc = main(["run", "--config", str(config), "--method", method, "--out-dir", str(tmp_path / "o")])
+            assert rc == EXIT_CONFIG
+            assert named in capsys.readouterr().err
+            assert not (tmp_path / "o/run.log").exists()
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("objectives:\n", "objectives: [\n"),
+            ("{name: sphere, kind: min}", "{name: sphere, kind: min, op_scope: [a]}"),
+            ("n_operating_points: 1", "n_operating_points: two"),
+            ("builtin:sphere_ring", "builtin:nosuch"),
+        ],
+        ids=["yaml-syntax", "op-scope", "n-operating-points", "unknown-builtin"],
+    )
+    def test_malformed_problem_is_config_error(self, tmp_path, capsys, old, new):
+        config = tmp_path / "problem.yaml"
+        config.write_text(CONFIG.replace(old, new))
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_config_error(self, config, tmp_path, monkeypatch):
+        # Exit 2 means a configuration error; any other fault shows its traceback.
+        def broken(*args, **kwargs):
+            raise ValueError("fitness must be finite")
+
+        monkeypatch.setattr(engine, "run", broken)
+        with pytest.raises(ValueError, match="finite"):
+            main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")])
 
     @pytest.mark.parametrize(
         "flag", [["--n-total", "50"], ["--no-pooling"], ["--no-oversampling"], ["--alpha-schedule", "const:1"]]
@@ -266,6 +301,30 @@ class TestStudy:
         with pytest.raises(SystemExit) as exc:
             main(["study", "--config", str(config)] + flag)
         assert exc.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "args", [["study", "--config", "c.yaml", "--seeds", "x"], ["bench", "--batch-sizes", "1,x"]]
+    )
+    def test_malformed_int_list_is_config_error(self, args):
+        try:
+            rc = main(args)
+        except SystemExit as exc:  # refused by the argument parser
+            rc = exc.code
+        assert rc == EXIT_CONFIG
+
+    def test_study_keeps_the_config_pool_width(self, tmp_path):
+        config = tmp_path / "problem.yaml"
+        config.write_text(CONFIG.replace("  seed: 0\n", "  seed: 0\n  n_subdomain: 10\n  n_pool: 5\n"))
+        out = tmp_path / "out"
+        assert main(["study", "--config", str(config), "--n-total", "100", "--seeds", "0", "--out-dir", str(out)]) == 0
+        assert {r["variant"] for r in read_csv(out / "study.csv")} == set(STUDY_VARIANTS)
+
+    def test_study_needs_pooling(self, tmp_path, capsys):
+        config = tmp_path / "problem.yaml"
+        config.write_text(CONFIG.replace("  seed: 0\n", "  seed: 0\n  n_pool: 0\n"))
+        rc = main(["study", "--config", str(config), "--seeds", "0", "--out-dir", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "n_pool" in capsys.readouterr().err
 
 
 class TestReport:

@@ -370,6 +370,14 @@ class TestLog:
         assert len(samples) == 60
         assert [s["fitness"] for s in samples] == [r.fitness for r in st.records]
 
+    def test_killed_run_keeps_complete_iterations(self, tmp_path, killed_run):
+        # 10 iterations of 40 samples; the 300th evaluation is in iteration 7.
+        log = killed_run("c.run(spec, c.RunConfig(n_total=400, seed=1), ev, log_path=log)", die_at=300)
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        c.run(spec, RunConfig(n_total=400, seed=1), ev, log_path=tmp_path / "full.log")
+        assert (tmp_path / "full.log").read_bytes().startswith(log.read_bytes())
+        assert sum(e["type"] == "sample" for e in read_log(log)) == 280
+
     def test_corrupt_log_rejected(self, tmp_path):
         path = tmp_path / "bad.log"
         path.write_text('{"type": "run", "oops\n')

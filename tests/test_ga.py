@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carsopt as c
-from carsopt.engine import EngineError
+from carsopt.engine import EngineError, read_log
 from carsopt.ga import (
-    GA_DEFAULTS,
     IslandConfig,
     crowding_distance,
     gaussian_mutate,
@@ -15,6 +14,7 @@ from carsopt.ga import (
     run_islands,
     sbx_crossover,
 )
+from carsopt.problem import ProblemError
 
 
 def brute_force_front0(objs):
@@ -212,6 +212,21 @@ class TestRunIslands:
         samples = [l for l in lines if l["type"] == "sample"]
         assert len(samples) == cfg.total_evaluations
         assert {s["island"] for s in samples} == {0, 1}
+
+    def test_killed_run_keeps_complete_generations(self, tmp_path, killed_run):
+        # Generations of 10; the 75th evaluation is in island 1's generation 2.
+        log = killed_run("c.run_islands(spec, c.IslandConfig(2, 10, 4), ev, seed=1, log_path=log)", die_at=75)
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        run_islands(spec, IslandConfig(2, 10, 4), ev, seed=1, log_path=tmp_path / "full.log")
+        assert (tmp_path / "full.log").read_bytes().startswith(log.read_bytes())
+        assert sum(e["type"] == "sample" for e in read_log(log)) == 70
+
+    @pytest.mark.parametrize(
+        "values", [(1, 0, 2), (1, 3, -1), (0, 4, 1), (1, 4, 1, 0.1, 0.3, 0.4, 0.95, 0.2, -1.0)]
+    )
+    def test_settings_that_cannot_run_rejected(self, values):
+        with pytest.raises(ProblemError):
+            IslandConfig(*values)
 
     def test_pinned_log(self, tmp_path):
         # Boost over 3 islands: the digest pins the GA log bytes (header,

@@ -10,12 +10,17 @@ from carsopt.problem import (
     ParameterDef,
     ProblemError,
     ProblemSpec,
-    from_physical,
     parse_problem,
     sampled_dimensions,
-    subdomain_unit_interval,
     to_physical,
 )
+
+
+def from_physical(dim, value):
+    """Reference inverse of ``to_physical``."""
+    if dim.scale == "log":
+        return (math.log(value) - math.log(dim.lo)) / (math.log(dim.hi) - math.log(dim.lo))
+    return (value - dim.lo) / (dim.hi - dim.lo)
 
 
 def llc_spec():
@@ -93,28 +98,6 @@ class TestToPhysical:
     def test_log_round_trip(self, u):
         dim = DimensionDescriptor("x", 0, "log", 1e-9, 1e-3)
         assert from_physical(dim, to_physical(dim, u)) == pytest.approx(u, abs=1e-9)
-
-
-class TestSubdomainInterval:
-    def test_first(self):
-        assert subdomain_unit_interval(0, 9) == (0.0, 1 / 9)
-
-    def test_last(self):
-        assert subdomain_unit_interval(8, 9) == (8 / 9, 1.0)
-
-    def test_middle(self):
-        assert subdomain_unit_interval(4, 9) == (4 / 9, 5 / 9)
-
-    def test_out_of_range(self):
-        with pytest.raises(ProblemError):
-            subdomain_unit_interval(9, 9)
-
-    def test_partition(self):
-        n = 9
-        intervals = [subdomain_unit_interval(j, n) for j in range(n)]
-        assert intervals[0][0] == 0.0 and intervals[-1][1] == 1.0
-        for (_, hi), (lo, _) in zip(intervals, intervals[1:]):
-            assert hi == lo
 
 
 class TestValidation:

@@ -39,12 +39,12 @@ class TestIndexing:
 
     def test_inverse(self):
         t = SubdomainTensor(2, 9)
-        assert t.multi_index(21) == (2, 3)
+        assert t.multi_indices([21]).tolist() == [[2, 3]]
 
     @given(st.integers(0, 9**3 - 1))
     def test_bijection(self, flat):
         t = SubdomainTensor(3, 9)
-        assert t.flat_index(t.multi_index(flat)) == flat
+        assert t.flat_index(t.multi_indices(flat)) == flat
 
     def test_out_of_range(self):
         t = SubdomainTensor(2, 9)
