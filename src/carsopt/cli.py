@@ -62,7 +62,7 @@ _CARS_FLAGS = {
 
 def _from_mapping(cls, mapping, prefix: str, other_keys=(), **given):
     """``cls`` built from the YAML ``mapping`` at ``prefix`` by field name,
-    each value coerced by its field's type; ``given`` values win.  Keys in
+    each value checked against its field's type; ``given`` values win.  Keys in
     ``other_keys`` belong to the caller."""
     if not isinstance(mapping, dict):
         raise ProblemError(f"{prefix} must be a mapping, not {mapping!r}")
@@ -73,11 +73,22 @@ def _from_mapping(cls, mapping, prefix: str, other_keys=(), **given):
     values = {}
     for f in fields:
         if f.name in mapping:
-            try:
-                values[f.name] = type(f.default)(mapping[f.name])
-            except (TypeError, ValueError) as exc:
-                raise ProblemError(f"{prefix}.{f.name}: {exc}") from exc
+            values[f.name] = _coerce(mapping[f.name], type(f.default), f"{prefix}.{f.name}")
     return cls(**{**values, **given})
+
+
+def _coerce(value, kind: type, key: str):
+    """``value`` for a field of type ``kind``, taken without loss: a bool only
+    from a YAML boolean, an int only from an int, a float also from an int or
+    from a string ``float()`` parses (PyYAML reads ``1e-3`` as a string)."""
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) in (int, str):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ProblemError(f"{key}: expected {kind.__name__}, got {value!r}")
 
 
 def _load(args):

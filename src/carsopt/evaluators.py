@@ -11,6 +11,7 @@ which speaks one JSON object per line on the child's stdin/stdout:
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import queue
@@ -53,14 +54,7 @@ class EvaluationResult:
 
 
 class EvaluatorTransportError(RuntimeError):
-    """The evaluator itself failed (not an individual sample).
-
-    ``results`` carries whatever completed before the failure.
-    """
-
-    def __init__(self, message: str, results: list[EvaluationResult] = ()):  # noqa: D401
-        super().__init__(message)
-        self.results = list(results)
+    """The evaluator itself failed (not an individual sample)."""
 
 
 class BuiltinEvaluator:
@@ -230,38 +224,65 @@ def builtin_problem(name: str, n_dim: int | None = None) -> tuple[ProblemSpec, B
 # External subprocess evaluator
 # ---------------------------------------------------------------------------
 
+_WINDOW = 16  # requests outstanding per child
+
+
+def _read_lines(stream, lines: queue.Queue):
+    with stream:
+        for line in stream:
+            lines.put(line)
+    lines.put(None)  # EOF marker
+
+
+def _parse_response(line: str) -> EvaluationResult | None:
+    """The result a response line carries; None for a line naming no id."""
+    try:
+        obj = json.loads(line)
+        sid = int(obj["id"])
+    except (ValueError, TypeError, KeyError):
+        return None  # unattributable noise
+    if isinstance(obj.get("meas"), dict):
+        try:
+            return EvaluationResult(sid, {str(k): [float(x) for x in v] for k, v in obj["meas"].items()})
+        except (TypeError, ValueError):
+            return EvaluationResult(sid, None, "malformed measurements")
+    return EvaluationResult(sid, None, str(obj.get("error", "evaluator error")))
+
+
 class ExternalEvaluator:
     """Drives a child process speaking the line-delimited JSON protocol.
 
-    Requests are streamed with at most ``max_inflight`` outstanding; responses
-    may arrive in any order and are matched by id.  A sample that times out or
-    comes back malformed fails individually; a dead child or EOF raises
-    :class:`EvaluatorTransportError` carrying the results completed so far.
+    Up to 16 requests are outstanding at once; responses may arrive in any
+    order and are matched by id.  The child has one clock of ``timeout``
+    seconds, restarted at each response and at a write into an idle child.
+    When it runs out, the oldest outstanding request fails with ``"timeout"``
+    and the child is killed and respawned; the requests queued behind it are
+    sent again.  A malformed response fails its sample only; a child that
+    exits or closes its stdin mid-batch raises
+    :class:`EvaluatorTransportError`.
     """
 
-    def __init__(self, command: str, timeout: float = 60.0, max_inflight: int = 16):
+    def __init__(self, command: str, timeout: float = 60.0):
         self.command = command
         self.timeout = timeout
-        self.max_inflight = max_inflight
+        self._lock = threading.Lock()
+        self._spawn()
+
+    def _spawn(self):
         try:
             self._proc = subprocess.Popen(
-                shlex.split(command),
+                shlex.split(self.command),
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 text=True,
                 bufsize=1,
             )
         except OSError as exc:
-            raise EvaluatorTransportError(f"cannot spawn evaluator {command!r}: {exc}")
+            raise EvaluatorTransportError(f"cannot spawn evaluator {self.command!r}: {exc}")
+        # Each child has its own queue, so a killed child's late output never
+        # reaches its successor.
         self._lines: queue.Queue = queue.Queue()
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
-        self._lock = threading.Lock()
-
-    def _read_loop(self):
-        for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(None)  # EOF marker
+        threading.Thread(target=_read_lines, args=(self._proc.stdout, self._lines), daemon=True).start()
 
     def evaluate_batch(self, requests: list[EvaluationRequest]) -> list[EvaluationResult]:
         with self._lock:
@@ -269,90 +290,58 @@ class ExternalEvaluator:
 
     def _evaluate_batch(self, requests):
         results: dict[int, EvaluationResult] = {}
-        pending: dict[int, float] = {}  # id -> deadline
-        it = iter(requests)
-
-        def send_next():
-            for req in it:
-                line = json.dumps({"id": req.sample_id, "params": req.params}) + "\n"
+        unsent = collections.deque(requests)
+        pending: dict[int, EvaluationRequest] = {}  # sent and unanswered, oldest first
+        deadline = 0.0
+        while unsent or pending:
+            while unsent and len(pending) < _WINDOW:
+                req = unsent.popleft()
+                if not pending:
+                    deadline = time.monotonic() + self.timeout
                 try:
-                    self._proc.stdin.write(line)
+                    self._proc.stdin.write(json.dumps({"id": req.sample_id, "params": req.params}) + "\n")
                     self._proc.stdin.flush()
-                except (BrokenPipeError, OSError):
-                    raise EvaluatorTransportError(
-                        "evaluator process closed its stdin",
-                        [results[r.sample_id] for r in requests if r.sample_id in results],
-                    )
-                pending[req.sample_id] = time.monotonic() + self.timeout
-                return True
-            return False
-
-        for _ in range(self.max_inflight):
-            if not send_next():
-                break
-
-        while pending:
-            wait = max(0.01, min(pending.values()) - time.monotonic())
+                except OSError:
+                    raise EvaluatorTransportError("evaluator process closed its stdin") from None
+                pending[req.sample_id] = req
             try:
-                line = self._lines.get(timeout=wait)
+                line = self._lines.get(timeout=max(0.0, deadline - time.monotonic()))
             except queue.Empty:
-                line = ""
-            now = time.monotonic()
-            if line is None:
-                done = [results[r.sample_id] for r in requests if r.sample_id in results]
-                raise EvaluatorTransportError("evaluator process exited mid-batch", done)
-            if line:
-                self._handle_line(line, pending, results)
-                while len(pending) < self.max_inflight and send_next():
-                    pass
-            # Expire overdue samples.
-            for sid in [s for s, dl in pending.items() if dl <= now]:
+                # The child spent a whole timeout on its oldest request: fail
+                # that one and hand the rest, uncharged, to a fresh child.
+                sid = next(iter(pending))
                 del pending[sid]
                 results[sid] = EvaluationResult(sid, None, "timeout")
-                send_next()
-        ordered = []
-        for req in requests:
-            ordered.append(
-                results.get(req.sample_id)
-                or EvaluationResult(req.sample_id, None, "no response")
-            )
-        return ordered
+                unsent.extendleft(reversed(pending.values()))
+                pending.clear()
+                self._stop(grace=0)
+                self._spawn()
+                continue
+            if line is None:
+                raise EvaluatorTransportError("evaluator process exited mid-batch")
+            res = _parse_response(line)
+            if res is not None and pending.pop(res.sample_id, None) is not None:
+                results[res.sample_id] = res
+                deadline = time.monotonic() + self.timeout
+        return [results[req.sample_id] for req in requests]
 
-    @staticmethod
-    def _handle_line(line: str, pending: dict, results: dict):
-        line = line.strip()
-        if not line:
-            return
-        try:
-            obj = json.loads(line)
-            sid = int(obj["id"])
-        except (ValueError, TypeError, KeyError):
-            return  # unattributable noise; the affected sample times out
-        if sid not in pending:
-            return  # duplicate or unknown id
-        del pending[sid]
-        if "meas" in obj and isinstance(obj["meas"], dict):
-            try:
-                meas = {str(k): [float(x) for x in v] for k, v in obj["meas"].items()}
-            except (TypeError, ValueError):
-                results[sid] = EvaluationResult(sid, None, "malformed measurements")
-                return
-            results[sid] = EvaluationResult(sid, meas)
-        else:
-            results[sid] = EvaluationResult(sid, None, str(obj.get("error", "evaluator error")))
-
-    def close(self):
-        """Close the child's stdin and reap it; a child still running 5 s
-        later is killed."""
+    def _stop(self, grace: float):
+        """Close the child's stdin and reap it, killing it if it is still
+        running ``grace`` seconds later."""
         try:
             self._proc.stdin.close()
         except OSError:
             pass
         try:
-            self._proc.wait(timeout=5)
+            self._proc.wait(timeout=grace)
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
+
+    def close(self):
+        """Close the child's stdin and reap it; a child still running 5 s
+        later is killed."""
+        self._stop(grace=5)
 
 
 def make_evaluator(ref: str, timeout: float = 60.0):

@@ -76,7 +76,6 @@ class Individual:
     objectives: np.ndarray | None = None
     rank: int = -1
     crowding: float = 0.0
-    valid: bool = False
 
 
 @dataclass
@@ -266,10 +265,7 @@ def run_islands(
             )
             emit([{**sample_json(rec), "island": island} for rec in batch])
             records.extend(batch)
-            return [
-                Individual(genome=g, objectives=vec, valid=rec.valid)
-                for g, vec, rec in zip(genomes, vecs, batch)
-            ]
+            return [Individual(genome=g, objectives=vec) for g, vec in zip(genomes, vecs)]
 
         header = run_header("ga", seed, cfg.total_evaluations, dims, None)
         sizes = {"islands": cfg.n_islands, "population_size": cfg.population_size, "generations": cfg.generations}

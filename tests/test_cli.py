@@ -4,10 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 
 import carsopt as c
 from carsopt import engine
-from carsopt.cli import _BYTES_PER_CELL, EXIT_CONFIG, STUDY_VARIANTS, main
+from carsopt.cli import _BYTES_PER_CELL, EXIT_CONFIG, STUDY_VARIANTS, _from_mapping, main
 from carsopt.engine import RunConfig
 from carsopt.tensor import SubdomainTensor
 
@@ -106,8 +107,28 @@ class TestRun:
             ("n_islands: 2", "islands: 2", "run.ga.islands"),
             ("{n_islands: 2, population_size: 5, generations: 2}", "5", "run.ga"),
             ("population_size: 5", "population_size: 0", "population_size"),
+            ("  n_total: 200", '  n_total: 200\n  oversampling: "false"', "run.oversampling"),
+            ("  n_total: 200", "  n_total: 200\n  n_subdomain: 9.7", "run.n_subdomain"),
+            ("  n_total: 200", "  n_total: true", "run.n_total"),
+            ("population_size: 5", "population_size: 5.0", "run.ga.population_size"),
+            ("population_size: 5", "population_size: 5, p_mutate: yes", "run.ga.p_mutate"),
+            ("population_size: 5", "population_size: 5, p_mutate: often", "run.ga.p_mutate"),
         ],
-        ids=["unknown", "non-integer", "null", "ga-misspelled", "ga-old-key", "ga-not-mapping", "ga-empty-population"],
+        ids=[
+            "unknown",
+            "non-integer",
+            "null",
+            "ga-misspelled",
+            "ga-old-key",
+            "ga-not-mapping",
+            "ga-empty-population",
+            "quoted-bool",
+            "fractional-int",
+            "bool-as-int",
+            "ga-float-as-int",
+            "ga-bool-as-float",
+            "ga-word-as-float",
+        ],
     )
     def test_bad_run_key_is_config_error(self, tmp_path, capsys, old, new, named):
         config = tmp_path / "problem.yaml"
@@ -117,6 +138,13 @@ class TestRun:
             assert rc == EXIT_CONFIG
             assert named in capsys.readouterr().err
             assert not (tmp_path / "o/run.log").exists()
+
+    def test_float_key_takes_yaml_exponent_string(self, tmp_path):
+        # PyYAML reads 1e-3 (no decimal point) as the string "1e-3".
+        config = tmp_path / "problem.yaml"
+        config.write_text(CONFIG.replace("population_size: 5", "population_size: 5, p_mutate: 1e-3"))
+        assert main(["run", "--config", str(config), "--method", "ga", "--out-dir", str(tmp_path / "o")]) == 0
+        assert _from_mapping(c.IslandConfig, yaml.safe_load("p_mutate: 1e-3"), "run.ga").p_mutate == 0.001
 
     @pytest.mark.parametrize(
         "old,new",

@@ -1,9 +1,11 @@
 import math
 import sys
 import textwrap
+import time
 
 import pytest
 
+from carsopt.engine import RunConfig, read_log, run
 from carsopt.evaluators import (
     BuiltinEvaluator,
     EvaluationRequest,
@@ -115,6 +117,30 @@ ECHO_CHILD = """\
 """
 
 
+SLOW_CHILD = """\
+    import sys, json, time
+    for line in sys.stdin:
+        req = json.loads(line)
+        time.sleep(0.2)
+        print(json.dumps({"id": req["id"], "meas": {"y": [1.0]}}), flush=True)
+"""
+
+
+def hang_child(tmp_path, hang_id):
+    """A serial child answering sphere/radius that sleeps forever on ``hang_id``."""
+    body = """\
+        import sys, json, math, time
+        for line in sys.stdin:
+            req = json.loads(line)
+            if req["id"] == HANG_ID:
+                while True:
+                    time.sleep(1)
+            s = sum(v[0] ** 2 for v in req["params"].values())
+            print(json.dumps({"id": req["id"], "meas": {"sphere": [s], "radius": [math.sqrt(s)]}}), flush=True)
+    """
+    return child_script(tmp_path, body.replace("HANG_ID", str(hang_id)))
+
+
 class TestExternalEvaluator:
     def requests(self, n):
         return [EvaluationRequest(i, {"a": [float(i)], "b": [0.5]}) for i in range(n)]
@@ -218,17 +244,58 @@ class TestExternalEvaluator:
     def test_child_death_raises_transport_error(self, tmp_path):
         body = """\
             import sys, json
-            line = sys.stdin.readline()
-            req = json.loads(line)
-            print(json.dumps({"id": req["id"], "meas": {"y": [1.0]}}), flush=True)
+            reqs = [json.loads(sys.stdin.readline()) for _ in range(4)]
+            print(json.dumps({"id": reqs[0]["id"], "meas": {"y": [1.0]}}), flush=True)
             sys.exit(1)
         """
-        ev = ExternalEvaluator(child_script(tmp_path, body), timeout=10.0, max_inflight=1)
-        with pytest.raises(EvaluatorTransportError) as exc_info:
-            ev.evaluate_batch(self.requests(4))
-        done = exc_info.value.results
-        assert [r.sample_id for r in done] == [0]
-        assert done[0].ok
+        ev = ExternalEvaluator(child_script(tmp_path, body), timeout=10.0)
+        try:
+            with pytest.raises(EvaluatorTransportError, match="exited mid-batch"):
+                ev.evaluate_batch(self.requests(4))
+        finally:
+            ev.close()
+
+    def test_timeout_clocks_each_sample_not_the_queue(self, tmp_path):
+        # A batch of 12 at 0.2 s a sample takes 2.4 s, but no sample takes 1 s.
+        ev = ExternalEvaluator(child_script(tmp_path, SLOW_CHILD), timeout=1.0)
+        try:
+            res = ev.evaluate_batch(self.requests(12))
+        finally:
+            ev.close()
+        assert [r.error for r in res] == [None] * 12
+
+    def test_hang_costs_only_its_sample(self, tmp_path):
+        ev = ExternalEvaluator(hang_child(tmp_path, 3), timeout=1.0)
+        try:
+            start = time.monotonic()
+            res = ev.evaluate_batch(self.requests(12))
+            elapsed = time.monotonic() - start
+        finally:
+            ev.close()
+        assert [(r.sample_id, r.error) for r in res if not r.ok] == [(3, "timeout")]
+        assert elapsed < 3.0
+
+    def test_close_reaps_killed_child_and_successor(self, tmp_path):
+        ev = ExternalEvaluator(hang_child(tmp_path, 3), timeout=1.0)
+        first = ev._proc
+        try:
+            ev.evaluate_batch(self.requests(12))
+        finally:
+            ev.close()
+        assert ev._proc is not first
+        assert first.returncode is not None and ev._proc.returncode is not None
+
+    def test_cars_run_loses_only_the_hung_sample(self, tmp_path):
+        spec, _ = builtin_problem("sphere_ring", 2)
+        ev = ExternalEvaluator(hang_child(tmp_path, 25), timeout=1.0)
+        try:
+            run(spec, RunConfig(n_total=100, seed=0), ev, log_path=tmp_path / "run.log")
+        finally:
+            ev.close()
+        samples = [r for r in read_log(tmp_path / "run.log") if r["type"] == "sample"]
+        assert len(samples) == 100
+        assert [(s["id"], s["error"]) for s in samples if s["error"] is not None] == [(25, "timeout")]
+        assert all(s["meas"] is not None for s in samples if s["id"] != 25)
 
     def test_close_kills_stuck_child(self, tmp_path):
         body = """\
