@@ -31,17 +31,11 @@ from .engine import EngineError, RunConfig
 from .evaluators import EvaluatorTransportError, make_evaluator
 from .ga import IslandConfig, run_islands
 from .problem import ProblemError, load_problem
-from .tensor import MAX_CELLS, SubdomainTensor, TensorError
+from .tensor import SubdomainTensor, TensorError
 
 EXIT_CONFIG = 2
 EXIT_EVALUATOR = 3
 EXIT_INTERRUPTED = 4
-
-# Traced peak bytes per cell of the sampling step (construction, then an
-# alpha = 0 and a pooled alpha = 2 step of a 7-D tensor measured 22.8): float32
-# cells, bool touched flags, the float64 probabilities, the float64 draw
-# scratch and the pooling temporaries.
-_BYTES_PER_CELL = 23
 
 
 def _out_dir(args) -> Path:
@@ -149,50 +143,24 @@ def cmd_resume(args) -> int:
 # bench: time the sampling step itself (no evaluator involved)
 # ---------------------------------------------------------------------------
 
-def _available_memory() -> int:
-    try:
-        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (ValueError, OSError):
-        return 1 << 62
-
-
 def bench_sampling(max_params: int, batch_sizes: list[int], repeats: int = 20, n_sub: int = 9) -> list[dict]:
     """Time one full sampling step per (n_params, batch_size) configuration.
 
     A step = assign the previous batch's fitness, recompute the pooling
     overlay (RunConfig's default width, when it divides ``n_sub``), softmax,
     draw the batch and place in-cell points.  Evaluation is excluded.
-    Configurations whose tensor exceeds the cell cap or 70% of the available
-    memory are reported as skipped instead of attempted.
     """
-    memory_budget = int(_available_memory() * 0.7)
+    sizes = [("--max-params", max_params), ("--repeats", repeats)] + [("--batch-sizes", b) for b in batch_sizes]
+    for flag, value in sizes:
+        if value < 1:
+            raise ProblemError(f"{flag} must be >= 1, got {value}")
     pool = RunConfig.n_pool if n_sub % RunConfig.n_pool == 0 else 0
     rows = []
     for n_params in range(1, max_params + 1):
-        n_cells = n_sub**n_params
         for batch in batch_sizes:
-            row = {
-                "n_params": n_params,
-                "n_sub": n_sub,
-                "n_cells": n_cells,
-                "batch_size": batch,
-            }
-            if n_cells > MAX_CELLS:
-                row.update(skipped=f"exceeds cell cap {MAX_CELLS}")
-                rows.append(row)
-                continue
-            if n_cells * _BYTES_PER_CELL > memory_budget:
-                row.update(
-                    skipped=(
-                        f"estimated {n_cells * _BYTES_PER_CELL / 1e9:.1f} GB exceeds "
-                        f"memory budget {memory_budget / 1e9:.1f} GB"
-                    )
-                )
-                rows.append(row)
-                continue
             tensor = SubdomainTensor(n_params, n_sub)
             rng = np.random.default_rng(0)
-            mis = tensor.multi_indices(rng.integers(0, n_cells, size=batch))
+            mis = tensor.multi_indices(rng.integers(0, tensor.n_cells, size=batch))
             fits = rng.random(batch)
             times = []
             for rep in range(repeats):
@@ -204,14 +172,17 @@ def bench_sampling(max_params: int, batch_sizes: list[int], repeats: int = 20, n
                 _ = (mis + offsets) / n_sub
                 times.append(time.perf_counter() - t0)
                 fits = rng.random(batch)
-            row.update(
-                t_min=min(times),
-                t_mean=sum(times) / len(times),
-                t_max=max(times),
-                skipped="",
+            rows.append(
+                {
+                    "n_params": n_params,
+                    "n_sub": n_sub,
+                    "n_cells": tensor.n_cells,
+                    "batch_size": batch,
+                    "t_min": min(times),
+                    "t_mean": sum(times) / len(times),
+                    "t_max": max(times),
+                }
             )
-            rows.append(row)
-            del tensor
     return rows
 
 
@@ -222,19 +193,15 @@ def cmd_bench(args) -> int:
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(
             fh,
-            fieldnames=["n_params", "n_sub", "n_cells", "batch_size", "t_min", "t_mean", "t_max", "skipped"],
+            fieldnames=["n_params", "n_sub", "n_cells", "batch_size", "t_min", "t_mean", "t_max"],
         )
         w.writeheader()
-        for row in rows:
-            w.writerow({k: row.get(k, "") for k in w.fieldnames})
+        w.writerows(rows)
     for row in rows:
-        if row.get("skipped"):
-            print(f"n_params={row['n_params']} batch={row['batch_size']}: skipped ({row['skipped']})")
-        else:
-            print(
-                f"n_params={row['n_params']} batch={row['batch_size']}: "
-                f"mean {row['t_mean']:.3f}s (min {row['t_min']:.3f}, max {row['t_max']:.3f})"
-            )
+        print(
+            f"n_params={row['n_params']} batch={row['batch_size']}: "
+            f"mean {row['t_mean']:.3f}s (min {row['t_min']:.3f}, max {row['t_max']:.3f})"
+        )
     print(f"wrote {path}")
     return 0
 
@@ -349,6 +316,14 @@ def _int_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
+def _seconds(text: str) -> float:
+    """A finite number of seconds greater than 0."""
+    value = float(text)
+    if not 0 < value < float("inf"):  # also false for NaN
+        raise argparse.ArgumentTypeError(f"must be a finite number of seconds > 0, not {text!r}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--out-dir", default=None, help="output directory (or $CARSOPT_OUT_DIR)")
 
@@ -359,7 +334,7 @@ def _add_run_opts(p):
     p.add_argument("--n-total", type=int)
     p.add_argument("--alpha-schedule", help="identity | const:<v> | scale:<k>")
     p.add_argument("--evaluator", default=None, help="builtin:<name> or cmd:<command>")
-    p.add_argument("--timeout", type=float, default=60.0, help="per-sample evaluator timeout [s]")
+    p.add_argument("--timeout", type=_seconds, default=60.0, help="per-sample evaluator timeout [s]")
 
 
 def _add_single_run_opts(p):

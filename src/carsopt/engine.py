@@ -54,7 +54,9 @@ __all__ = [
     "export_valid_samples_csv",
 ]
 
-LOG_VERSION = 1
+# Version 2 draws sub-domains from the sparse tensor's entries; a version-1
+# log would resume under another random stream, so restore_state refuses it.
+LOG_VERSION = 2
 
 
 class EngineError(RuntimeError):

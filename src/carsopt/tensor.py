@@ -1,82 +1,98 @@
-"""Sub-domain fitness tensor.
+"""Sub-domain fitness tensor, stored sparsely.
 
 The unit hypercube is split into ``n_sub`` equal intervals per dimension,
 giving ``n_sub ** n_dim`` cells.  Cells start at an optimistic 0.75 so
 unexplored regions stay attractive; the first real observation overwrites the
 prior and later observations keep the per-cell maximum.  Sampling
 probabilities come from a numerically stable weighted softmax, optionally on
-top of a block-max pooling overlay that spreads fitness to neighbouring cells.
+top of a block-max pooling overlay that adds to each cell the maximum of its
+block of ``n_pool`` cells per dimension.
 
-Cells are stored as float32 (a 9-dim tensor with 9 sub-domains each is ~1.5 GB)
-while all probability accumulation runs in float64.  A sampling step holds
-about 23 bytes per cell at its peak (float32 cells, bool touched flags, one
-float64 probability array and a reused float64 draw scratch), so ~8.9 GB at
-9 parameters.
+Only the special cells are stored (the observed ones and those a seeded prior
+sets to other than 0.75) as sorted int64 flat indices with float32 values.
+The cells then fall into few groups of equal effective value, called entries.
+The softmax gives each entry its total mass, and a draw picks an entry by
+mass, then a uniform cell inside it (two-level weighted sampling, Wong &
+Easton 1980), so a sampling step costs time and memory in the number of
+special cells, whatever ``n_sub ** n_dim`` is.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 
-__all__ = ["SubdomainTensor", "TensorError", "MAX_CELLS", "OPTIMISTIC_INIT"]
+__all__ = ["SubdomainTensor", "TensorError", "Entries", "OPTIMISTIC_INIT"]
 
-# 2 GB of float32 cells, 11.5 GB at the peak of a sampling step.
-MAX_CELLS = 500_000_000
 OPTIMISTIC_INIT = 0.75
-# Contiguous row length of the pooling broadcast in effective_cells.
-_ROW_ELEMENTS = 65_536
 
 
 class TensorError(ValueError):
     """Invalid tensor construction or update."""
 
 
+@dataclass(frozen=True)
+class Entries:
+    """The cells grouped by equal effective value, in draw order: the special
+    cells one by one, then the plain cells of each block in ``blocks``, then
+    every cell of the other blocks.
+
+    Cells are numbered block-major here: block after block (row-major over
+    the blocks), row-major inside each.  Without pooling a block is one cell,
+    and the block-major number is the flat index.
+    """
+
+    n_pool: int  # block width per dimension
+    keys: np.ndarray  # block-major numbers of the special cells, sorted
+    blocks: np.ndarray  # the blocks holding a special cell, sorted
+    counts: np.ndarray  # cells per entry (int64); may be 0
+    values: np.ndarray  # effective value (float32) or unnormalized mass (float64) per entry
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
 class SubdomainTensor:
-    """Dense per-cell fitness over the discretized unit hypercube."""
+    """Per-cell fitness over the discretized unit hypercube, stored sparsely."""
 
     def __init__(self, n_dim: int, n_sub: int):
         if n_dim < 1 or n_sub < 2:
             raise TensorError("need n_dim >= 1 and n_sub >= 2")
         n_cells = n_sub**n_dim
-        if n_cells > MAX_CELLS:
-            raise TensorError(f"{n_sub}^{n_dim} = {n_cells} cells exceeds the cell cap ({MAX_CELLS}); reduce n_sub")
+        if n_cells > np.iinfo(np.int64).max:
+            raise TensorError(f"{n_sub}^{n_dim} = {n_cells} cells overflow an int64 flat index; reduce n_sub")
         self.n_dim = n_dim
         self.n_sub = n_sub
         self.n_cells = n_cells
-        self.cells = np.full(n_cells, OPTIMISTIC_INIT, dtype=np.float32)
-        self.touched = np.zeros(n_cells, dtype=bool)
+        # The special cells: sorted flat indices, values, and whether observed.
+        self.flats = np.empty(0, dtype=np.int64)
+        self.values = np.empty(0, dtype=np.float32)
+        self.observed = np.empty(0, dtype=bool)
         self._updates_started = False
-        self._cdf = None  # float64 draw scratch, reused across draws
 
     # -- indexing -----------------------------------------------------------
 
-    def flat_index(self, mi) -> int:
-        """Row-major flat index of a multi-index."""
-        mi = np.asarray(mi)
-        if mi.shape[-1] != self.n_dim:
-            raise TensorError(f"multi-index length {mi.shape[-1]} != n_dim {self.n_dim}")
-        if np.any(mi < 0) or np.any(mi >= self.n_sub):
-            raise TensorError("multi-index coordinate out of range")
-        return int(np.ravel_multi_index(tuple(mi), (self.n_sub,) * self.n_dim))
-
-    def flat_indices(self, mis: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`flat_index` for an (n, n_dim) array."""
+    def flat_indices(self, mis) -> np.ndarray:
+        """Row-major flat indices of an (n, n_dim) array of multi-indices."""
         mis = np.asarray(mis)
+        if mis.shape[-1] != self.n_dim:
+            raise TensorError(f"multi-index length {mis.shape[-1]} != n_dim {self.n_dim}")
         if np.any(mis < 0) or np.any(mis >= self.n_sub):
             raise TensorError("multi-index coordinate out of range")
         return np.ravel_multi_index(tuple(mis.T), (self.n_sub,) * self.n_dim)
 
-    def multi_indices(self, flats: np.ndarray) -> np.ndarray:
+    def multi_indices(self, flats) -> np.ndarray:
         """Inverse of :meth:`flat_indices`; returns an (n, n_dim) array."""
         return np.stack(np.unravel_index(np.asarray(flats), (self.n_sub,) * self.n_dim), axis=-1)
 
     # -- updates ------------------------------------------------------------
 
     def seed_prior(self, prior: np.ndarray) -> None:
-        """Replace the uniform optimistic prior with externally supplied values.
+        """Replace the uniform optimistic prior with one value per cell.
 
         Must happen before any fitness update; seeded cells still count as
-        untouched, so the first observation overwrites them.
+        unobserved, so the first observation overwrites them.
         """
         if self._updates_started:
             raise TensorError("seed_prior must be called before any fitness update")
@@ -85,111 +101,114 @@ class SubdomainTensor:
             raise TensorError(f"prior length {prior.shape[0]} != {self.n_cells} cells")
         if not np.all(np.isfinite(prior)):
             raise TensorError("prior contains non-finite values")
-        self.cells = prior.copy()
+        self.flats = np.flatnonzero(prior != np.float32(OPTIMISTIC_INIT)).astype(np.int64)
+        self.values = prior[self.flats]
+        self.observed = np.zeros(len(self.flats), dtype=bool)
 
     def update_fitness(self, mi, f: float) -> None:
         """Assign an observed fitness to one cell (max with prior observations)."""
-        if np.isnan(f):
-            raise TensorError("fitness is NaN")
-        flat = self.flat_index(mi)
-        self._updates_started = True
-        if self.touched[flat]:
-            self.cells[flat] = max(self.cells[flat], np.float32(f))
-        else:
-            self.cells[flat] = np.float32(f)
-            self.touched[flat] = True
+        self.update_many([mi], [f])
 
-    def update_many(self, mis: np.ndarray, fs: np.ndarray) -> None:
+    def update_many(self, mis, fs) -> None:
         """Batch fitness assignment; duplicate cells within a batch keep the max."""
         fs = np.asarray(fs, dtype=np.float32)
         if np.any(np.isnan(fs)):
             raise TensorError("fitness contains NaN")
-        flats = self.flat_indices(np.asarray(mis))
+        flats = np.concatenate([self.flats, self.flat_indices(mis)])
+        values = np.concatenate([self.values, fs])
+        observed = np.concatenate([self.observed, np.ones(len(fs), dtype=bool)])
         self._updates_started = True
-        # Erase untouched priors first so the first observation replaces 0.75.
-        fresh = ~self.touched[flats]
-        self.cells[flats[fresh]] = -np.inf
-        np.maximum.at(self.cells, flats, fs)
-        self.touched[flats] = True
-
-    # -- pooling ------------------------------------------------------------
-
-    def max_pool(self, n_pool: int) -> np.ndarray:
-        """Block-max overlay: combine ``n_pool`` adjacent cells per dimension.
-
-        Returns the pooled tensor of (n_sub/n_pool)^n_dim values.
-        """
-        if n_pool < 1 or self.n_sub % n_pool != 0:
-            raise TensorError(f"n_pool {n_pool} must divide n_sub {self.n_sub}")
-        blocks = self.n_sub // n_pool
-        shape = sum(((blocks, n_pool),) * self.n_dim, ())
-        pooled = self.cells.reshape(shape)
-        for axis in range(self.n_dim):
-            pooled = pooled.max(axis=axis + 1)
-        return pooled.reshape(-1)
-
-    def effective_cells(self, n_pool: int | None, out: np.ndarray | None = None) -> np.ndarray:
-        """Cells plus the broadcast pooling overlay (or plain cells if off).
-
-        The sum is taken in float32.  With ``out`` it is written there (a
-        float64 ``out`` receives exactly ``.astype(np.float64)`` of it) and
-        ``self.cells`` is never written to; without ``out`` and with pooling
-        off, ``self.cells`` itself is returned.
-        """
-        if not n_pool:
-            if out is None:
-                return self.cells
-            np.copyto(out, self.cells)
-            return out
-        blocks = self.n_sub // n_pool
-        pooled = self.max_pool(n_pool).reshape((blocks,) * self.n_dim)
-        # Repeat the overlay over the trailing axes only until a contiguous row
-        # holds about _ROW_ELEMENTS cells; the leading axes broadcast block-wise.
-        n_rep = 1
-        while n_rep < self.n_dim and self.n_sub ** (n_rep + 1) <= _ROW_ELEMENTS:
-            n_rep += 1
-        for axis in range(self.n_dim - n_rep, self.n_dim):
-            pooled = pooled.repeat(n_pool, axis=axis)
-        n_lead = self.n_dim - n_rep
-        row = self.n_sub**n_rep
-        cells = self.cells.reshape((blocks, n_pool) * n_lead + (row,))
-        overlay = pooled.reshape((blocks, 1) * n_lead + (row,))
-        if out is None:
-            out = np.empty(self.n_cells, dtype=np.float32)
-        np.add(cells, overlay, out=out.reshape(cells.shape), dtype=np.float32)
-        return out
+        # Sorted by cell, then observed, then value, the last of each cell's
+        # run is its largest observation, or its seeded prior if it has none.
+        order = np.lexsort((values, observed, flats))
+        last = np.ones(len(order), dtype=bool)
+        last[:-1] = flats[order[1:]] != flats[order[:-1]]
+        keep = order[last]
+        self.flats, self.values, self.observed = flats[keep], values[keep], observed[keep]
 
     # -- sampling -----------------------------------------------------------
 
-    def softmax_probabilities(self, alpha: float, n_pool: int | None = None) -> np.ndarray:
-        """Sampling probability per cell: softmax of (effective fitness * alpha).
+    def _block_major(self, flats: np.ndarray, n_pool: int) -> np.ndarray:
+        """Block-major numbers (see :class:`Entries`) of flat indices."""
+        mis = self.multi_indices(flats)
+        blocks = np.ravel_multi_index(tuple((mis // n_pool).T), (self.n_sub // n_pool,) * self.n_dim)
+        local = np.ravel_multi_index(tuple((mis % n_pool).T), (n_pool,) * self.n_dim)
+        return blocks.astype(np.int64) * n_pool**self.n_dim + local
 
-        alpha = 0 is exactly uniform; the exponent maximum is subtracted for
-        stability and the normalizing sum accumulates in float64.  The result
-        is a fresh float64 array, computed in place without other full-size
-        temporaries.
+    def effective_cells(self, n_pool: int | None) -> Entries:
+        """Entries whose value is their cells' value plus, with pooling, the
+        maximum of each cell's block, summed in float32."""
+        p = n_pool or 1
+        if p < 1 or self.n_sub % p != 0:
+            raise TensorError(f"n_pool {n_pool} must divide n_sub {self.n_sub}")
+        per_block = p**self.n_dim
+        keys = self._block_major(self.flats, p)
+        order = np.argsort(keys, kind="stable")
+        keys, values = keys[order], self.values[order]
+        block = keys // per_block
+        start = np.flatnonzero(np.diff(block, prepend=-1))
+        blocks, size = block[start], np.diff(start, append=len(keys))
+        plain = per_block - size
+        init = np.float32(OPTIMISTIC_INIT)
+        if n_pool:
+            top = np.maximum.reduceat(values, start) if len(values) else values
+            top = np.where(plain > 0, np.maximum(top, init), top)
+            eff = [values + np.repeat(top, size), init + top, [init + init]]
+        else:
+            eff = [values, np.full(len(blocks), init), [init]]
+        rest = self.n_cells - len(blocks) * per_block
+        counts = np.concatenate([np.ones(len(keys), np.int64), plain, [rest]])
+        return Entries(p, keys, blocks, counts, np.concatenate(eff).astype(np.float32))
+
+    def softmax_probabilities(self, alpha: float, n_pool: int | None = None) -> Entries:
+        """Entries whose value is their sampling mass: cell count times the
+        softmax weight exp(alpha * (effective - max)).
+
+        alpha = 0 is one entry of mass 1.0 holding every cell, exactly
+        uniform; the exponent maximum is taken over non-empty entries.
         """
         if alpha < 0:
             raise TensorError("softmax weighting alpha must be >= 0")
         if alpha == 0:
-            return np.full(self.n_cells, 1.0 / self.n_cells)
-        z = self.effective_cells(n_pool, out=np.empty(self.n_cells))
-        # Float32-range values cannot overflow a float64 sum, so the sum is
-        # finite exactly when every cell is.
-        if not np.isfinite(z.sum()):
+            return Entries(1, self.flats[:0], self.flats[:0], np.array([self.n_cells]), np.array([1.0]))
+        entries = self.effective_cells(n_pool)
+        z = entries.values.astype(np.float64)
+        if not np.all(np.isfinite(z)):
             raise TensorError("tensor contains non-finite cells")
         z *= alpha
-        z -= z.max()
-        np.exp(z, out=z)
-        z /= z.sum(dtype=np.float64)
-        return z
+        live = entries.counts > 0
+        z -= z[live].max()
+        return replace(entries, values=entries.counts * np.exp(np.where(live, z, -np.inf)))
 
-    def sample_subdomains(self, probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``n`` cells i.i.d. with replacement; returns (n, n_dim) multi-indices."""
-        if self._cdf is None or self._cdf.shape != probs.shape:
-            self._cdf = np.empty(probs.shape)
-        cdf = np.cumsum(probs, dtype=np.float64, out=self._cdf)
+    def sample_subdomains(self, probs: Entries, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw ``n`` cells i.i.d. with replacement: an entry by its mass, then
+        a uniform cell of it; returns (n, n_dim) multi-indices."""
+        cdf = np.cumsum(probs.values, dtype=np.float64)
         cdf /= cdf[-1]
-        flats = np.searchsorted(cdf, rng.random(n), side="right")
-        np.clip(flats, 0, self.n_cells - 1, out=flats)
-        return self.multi_indices(flats)
+        entry = np.searchsorted(cdf, rng.random(n), side="right")
+        np.clip(entry, 0, len(cdf) - 1, out=entry)
+        rank = rng.integers(0, probs.counts[entry])
+        keys, blocks = probs.keys, probs.blocks
+        k, per_block = len(keys), probs.n_pool**self.n_dim
+        out = np.empty(n, dtype=np.int64)
+        # A special cell's entry holds that cell alone.
+        special = entry < k
+        out[special] = keys[entry[special]]
+        # The rank-th plain cell of a block is the r-th plain cell overall,
+        # r counting the plain cells of the blocks before it; the sorted keys
+        # less their positions say how many special cells come first.
+        skip = keys - np.arange(k)
+        inner = ~special & (entry < k + len(blocks))
+        first = blocks[entry[inner] - k] * per_block
+        r = first - np.searchsorted(keys, first) + rank[inner]
+        out[inner] = r + np.searchsorted(skip, r, side="right")
+        # The rest: the q-th block holding no special cell, and a cell in it.
+        rest = entry == k + len(blocks)
+        q, local = np.divmod(rank[rest], per_block)
+        q += np.searchsorted(blocks - np.arange(len(blocks)), q, side="right")
+        out[rest] = q * per_block + local
+        # Block-major numbers back to multi-indices.
+        block, local = np.divmod(out, per_block)
+        corner = np.unravel_index(block, (self.n_sub // probs.n_pool,) * self.n_dim)
+        offset = np.unravel_index(local, (probs.n_pool,) * self.n_dim)
+        return np.stack(corner, axis=-1) * probs.n_pool + np.stack(offset, axis=-1)

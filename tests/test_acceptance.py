@@ -27,6 +27,7 @@ from carsopt.ga import IslandConfig, nondominated_sort, sbx_crossover
 from carsopt.knn import NeighborStore
 from carsopt.problem import BoundaryDef, ObjectiveDef
 from carsopt.tensor import SubdomainTensor
+from dense_view import cells, effective, probabilities, set_cells
 
 
 def verdict(num, desc, ok, detail=""):
@@ -52,17 +53,13 @@ def test_01_tensor_size_law():
 def test_02_sampling_step_runtime():
     rows = bench_sampling(max_params=6, batch_sizes=[1_000_000], repeats=3)
     small = [r for r in rows if r["n_params"] == 6][0]
-    ok_small = not small["skipped"] and small["t_min"] < 10.0
+    ok_small = small["t_min"] < 10.0
     detail = f"6 params / 10^6 batch: min {small['t_min']:.2f} s"
 
     big = bench_sampling(max_params=9, batch_sizes=[100_000], repeats=1)
     big = [r for r in big if r["n_params"] == 9][0]
-    if big["skipped"]:
-        ok_big = True
-        detail += f"; 9 params: skipped ({big['skipped']})"
-    else:
-        ok_big = big["t_min"] < 120.0
-        detail += f"; 9 params / 10^5 batch: min {big['t_min']:.2f} s"
+    ok_big = big["t_min"] < 120.0
+    detail += f"; 9 params / 10^5 batch: min {big['t_min']:.2f} s"
     verdict(2, "one full sampling step within runtime budget", ok_small and ok_big, detail)
 
 
@@ -81,17 +78,17 @@ def test_03_heuristic_table():
 def test_04_softmax_correctness():
     t = SubdomainTensor(1, 3)
     t.update_many(np.array([[0], [1], [2]]), np.array([1.0, 0.75, 0.0]))
-    worked = t.softmax_probabilities(alpha=1.0)
+    worked = probabilities(t, alpha=1.0)
     ok = np.allclose(worked, [0.4658, 0.3628, 0.1714], atol=1e-3)
 
     rng = np.random.default_rng(0)
     t2 = SubdomainTensor(3, 9)
-    t2.cells = rng.random(t2.n_cells).astype(np.float32)
-    probs = t2.softmax_probabilities(alpha=4.0)
+    set_cells(t2, rng.random(t2.n_cells))
+    probs = probabilities(t2, alpha=4.0)
     ok &= abs(float(probs.sum()) - 1.0) < 1e-9
-    uniform = t2.softmax_probabilities(alpha=0.0)
+    uniform = probabilities(t2, alpha=0.0)
     ok &= bool(np.all(uniform == 1.0 / t2.n_cells))
-    order = np.argsort(t2.cells, kind="stable")
+    order = np.argsort(cells(t2)[0], kind="stable")
     ok &= bool(np.all(np.diff(probs[order]) >= 0))
     verdict(4, "softmax normalization, uniformity, monotonicity, worked example", ok)
 
@@ -115,9 +112,9 @@ def test_05_pooling_oracle():
         n_dim = int(rng.integers(1, 4))
         n_sub = int(rng.choice([6, 9]))
         t = SubdomainTensor(n_dim, n_sub)
-        t.cells = rng.random(t.n_cells).astype(np.float32)
-        got = t.effective_cells(3)
-        want = brute_force_effective(t.cells, n_dim, n_sub, 3)
+        set_cells(t, rng.random(t.n_cells))
+        got = effective(t, 3)
+        want = brute_force_effective(cells(t)[0], n_dim, n_sub, 3)
         if not np.array_equal(got, want):
             mismatches += 1
     elapsed = time.perf_counter() - t0

@@ -21,6 +21,7 @@ from carsopt.engine import (
     restore_state,
 )
 from carsopt.tensor import OPTIMISTIC_INIT, SubdomainTensor
+from dense_view import cells
 
 
 def two_op_problem():
@@ -182,16 +183,16 @@ class TestDeterminismAndResume:
         spec, ev = c.builtin_problem("sphere_ring", 6)
         c.run(spec, RunConfig(n_total=600, seed=11), ev, log_path=tmp_path / "r.log")
         digest = hashlib.sha256((tmp_path / "r.log").read_bytes()).hexdigest()
-        assert digest == "565b8ac8b26cb6c7e79ebb354c1e7d09df1d6bd6e1a8253c11fe052bae0a0df8"
+        assert digest == "c42d182960fd39e852225944d8b2d6608b168484f3184c399da69664be304565"
 
     def test_pinned_log_pooled_7d(self, tmp_path):
-        # rosenbrock_box 7-D with pooling: 5 iterations whose softmax and draw
-        # run over 9^7 cells.  The digest pins the log bytes, so any change in
+        # rosenbrock_box 7-D with pooling: 5 iterations whose draws range
+        # over 9^7 cells.  The digest pins the log bytes, so any change in
         # probabilities or drawn sub-domains shows here.
         spec, ev = c.builtin_problem("rosenbrock_box", 7)
         c.run(spec, RunConfig(n_total=300, seed=5, oversampling=False), ev, log_path=tmp_path / "r.log")
         digest = hashlib.sha256((tmp_path / "r.log").read_bytes()).hexdigest()
-        assert digest == "24d4fd40d27a3b45c366490d7b44c848db4968a1083397c7070f1ca36698879b"
+        assert digest == "e88b68b69f5f93fca2da28677987595b4579892d820acd6108f8fa12464947d3"
 
     def test_pinned_log_with_failed_samples(self, tmp_path):
         # Failed, NaN-measurement and valid samples over two operating
@@ -204,7 +205,7 @@ class TestDeterminismAndResume:
         assert any(e["valid"] for e in samples)
         assert any(not e["valid"] and e["meas"] and not any(e["penalty_raw"]) for e in samples)
         digest = hashlib.sha256((tmp_path / "r.log").read_bytes()).hexdigest()
-        assert digest == "8b48953a3b68e337850875c8fb9a7b495eb755cfe64ffc4d307f847abd8def4c"
+        assert digest == "503c5f9299240a6d9b09d2bb8279b1a103a412f657cdf6788194c0a9a5f0b551"
 
     def test_resume_after_completion_is_identity(self, tmp_path):
         spec, ev = c.builtin_problem("sphere_ring", 2)
@@ -213,15 +214,14 @@ class TestDeterminismAndResume:
         st2 = c.resume(tmp_path / "r.log", spec, cfg, ev)
         assert len(st2.records) == len(st.records)
         assert [r.fitness for r in st2.records] == [r.fitness for r in st.records]
-        assert np.array_equal(st2.tensor.cells, st.tensor.cells)
+        assert np.array_equal(cells(st2.tensor), cells(st.tensor))
 
     def test_tensor_reconstruction(self, tmp_path):
         spec, ev = c.builtin_problem("boost")
         cfg = RunConfig(n_total=300, seed=9)
         st = c.run(spec, cfg, ev, log_path=tmp_path / "r.log")
         rs = restore_state(tmp_path / "r.log", spec, cfg)
-        assert np.array_equal(rs.tensor.cells, st.tensor.cells)
-        assert np.array_equal(rs.tensor.touched, st.tensor.touched)
+        assert np.array_equal(cells(rs.tensor), cells(st.tensor))
         assert rs.consts.to_dict() == st.consts.to_dict()
 
     def test_restore_equals_per_sample_fold(self, tmp_path):
@@ -243,8 +243,7 @@ class TestDeterminismAndResume:
         for e in samples:
             fold.update_fitness(e["subdomain"], e["fitness"])
         rs = restore_state(tmp_path / "r.log", spec, cfg)
-        assert np.array_equal(rs.tensor.cells, fold.cells)
-        assert np.array_equal(rs.tensor.touched, fold.touched)
+        assert np.array_equal(cells(rs.tensor), cells(fold))
 
     def test_restore_log_without_samples(self, tmp_path):
         spec, ev = c.builtin_problem("sphere_ring", 2)
@@ -254,7 +253,8 @@ class TestDeterminismAndResume:
         (tmp_path / "r.log").write_text(header + "\n" + iteration + "\n")
         rs = restore_state(tmp_path / "r.log", spec, cfg)
         assert rs.records == [] and rs.iteration == 0 and len(rs.store) == 0
-        assert np.all(rs.tensor.cells == OPTIMISTIC_INIT) and not rs.tensor.touched.any()
+        values, touched = cells(rs.tensor)
+        assert np.all(values == OPTIMISTIC_INIT) and not touched.any()
 
     @pytest.mark.parametrize(
         "keep,torn",
@@ -298,6 +298,19 @@ class TestDeterminismAndResume:
         drifted = dataclasses.replace(cfg, **{field: value})
         with pytest.raises(EngineError, match=field):
             c.resume(tmp_path / "r.log", spec, drifted, ev)
+        assert (tmp_path / "r.log").read_bytes() == before
+
+    def test_version_1_log_rejected(self, tmp_path):
+        # Version 1 drew from the dense tensor; resuming it under the sparse
+        # sampler would continue another random stream.
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        cfg = RunConfig(n_total=2000, seed=0)
+        c.run(spec, cfg, ev, log_path=tmp_path / "r.log", stop_after_iteration=1)
+        text = (tmp_path / "r.log").read_text()
+        (tmp_path / "r.log").write_text(text.replace('"version": 2,', '"version": 1,', 1))
+        before = (tmp_path / "r.log").read_bytes()
+        with pytest.raises(EngineError, match="version"):
+            c.resume(tmp_path / "r.log", spec, cfg, ev)
         assert (tmp_path / "r.log").read_bytes() == before
 
     def test_geometry_mismatch_rejected(self, tmp_path):

@@ -234,7 +234,7 @@ class TestRunIslands:
         spec, ev = c.builtin_problem("boost")
         run_islands(spec, IslandConfig(3, 10, 4), ev, seed=3, log_path=tmp_path / "ga.log")
         digest = hashlib.sha256((tmp_path / "ga.log").read_bytes()).hexdigest()
-        assert digest == "cfc0e57e85da6cc8ddab8dfe1cbbfd8a7b74d45ec65e4d0cc0e8aeb779eaac8b"
+        assert digest == "4eadb083d0664cd8c8944bfbc6d1375ffb25a7754bd567e8a45e64094982da28"
 
     def test_dropped_sample_id_raises(self, dropping):
         spec, ev = c.builtin_problem("sphere_ring", 2)
