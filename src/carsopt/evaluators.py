@@ -259,10 +259,13 @@ class ExternalEvaluator:
     and the child is killed and respawned; the requests queued behind it are
     sent again.  A malformed response fails its sample only; a child that
     exits or closes its stdin mid-batch raises
-    :class:`EvaluatorTransportError`.
+    :class:`EvaluatorTransportError`.  A ``timeout`` that is not a finite
+    number of seconds > 0 raises ``ValueError`` before any child is spawned.
     """
 
     def __init__(self, command: str, timeout: float = 60.0):
+        if not 0 < timeout < math.inf:  # also false for NaN
+            raise ValueError(f"timeout must be a finite number of seconds > 0, not {timeout!r}")
         self.command = command
         self.timeout = timeout
         self._lock = threading.Lock()

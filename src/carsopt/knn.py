@@ -15,13 +15,25 @@ Estimates are exact and reproducible bit for bit:
   halves summed recursively above 128 dimensions).
 - **Ties.** Neighbors are ranked by (squared distance, insertion index), so
   an earlier point wins a tie, and the chosen k are averaged in that order.
-  ``np.argpartition`` finds the k nearest; a row whose k-th distance recurs
-  beyond the k-th slot (or is NaN) is ranked by a stable full sort instead.
+- **Prefilter.** While k < m, one float64 GEMM per chunk gives the Gram-form
+  distances ``[q, ‖q‖², 1] @ [-2p; 1; ‖p‖²]`` and ``np.argpartition`` the k+1
+  nearest by them.  A row is *proven* when its (k+1)-th Gram distance
+  exceeds its k-th by more than 2δ, with δ = 3·(d+4)·eps·((‖q‖ + max‖p‖)² + 1)
+  at least twice the worst-case rounding gap between a Gram distance (in any
+  GEMM summation order, fused or not) and the exact one.  Its k columns are
+  then the exact k nearest with no tie across the boundary, so only their
+  exact distances are computed and ranked.  The BLAS build and its thread
+  count therefore cannot change a result.
+- **Fallback.** Every other row (k >= m, a NaN or overflowing query, a
+  near-tie within the margin) gets exact distances to every point;
+  ``np.argpartition`` finds the k nearest, and a row whose k-th distance
+  recurs beyond the k-th slot (or is NaN) is ranked by a stable full sort.
 - **Cost.** A call with n queries against m stored points in d dimensions
-  does O(n·m·d) arithmetic plus an O(n·m) selection.  Queries go in chunks
-  whose (chunk, m) float64 arrays hold at most 65,536 elements (512 KiB), so
-  the per-dimension passes stay in a core's L2 cache; a few such arrays are
-  live at once.
+  does O(n·m·d) arithmetic in the GEMM plus an O(n·m) selection, and O(n·k·d)
+  exact arithmetic for the proven rows; a fallback row costs O(m·d) exact
+  arithmetic.  Queries go in chunks whose (chunk, m) float64 arrays hold at
+  most 65,536 elements (512 KiB), so they stay in a core's L2 cache; a few
+  such arrays are live at once.
 
 Points and fitnesses live in preallocated arrays whose capacity doubles, so
 appending a batch costs amortized O(batch) and estimates read them in place.
@@ -35,6 +47,12 @@ __all__ = ["NeighborStore"]
 
 _CHUNK_ELEMENTS = 65_536  # (queries, points) elements per array: 512 KiB, cache-resident
 _PAIRWISE_BLOCK = 128  # numpy's pairwise-summation block size
+# c in the prefilter margin δ = c·(d+4)·eps·((‖q‖ + max‖p‖)² + 1).  To first
+# order a Gram distance and the exact per-dimension sum differ by at most
+# (3d+4)·(eps/2)·(‖q‖ + ‖p‖)²: (d+2)·eps/2 relative for the exact sum, and
+# (2d+2)·eps/2 for the norms and a length-(d+2) dot product in any summation
+# order.  c = 3 keeps that gap below δ/2; the "+ 1" covers underflow.
+_MARGIN_FACTOR = 3.0
 
 
 def _squared_term(queries: np.ndarray, coords: np.ndarray, j: int, out=None) -> np.ndarray:
@@ -97,6 +115,38 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     return order
 
 
+def _gram(coords: np.ndarray) -> np.ndarray:
+    """[-2p; 1; ‖p‖²] with one column per stored point: the prefilter's right factor."""
+    sq = np.einsum("ij,ij->j", coords, coords)
+    return np.vstack([-2 * coords, np.ones_like(sq), sq])
+
+
+def _gram_distances(queries: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """‖q‖² + ‖p‖² - 2q·p for every (query, point) pair, by one GEMM."""
+    sq = np.einsum("ij,ij->i", queries, queries)
+    return np.column_stack([queries, sq, np.ones_like(sq)]) @ gram
+
+
+def _margin(queries: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Per query, δ: at least twice any rounding gap between a Gram distance and the exact one."""
+    n_dim = len(gram) - 2
+    reach = (np.linalg.norm(queries, axis=1) + np.sqrt(gram[-1].max())) ** 2 + 1
+    return _MARGIN_FACTOR * (n_dim + 4) * np.finfo(float).eps * reach
+
+
+def _prefilter(queries: np.ndarray, gram: np.ndarray, k: int):
+    """Per row, the k columns nearest by Gram distance (any order), and whether
+    they are proven to be the k exact nearest with no tie across slot k."""
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows fall back and warn there
+        approx = _gram_distances(queries, gram)
+        part = np.argpartition(approx, k, axis=1)[:, : k + 1]
+        near = np.take_along_axis(approx, part, axis=1)
+        kth, after = near[:, :k].max(axis=1), near[:, k]
+        # NaN compares false, and the margin bounds only finite Gram distances.
+        proven = (after - kth > 2 * _margin(queries, gram)) & (after < np.inf)
+    return part[:, :k], proven
+
+
 class NeighborStore:
     """Append-only store of (unit point, scalar fitness) pairs."""
 
@@ -156,10 +206,21 @@ class NeighborStore:
         k = min(k, m)
         out = np.empty(len(queries))
         chunk = max(1, _CHUNK_ELEMENTS // m)
+        gram = _gram(coords) if k < m else None
         for start in range(0, len(queries), chunk):
             q = queries[start : start + chunk]
-            d2 = _squared_distances(q, coords, 0, self.n_dim)
-            out[start : start + chunk] = fit[_nearest(d2, k)].mean(axis=1)
+            order = np.empty((len(q), k), dtype=np.intp)
+            proven = np.zeros(len(q), dtype=bool)
+            if gram is not None:
+                cols, proven = _prefilter(q, gram, k)
+                if proven.any():
+                    cols = np.sort(cols[proven], axis=1)  # insertion order breaks distance ties
+                    d2 = _squared_distances(q[proven], coords[:, cols], 0, self.n_dim)
+                    order[proven] = np.take_along_axis(cols, np.argsort(d2, axis=1, kind="stable"), axis=1)
+            rest = ~proven
+            if rest.any():
+                order[rest] = _nearest(_squared_distances(q[rest], coords, 0, self.n_dim), k)
+            out[start : start + chunk] = fit[order].mean(axis=1)
         return out
 
     def select_oversampled(self, candidates: np.ndarray, k: int) -> np.ndarray:

@@ -313,6 +313,14 @@ class TestExternalEvaluator:
         with pytest.raises(EvaluatorTransportError):
             ExternalEvaluator("/no/such/binary-xyz")
 
+    @pytest.mark.parametrize("timeout", [0, 0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_bad_timeout_rejected_before_spawn(self, tmp_path, monkeypatch, timeout):
+        spawned = []
+        monkeypatch.setattr("carsopt.evaluators.subprocess.Popen", lambda *a, **kw: spawned.append(a))
+        with pytest.raises(ValueError, match="timeout"):
+            ExternalEvaluator(child_script(tmp_path, ECHO_CHILD), timeout=timeout)
+        assert spawned == []
+
 
 class TestMakeEvaluator:
     def test_builtin_reference(self):

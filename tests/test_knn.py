@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carsopt import knn
 from carsopt.knn import NeighborStore
 
 
@@ -143,6 +144,84 @@ class TestBitIdentity:
         want = reference_estimate_many(pts, fit, queries, 2)
         assert np.array_equal(s.estimate_many(queries, 2), want, equal_nan=True)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_dim=st.integers(1, 12),
+        m=st.integers(2, 60),
+        k=st.integers(1, 30),
+        scale=st.sampled_from([1.0, 10.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_near_duplicates_and_far_queries(self, n_dim, m, k, scale, seed):
+        # Stored points about 1e-12 apart put distances within the prefilter's
+        # rounding margin; queries up to |q| = 1e3 widen that margin.
+        rng = np.random.default_rng(seed)
+        base = rng.random((max(1, m // 4), n_dim))
+        pts = np.clip(base[rng.integers(0, len(base), m)] + rng.integers(-3, 4, (m, n_dim)) * 1e-12, 0, 1)
+        near = pts[rng.integers(0, m, 10)] + rng.integers(-3, 4, (10, n_dim)) * 1e-12
+        far = (rng.random((15, n_dim)) - 0.5) * 2 * scale
+        queries = np.vstack([near, far])
+        fit = rng.random(m)
+        s = NeighborStore(n_dim)
+        s.extend(pts, fit)
+        assert np.array_equal(s.estimate_many(queries, k), reference_estimate_many(pts, fit, queries, k))
+
+    @pytest.mark.parametrize("n_dim", [1, 2, 6])
+    def test_overflowing_queries_match_reference(self, n_dim):
+        rng = np.random.default_rng(n_dim)
+        pts = rng.random((40, n_dim))
+        fit = rng.random(40)
+        big = np.sqrt(np.finfo(float).max)  # the squared norm sits at the overflow edge
+        rows = [1e200, -1e200, np.inf, -np.inf, big, -big, 1e150, -1e150]
+        queries = rng.random((len(rows), n_dim))
+        queries[:, 0] = rows
+        s = NeighborStore(n_dim)
+        s.extend(pts, fit)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = reference_estimate_many(pts, fit, queries, 5)
+            got = s.estimate_many(queries, 5)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("layout", ["random", "lattice", "near_duplicate"])
+    def test_margin_absorbs_any_summation_order(self, layout, monkeypatch):
+        # Shift every Gram distance by up to half the margin, as a BLAS with
+        # another summation order might: the estimates must not move.
+        rng = np.random.default_rng(["random", "lattice", "near_duplicate"].index(layout))
+        gram_distances, prefilter, proven_rows = knn._gram_distances, knn._prefilter, []
+
+        def perturbed(queries, gram):
+            approx = gram_distances(queries, gram)
+            half = knn._margin(queries, gram)[:, None] / 2
+            return approx + rng.uniform(-1, 1, approx.shape) * half
+
+        def counted(queries, gram, k):
+            cols, proven = prefilter(queries, gram, k)
+            proven_rows.append(int(proven.sum()))
+            return cols, proven
+
+        monkeypatch.setattr(knn, "_gram_distances", perturbed)
+        monkeypatch.setattr(knn, "_prefilter", counted)
+        for n_dim in (1, 3, 6, 9):
+            for m in (20, 300):
+                if layout == "lattice":
+                    pts = rng.integers(0, 3, (m, n_dim)) / 2
+                    queries = rng.integers(0, 3, (50, n_dim)) / 2
+                elif layout == "near_duplicate":
+                    base = rng.random((m // 5, n_dim))
+                    pts = base[rng.integers(0, len(base), m)] + rng.normal(0, 1e-12, (m, n_dim))
+                    pts = np.clip(pts, 0, 1)
+                    queries = pts[rng.integers(0, m, 50)] + rng.normal(0, 1e-12, (50, n_dim))
+                else:
+                    pts = rng.random((m, n_dim))
+                    queries = rng.random((50, n_dim))
+                fit = rng.random(m)
+                s = NeighborStore(n_dim)
+                s.extend(pts, fit)
+                for k in (1, 7):
+                    want = reference_estimate_many(pts, fit, queries, k)
+                    assert np.array_equal(s.estimate_many(queries, k), want)
+        assert sum(proven_rows) > 0  # the shifted distances still reach the fast path
+
     def test_estimate_is_estimate_many_row(self):
         rng = np.random.default_rng(9)
         s = NeighborStore(4)
@@ -150,6 +229,57 @@ class TestBitIdentity:
         queries = rng.random((6, 4))
         batch = s.estimate_many(queries, 9)
         assert [s.estimate(q, 9) for q in queries] == batch.tolist()
+
+
+class TestPrefilter:
+    def fallback_rows(self, monkeypatch):
+        rows, nearest = [], knn._nearest
+
+        def counted(d2, k):
+            rows.append(len(d2))
+            return nearest(d2, k)
+
+        monkeypatch.setattr(knn, "_nearest", counted)
+        return rows
+
+    @pytest.mark.parametrize("n_dim,m,k", [(1, 20, 1), (3, 200, 7), (6, 1400, 13), (12, 500, 25)])
+    def test_random_points_are_all_proven(self, n_dim, m, k, monkeypatch):
+        rng = np.random.default_rng(m)
+        pts, fit, queries = rng.random((m, n_dim)), rng.random(m), rng.random((300, n_dim))
+        _, proven = knn._prefilter(queries, knn._gram(pts.T), k)
+        assert proven.all()
+        fallback = self.fallback_rows(monkeypatch)
+        s = NeighborStore(n_dim)
+        s.extend(pts, fit)
+        assert np.array_equal(s.estimate_many(queries, k), reference_estimate_many(pts, fit, queries, k))
+        assert sum(fallback) == 0
+
+    def test_ties_and_nan_fall_back(self, monkeypatch):
+        # Points 0 and 1 are equally far from the first query, so slot k = 1
+        # holds an exact tie; the NaN query has no order at all.
+        pts = np.array([[0.25, 0.5], [0.75, 0.5], [0.0, 0.0], [1.0, 1.0], [0.9, 0.1]])
+        fit = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        queries = np.array([[0.5, 0.5], [np.nan, 0.5], [0.1, 0.1]])
+        _, proven = knn._prefilter(queries, knn._gram(pts.T), 1)
+        assert proven.tolist() == [False, False, True]
+        fallback = self.fallback_rows(monkeypatch)
+        s = NeighborStore(2)
+        s.extend(pts, fit)
+        got = s.estimate_many(queries, 1)
+        assert np.array_equal(got, reference_estimate_many(pts, fit, queries, 1), equal_nan=True)
+        assert got[0] == 1.0 and sum(fallback) == 2
+
+    def test_lattice_ties_fall_back(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        pts, fit = rng.integers(0, 3, (200, 3)) / 2, rng.random(200)
+        queries = rng.integers(0, 3, (40, 3)) / 2
+        _, proven = knn._prefilter(queries, knn._gram(pts.T), 7)
+        assert not proven.all()
+        fallback = self.fallback_rows(monkeypatch)
+        s = NeighborStore(3)
+        s.extend(pts, fit)
+        assert np.array_equal(s.estimate_many(queries, 7), reference_estimate_many(pts, fit, queries, 7))
+        assert sum(fallback) == int((~proven).sum())
 
 
 class TestStore:
