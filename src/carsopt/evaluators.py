@@ -14,7 +14,8 @@ from __future__ import annotations
 import collections
 import json
 import math
-import queue
+import os
+import select
 import shlex
 import subprocess
 import threading
@@ -227,17 +228,10 @@ def builtin_problem(name: str, n_dim: int | None = None) -> tuple[ProblemSpec, B
 _WINDOW = 16  # requests outstanding per child
 
 
-def _read_lines(stream, lines: queue.Queue):
-    with stream:
-        for line in stream:
-            lines.put(line)
-    lines.put(None)  # EOF marker
-
-
-def _parse_response(line: str) -> EvaluationResult | None:
+def _parse_response(line: bytearray) -> EvaluationResult | None:
     """The result a response line carries; None for a line naming no id."""
     try:
-        obj = json.loads(line)
+        obj = json.loads(line.decode())  # UnicodeDecodeError is a ValueError
         sid = int(obj["id"])
     except (ValueError, TypeError, KeyError):
         return None  # unattributable noise
@@ -253,10 +247,13 @@ class ExternalEvaluator:
     """Drives a child process speaking the line-delimited JSON protocol.
 
     Up to 16 requests are outstanding at once; responses may arrive in any
-    order and are matched by id.  The child has one clock of ``timeout``
-    seconds, restarted at each response and at a write into an idle child.
-    When it runs out, the oldest outstanding request fails with ``"timeout"``
-    and the child is killed and respawned; the requests queued behind it are
+    order and are matched by id.  The child's stdout is read in the calling
+    thread, by ``select`` on its pipe (POSIX only), and a response counts
+    once its newline arrives.  A line that is not UTF-8 JSON naming an id is
+    ignored as noise.  The child has one clock of ``timeout`` seconds,
+    restarted at each response and at a write into an idle child.  When it
+    runs out, the oldest outstanding request fails with ``"timeout"`` and
+    the child is killed and respawned; the requests queued behind it are
     sent again.  A malformed response fails its sample only; a child that
     exits or closes its stdin mid-batch raises
     :class:`EvaluatorTransportError`.  A ``timeout`` that is not a finite
@@ -273,19 +270,29 @@ class ExternalEvaluator:
 
     def _spawn(self):
         try:
-            self._proc = subprocess.Popen(
-                shlex.split(self.command),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
-            )
+            self._proc = subprocess.Popen(shlex.split(self.command), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as exc:
             raise EvaluatorTransportError(f"cannot spawn evaluator {self.command!r}: {exc}")
-        # Each child has its own queue, so a killed child's late output never
-        # reaches its successor.
-        self._lines: queue.Queue = queue.Queue()
-        threading.Thread(target=_read_lines, args=(self._proc.stdout, self._lines), daemon=True).start()
+        # Each child has its own buffers, so a killed child's late output
+        # never reaches its successor.
+        self._lines: collections.deque[bytearray] = collections.deque()  # complete, unread
+        self._partial = bytearray()  # the bytes after the last newline
+
+    def _read_line(self, deadline: float) -> bytearray | None:
+        """The child's next complete stdout line; None if ``deadline`` passes first."""
+        fd = self._proc.stdout.fileno()
+        while not self._lines:
+            ready, _, _ = select.select([fd], [], [], max(0.0, deadline - time.monotonic()))
+            if not ready:
+                return None
+            chunk = os.read(fd, 65536)
+            if not chunk:
+                raise EvaluatorTransportError("evaluator process exited mid-batch")
+            self._partial += chunk  # in place: a long line costs no copies
+            if b"\n" in chunk:
+                *lines, self._partial = self._partial.split(b"\n")
+                self._lines.extend(lines)
+        return self._lines.popleft()
 
     def evaluate_batch(self, requests: list[EvaluationRequest]) -> list[EvaluationResult]:
         with self._lock:
@@ -297,19 +304,21 @@ class ExternalEvaluator:
         pending: dict[int, EvaluationRequest] = {}  # sent and unanswered, oldest first
         deadline = 0.0
         while unsent or pending:
-            while unsent and len(pending) < _WINDOW:
-                req = unsent.popleft()
+            if unsent and len(pending) < _WINDOW:
                 if not pending:
                     deadline = time.monotonic() + self.timeout
+                refill = []
+                while unsent and len(pending) < _WINDOW:
+                    req = unsent.popleft()
+                    refill.append(json.dumps({"id": req.sample_id, "params": req.params}) + "\n")
+                    pending[req.sample_id] = req
                 try:
-                    self._proc.stdin.write(json.dumps({"id": req.sample_id, "params": req.params}) + "\n")
+                    self._proc.stdin.write("".join(refill).encode())
                     self._proc.stdin.flush()
                 except OSError:
                     raise EvaluatorTransportError("evaluator process closed its stdin") from None
-                pending[req.sample_id] = req
-            try:
-                line = self._lines.get(timeout=max(0.0, deadline - time.monotonic()))
-            except queue.Empty:
+            line = self._read_line(deadline)
+            if line is None:
                 # The child spent a whole timeout on its oldest request: fail
                 # that one and hand the rest, uncharged, to a fresh child.
                 sid = next(iter(pending))
@@ -320,8 +329,6 @@ class ExternalEvaluator:
                 self._stop(grace=0)
                 self._spawn()
                 continue
-            if line is None:
-                raise EvaluatorTransportError("evaluator process exited mid-batch")
             res = _parse_response(line)
             if res is not None and pending.pop(res.sample_id, None) is not None:
                 results[res.sample_id] = res
@@ -329,8 +336,8 @@ class ExternalEvaluator:
         return [results[req.sample_id] for req in requests]
 
     def _stop(self, grace: float):
-        """Close the child's stdin and reap it, killing it if it is still
-        running ``grace`` seconds later."""
+        """Close the child's stdin, reap it (killing it if it is still
+        running ``grace`` seconds later) and close its stdout."""
         try:
             self._proc.stdin.close()
         except OSError:
@@ -340,6 +347,7 @@ class ExternalEvaluator:
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
+        self._proc.stdout.close()
 
     def close(self):
         """Close the child's stdin and reap it; a child still running 5 s

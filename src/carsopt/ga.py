@@ -6,6 +6,13 @@ extra blend stage, and two-level Gaussian mutation.  All genomes live in the
 unit hypercube; clamping keeps variation inside it.  After the last
 generation the islands' non-dominated sets are merged and re-sorted.
 
+Ranking is Deb et al.'s fast non-dominated sort and crowding distance in
+vectorized form: the dominance matrix is built one objective column at a
+time, each front is peeled off in one step, and one call crowds every
+front with a single sort by (front, value) per objective.  Fronts, their
+ascending index order and the crowding floats equal those of the per-index
+loops.
+
 A generation is evaluated, scored, recorded and logged by the same engine
 functions as a CARS iteration (``evaluate_units``, ``sample_records``,
 ``sample_json``), so both methods write the same log format: a run header,
@@ -89,50 +96,62 @@ class GAResult:
 # NSGA-II primitives
 # ---------------------------------------------------------------------------
 
-def _dominates(a: np.ndarray, b: np.ndarray) -> bool:
-    """Maximization: a dominates b iff >= everywhere and > somewhere."""
-    return bool(np.all(a >= b) and np.any(a > b))
-
-
 def nondominated_sort(objectives: np.ndarray) -> list[list[int]]:
-    """Fast non-dominated sorting; returns fronts as index lists (front 0 first)."""
+    """Fast non-dominated sorting; returns fronts as ascending index lists
+    (front 0 first)."""
     objectives = np.asarray(objectives, dtype=float)
     n = len(objectives)
-    # Pairwise dominance matrix: dom[i, j] = i dominates j.
-    ge = np.all(objectives[:, None, :] >= objectives[None, :, :], axis=2)
-    gt = np.any(objectives[:, None, :] > objectives[None, :, :], axis=2)
+    # Pairwise dominance matrix, one objective column at a time:
+    # dom[i, j] = i dominates j (>= everywhere and > somewhere).
+    ge = np.ones((n, n), dtype=bool)
+    gt = np.zeros((n, n), dtype=bool)
+    for col in objectives.T:
+        ge &= col[:, None] >= col
+        gt |= col[:, None] > col
     dom = ge & gt
-    dominated_count = dom.sum(axis=0)
-    fronts = []
-    remaining = np.arange(n)
-    counts = dominated_count.copy()
+    counts = dom.sum(axis=0)
     assigned = np.zeros(n, dtype=bool)
+    fronts = []
     while not assigned.all():
-        current = [int(i) for i in remaining if not assigned[i] and counts[i] == 0]
-        if not current:  # numeric pathologies (all-NaN etc.): dump the rest
-            current = [int(i) for i in remaining if not assigned[i]]
-        fronts.append(current)
-        for i in current:
-            assigned[i] = True
-            counts[dom[i]] -= 1
+        front = np.flatnonzero(~assigned & (counts == 0))
+        if not len(front):  # numeric pathologies (all-NaN etc.): dump the rest
+            front = np.flatnonzero(~assigned)
+        fronts.append(front.tolist())
+        assigned[front] = True
+        counts -= dom[front].sum(axis=0)
     return fronts
 
 
-def crowding_distance(objectives: np.ndarray) -> np.ndarray:
-    """NSGA-II crowding distance within one front (larger = less crowded)."""
+def crowding_distance(objectives: np.ndarray, front: np.ndarray | None = None) -> np.ndarray:
+    """NSGA-II crowding distance (larger = less crowded).
+
+    ``front`` gives each row's front index, and rows are crowded only among
+    rows of their own front; without it all rows form one front.  A front
+    of one or two rows is all infinite.  Per objective, a front's extreme
+    rows (lowest index first among ties) are infinite and each interior row
+    adds (next - previous) / (highest - lowest); an objective constant over
+    a front adds nothing to it.
+    """
     objectives = np.asarray(objectives, dtype=float)
-    n, m = objectives.shape
-    dist = np.zeros(n)
-    if n <= 2:
-        return np.full(n, np.inf)
-    for j in range(m):
-        order = np.argsort(objectives[:, j], kind="stable")
-        lo, hi = objectives[order[0], j], objectives[order[-1], j]
-        dist[order[0]] = dist[order[-1]] = np.inf
-        if hi == lo:
-            continue
-        gaps = (objectives[order[2:], j] - objectives[order[:-2], j]) / (hi - lo)
-        dist[order[1:-1]] += gaps
+    n = len(objectives)
+    front = np.zeros(n, dtype=np.intp) if front is None else np.asarray(front)
+    # Sorted by (front, value), every objective puts each front at the same
+    # positions: starts, ends and interiors are found once.
+    sorted_front = np.sort(front)
+    first, last = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+    first[1:] = sorted_front[1:] != sorted_front[:-1]
+    last[:-1] = first[1:]
+    group = np.cumsum(first) - 1
+    starts, ends = np.flatnonzero(first), np.flatnonzero(last)
+    edge = first | last
+    dist = np.where(np.bincount(front)[front] <= 2, np.inf, 0.0)
+    for values in objectives.T:
+        order = np.lexsort((values, front))
+        v = values[order]
+        lo, hi = v[starts], v[ends]
+        dist[order[edge]] = np.inf
+        pos = np.flatnonzero(~edge & (hi != lo)[group])
+        dist[order[pos]] += (v[pos + 1] - v[pos - 1]) / (hi - lo)[group[pos]]
     return dist
 
 
@@ -198,11 +217,11 @@ def _island_rng(seed: int, island: int) -> np.random.Generator:
 def _assign_ranks(pop: list[Individual]) -> list[list[int]]:
     objs = np.array([ind.objectives for ind in pop])
     fronts = nondominated_sort(objs)
-    for rank, front in enumerate(fronts):
-        dists = crowding_distance(objs[front])
-        for idx, d in zip(front, dists):
-            pop[idx].rank = rank
-            pop[idx].crowding = float(d)
+    rank = np.empty(len(pop), dtype=np.intp)
+    for r, front in enumerate(fronts):
+        rank[front] = r
+    for ind, r, d in zip(pop, rank.tolist(), crowding_distance(objs, rank).tolist()):
+        ind.rank, ind.crowding = r, d
     return fronts
 
 

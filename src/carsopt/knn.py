@@ -127,14 +127,14 @@ def _gram_distances(queries: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.column_stack([queries, sq, np.ones_like(sq)]) @ gram
 
 
-def _margin(queries: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Per query, δ: at least twice any rounding gap between a Gram distance and the exact one."""
-    n_dim = len(gram) - 2
-    reach = (np.linalg.norm(queries, axis=1) + np.sqrt(gram[-1].max())) ** 2 + 1
-    return _MARGIN_FACTOR * (n_dim + 4) * np.finfo(float).eps * reach
+def _margin(queries: np.ndarray, max_norm: float) -> np.ndarray:
+    """Per query, δ: at least twice any rounding gap between a Gram distance
+    and the exact one; ``max_norm`` is max‖p‖ over the stored points."""
+    reach = (np.linalg.norm(queries, axis=1) + max_norm) ** 2 + 1
+    return _MARGIN_FACTOR * (queries.shape[1] + 4) * np.finfo(float).eps * reach
 
 
-def _prefilter(queries: np.ndarray, gram: np.ndarray, k: int):
+def _prefilter(queries: np.ndarray, gram: np.ndarray, max_norm: float, k: int):
     """Per row, the k columns nearest by Gram distance (any order), and whether
     they are proven to be the k exact nearest with no tie across slot k."""
     with np.errstate(over="ignore", invalid="ignore"):  # such rows fall back and warn there
@@ -143,7 +143,7 @@ def _prefilter(queries: np.ndarray, gram: np.ndarray, k: int):
         near = np.take_along_axis(approx, part, axis=1)
         kth, after = near[:, :k].max(axis=1), near[:, k]
         # NaN compares false, and the margin bounds only finite Gram distances.
-        proven = (after - kth > 2 * _margin(queries, gram)) & (after < np.inf)
+        proven = (after - kth > 2 * _margin(queries, max_norm)) & (after < np.inf)
     return part[:, :k], proven
 
 
@@ -207,12 +207,13 @@ class NeighborStore:
         out = np.empty(len(queries))
         chunk = max(1, _CHUNK_ELEMENTS // m)
         gram = _gram(coords) if k < m else None
+        max_norm = np.sqrt(gram[-1].max()) if k < m else None  # max‖p‖: once per call, not per chunk
         for start in range(0, len(queries), chunk):
             q = queries[start : start + chunk]
             order = np.empty((len(q), k), dtype=np.intp)
             proven = np.zeros(len(q), dtype=bool)
             if gram is not None:
-                cols, proven = _prefilter(q, gram, k)
+                cols, proven = _prefilter(q, gram, max_norm, k)
                 if proven.any():
                     cols = np.sort(cols[proven], axis=1)  # insertion order breaks distance ties
                     d2 = _squared_distances(q[proven], coords[:, cols], 0, self.n_dim)

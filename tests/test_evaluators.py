@@ -224,6 +224,72 @@ class TestExternalEvaluator:
             ev.close()
         assert all(r.ok and r.meas["y"] == [7.0] for r in res)
 
+    def test_undecodable_line_ignored(self, tmp_path):
+        body = """\
+            import sys, json
+            sys.stdout.buffer.write(b"\\xff\\xfe garbage\\n")
+            sys.stdout.flush()
+            for line in sys.stdin:
+                req = json.loads(line)
+                print(json.dumps({"id": req["id"], "meas": {"y": [7.0]}}), flush=True)
+        """
+        ev = ExternalEvaluator(child_script(tmp_path, body), timeout=2.0)
+        try:
+            res = ev.evaluate_batch(self.requests(4))
+        finally:
+            ev.close()
+        assert [r.error for r in res] == [None] * 4
+
+    def test_response_split_across_writes(self, tmp_path):
+        body = """\
+            import sys, json, time
+            for line in sys.stdin:
+                req = json.loads(line)
+                out = json.dumps({"id": req["id"], "meas": {"y": [float(req["id"])]}}) + "\\n"
+                sys.stdout.write(out[:10])
+                sys.stdout.flush()
+                time.sleep(0.05)
+                sys.stdout.write(out[10:])
+                sys.stdout.flush()
+        """
+        ev = ExternalEvaluator(child_script(tmp_path, body), timeout=10.0)
+        try:
+            res = ev.evaluate_batch(self.requests(3))
+        finally:
+            ev.close()
+        assert [r.meas["y"][0] for r in res] == [0.0, 1.0, 2.0]
+
+    def test_several_responses_in_one_write(self, tmp_path):
+        body = """\
+            import sys, json
+            reqs = [json.loads(sys.stdin.readline()) for _ in range(5)]
+            out = "".join(json.dumps({"id": r["id"], "meas": {"y": [float(r["id"])]}}) + "\\n" for r in reqs)
+            sys.stdout.write("chatter\\n" + out)
+            sys.stdout.flush()
+            sys.stdin.read()
+        """
+        ev = ExternalEvaluator(child_script(tmp_path, body), timeout=10.0)
+        try:
+            res = ev.evaluate_batch(self.requests(5))
+        finally:
+            ev.close()
+        assert [r.meas["y"][0] for r in res] == [0.0, 1.0, 2.0, 3.0, 4.0]
+
+    def test_unterminated_last_line_raises_transport_error(self, tmp_path):
+        # The last response lacks its newline, so it never arrives whole.
+        body = """\
+            import sys, json
+            reqs = [json.loads(sys.stdin.readline()) for _ in range(2)]
+            print(json.dumps({"id": reqs[0]["id"], "meas": {"y": [1.0]}}), flush=True)
+            sys.stdout.write(json.dumps({"id": reqs[1]["id"], "meas": {"y": [1.0]}}))
+        """
+        ev = ExternalEvaluator(child_script(tmp_path, body), timeout=10.0)
+        try:
+            with pytest.raises(EvaluatorTransportError, match="exited mid-batch"):
+                ev.evaluate_batch(self.requests(2))
+        finally:
+            ev.close()
+
     def test_silent_sample_times_out(self, tmp_path):
         body = """\
             import sys, json
@@ -280,10 +346,12 @@ class TestExternalEvaluator:
         first = ev._proc
         try:
             ev.evaluate_batch(self.requests(12))
+            assert first.stdout.closed and not ev._proc.stdout.closed
         finally:
             ev.close()
         assert ev._proc is not first
         assert first.returncode is not None and ev._proc.returncode is not None
+        assert ev._proc.stdout.closed
 
     def test_cars_run_loses_only_the_hung_sample(self, tmp_path):
         spec, _ = builtin_problem("sphere_ring", 2)

@@ -1,8 +1,9 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import carsopt as c
 from carsopt.engine import EngineError, read_log
@@ -15,6 +16,46 @@ from carsopt.ga import (
     sbx_crossover,
 )
 from carsopt.problem import ProblemError
+
+
+def reference_nondominated_sort(objectives):
+    """The per-index front peeling that the vectorized sort replaced."""
+    objectives = np.asarray(objectives, dtype=float)
+    n = len(objectives)
+    ge = np.all(objectives[:, None, :] >= objectives[None, :, :], axis=2)
+    gt = np.any(objectives[:, None, :] > objectives[None, :, :], axis=2)
+    dom = ge & gt
+    counts = dom.sum(axis=0)
+    fronts = []
+    assigned = np.zeros(n, dtype=bool)
+    while not assigned.all():
+        current = [i for i in range(n) if not assigned[i] and counts[i] == 0]
+        if not current:
+            current = [i for i in range(n) if not assigned[i]]
+        fronts.append(current)
+        for i in current:
+            assigned[i] = True
+            counts[dom[i]] -= 1
+    return fronts
+
+
+def reference_crowding_distance(objectives):
+    """Crowding within one front, one objective at a time, as it was before
+    every front was crowded in one call."""
+    objectives = np.asarray(objectives, dtype=float)
+    n, m = objectives.shape
+    dist = np.zeros(n)
+    if n <= 2:
+        return np.full(n, np.inf)
+    for j in range(m):
+        order = np.argsort(objectives[:, j], kind="stable")
+        lo, hi = objectives[order[0], j], objectives[order[-1], j]
+        dist[order[0]] = dist[order[-1]] = np.inf
+        if hi == lo:
+            continue
+        gaps = (objectives[order[2:], j] - objectives[order[:-2], j]) / (hi - lo)
+        dist[order[1:-1]] += gaps
+    return dist
 
 
 def brute_force_front0(objs):
@@ -72,7 +113,51 @@ class TestNondominatedSort:
                 )
 
 
+def canonical_bits(x):
+    """The bits of ``x`` with every NaN made +NaN: numpy's add returns either
+    operand's NaN depending on the SIMD lane, so only a NaN's place is defined."""
+    return np.where(np.isnan(x), np.nan, x).view(np.int64)
+
+
+objective_value = st.one_of(
+    st.integers(-3, 3).map(float),  # ties and duplicates
+    st.floats(-10, 10),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+objective_rows = st.integers(0, 4).flatmap(  # no objectives: only small fronts are crowded
+    lambda m: st.lists(
+        st.one_of(st.lists(objective_value, min_size=m, max_size=m), st.just([math.nan] * m)),
+        min_size=1,
+        max_size=30,
+    )
+)
+
+
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=objective_rows)
+    @example(rows=[[0.0, 0.0], [1.0, 1.0], [2.0, 1.0], [1.0, 2.0]])  # fronts of 2, 1 and 1 rows
+    @example(rows=[[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])  # a front of duplicates
+    def test_fronts_and_crowding(self, rows):
+        objs = np.array(rows)
+        fronts = nondominated_sort(objs)
+        assert fronts == reference_nondominated_sort(objs)
+        rank = np.empty(len(objs), dtype=np.intp)
+        want = np.empty(len(objs))
+        with np.errstate(invalid="ignore"):
+            for r, front in enumerate(fronts):
+                rank[front] = r
+                want[front] = reference_crowding_distance(objs[front])
+            got = crowding_distance(objs, rank)
+        assert np.array_equal(canonical_bits(got), canonical_bits(want))
+
+
 class TestCrowding:
+    def test_no_rows(self):
+        assert nondominated_sort(np.empty((0, 2))) == []
+        assert crowding_distance(np.empty((0, 2))).shape == (0,)
+        assert crowding_distance(np.empty((0, 2)), np.empty(0, dtype=np.intp)).shape == (0,)
+
     def test_small_front_all_infinite(self):
         assert np.all(np.isinf(crowding_distance(np.array([[1.0, 2.0], [3.0, 0.0]]))))
 
@@ -235,6 +320,14 @@ class TestRunIslands:
         run_islands(spec, IslandConfig(3, 10, 4), ev, seed=3, log_path=tmp_path / "ga.log")
         digest = hashlib.sha256((tmp_path / "ga.log").read_bytes()).hexdigest()
         assert digest == "4eadb083d0664cd8c8944bfbc6d1375ffb25a7754bd567e8a45e64094982da28"
+
+    def test_pinned_log_many_fronts(self, tmp_path):
+        # The benchmark's island shape: combined populations of 80 split into
+        # dozens of fronts, so the digest pins the ranking and crowding order.
+        spec, ev = c.builtin_problem("boost")
+        run_islands(spec, IslandConfig(5, 40, 10), ev, seed=0, log_path=tmp_path / "ga.log")
+        digest = hashlib.sha256((tmp_path / "ga.log").read_bytes()).hexdigest()
+        assert digest == "f7f69b2319d10449c25005f2a2b0d13778f360ab10105a0effaf89a58fdc0a73"
 
     def test_dropped_sample_id_raises(self, dropping):
         spec, ev = c.builtin_problem("sphere_ring", 2)

@@ -191,11 +191,11 @@ class TestBitIdentity:
 
         def perturbed(queries, gram):
             approx = gram_distances(queries, gram)
-            half = knn._margin(queries, gram)[:, None] / 2
+            half = knn._margin(queries, np.sqrt(gram[-1].max()))[:, None] / 2
             return approx + rng.uniform(-1, 1, approx.shape) * half
 
-        def counted(queries, gram, k):
-            cols, proven = prefilter(queries, gram, k)
+        def counted(queries, gram, max_norm, k):
+            cols, proven = prefilter(queries, gram, max_norm, k)
             proven_rows.append(int(proven.sum()))
             return cols, proven
 
@@ -231,6 +231,12 @@ class TestBitIdentity:
         assert [s.estimate(q, 9) for q in queries] == batch.tolist()
 
 
+def prefilter_proves(pts, queries, k):
+    """Per query, whether the prefilter proves its k nearest among ``pts``."""
+    gram = knn._gram(pts.T)
+    return knn._prefilter(queries, gram, np.sqrt(gram[-1].max()), k)[1]
+
+
 class TestPrefilter:
     def fallback_rows(self, monkeypatch):
         rows, nearest = [], knn._nearest
@@ -246,7 +252,7 @@ class TestPrefilter:
     def test_random_points_are_all_proven(self, n_dim, m, k, monkeypatch):
         rng = np.random.default_rng(m)
         pts, fit, queries = rng.random((m, n_dim)), rng.random(m), rng.random((300, n_dim))
-        _, proven = knn._prefilter(queries, knn._gram(pts.T), k)
+        proven = prefilter_proves(pts, queries, k)
         assert proven.all()
         fallback = self.fallback_rows(monkeypatch)
         s = NeighborStore(n_dim)
@@ -260,7 +266,7 @@ class TestPrefilter:
         pts = np.array([[0.25, 0.5], [0.75, 0.5], [0.0, 0.0], [1.0, 1.0], [0.9, 0.1]])
         fit = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         queries = np.array([[0.5, 0.5], [np.nan, 0.5], [0.1, 0.1]])
-        _, proven = knn._prefilter(queries, knn._gram(pts.T), 1)
+        proven = prefilter_proves(pts, queries, 1)
         assert proven.tolist() == [False, False, True]
         fallback = self.fallback_rows(monkeypatch)
         s = NeighborStore(2)
@@ -273,7 +279,7 @@ class TestPrefilter:
         rng = np.random.default_rng(8)
         pts, fit = rng.integers(0, 3, (200, 3)) / 2, rng.random(200)
         queries = rng.integers(0, 3, (40, 3)) / 2
-        _, proven = knn._prefilter(queries, knn._gram(pts.T), 7)
+        proven = prefilter_proves(pts, queries, 7)
         assert not proven.all()
         fallback = self.fallback_rows(monkeypatch)
         s = NeighborStore(3)
