@@ -158,15 +158,15 @@ def bench_sampling(max_params: int, batch_sizes: list[int], repeats: int = 20, n
     rows = []
     for n_params in range(1, max_params + 1):
         for batch in batch_sizes:
-            tensor = SubdomainTensor(n_params, n_sub)
+            tensor = SubdomainTensor(n_params, n_sub, pool)
             rng = np.random.default_rng(0)
-            mis = tensor.multi_indices(rng.integers(0, tensor.n_cells, size=batch))
+            mis = rng.integers(0, n_sub, (batch, n_params))
             fits = rng.random(batch)
             times = []
             for rep in range(repeats):
                 t0 = time.perf_counter()
                 tensor.update_many(mis, fits)
-                probs = tensor.softmax_probabilities(alpha=float(rep), n_pool=pool)
+                probs = tensor.softmax_probabilities(alpha=float(rep))
                 mis = tensor.sample_subdomains(probs, batch, rng)
                 offsets = rng.random((batch, n_params))
                 _ = (mis + offsets) / n_sub

@@ -106,7 +106,7 @@ def parse_alpha_schedule(spec_str: str):
     """Schedule string -> callable(iteration) -> alpha.
 
     ``identity`` (alpha = iteration, the default), ``const:<v>`` or
-    ``scale:<k>`` (alpha = k * iteration).
+    ``scale:<k>`` (alpha = k * iteration), with v and k finite and >= 0.
     """
     if spec_str == "identity":
         return lambda i: float(i)
@@ -115,6 +115,8 @@ def parse_alpha_schedule(spec_str: str):
         val = float(arg)
     except ValueError:
         raise EngineError(f"bad alpha schedule {spec_str!r}")
+    if not (math.isfinite(val) and val >= 0):
+        raise EngineError(f"bad alpha schedule {spec_str!r}: alpha must be finite and >= 0")
     if kind == "const":
         return lambda i: val
     if kind == "scale":
@@ -140,6 +142,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n_subdomain < 2:
             raise EngineError("n_subdomain must be >= 2")
+        if self.n_pool < 0:
+            raise EngineError(f"n_pool must be >= 0, got {self.n_pool}")
         if self.n_pool and self.n_subdomain % self.n_pool != 0:
             raise EngineError("n_pool must divide n_subdomain")
 
@@ -334,7 +338,7 @@ def _sample_iteration(state: RunState, iteration: int, n: int):
     use_over = cfg.oversampling and iteration > 0 and len(state.store) > 0
     n_over = oversampling_width(n_dim) if use_over else 1
 
-    probs = state.tensor.softmax_probabilities(state.alpha, cfg.n_pool)
+    probs = state.tensor.softmax_probabilities(state.alpha)
     mis = state.tensor.sample_subdomains(probs, n * n_over, rng)
     offsets = rng.random((n * n_over, n_dim))
     units = (mis + offsets) / n_sub
@@ -368,7 +372,7 @@ def run(
         state = RunState(
             spec=spec,
             config=config,
-            tensor=SubdomainTensor(n_dim, config.n_subdomain),
+            tensor=SubdomainTensor(n_dim, config.n_subdomain, config.n_pool),
             store=NeighborStore(n_dim),
         )
     else:
@@ -479,7 +483,7 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
     state = RunState(
         spec=spec,
         config=config,
-        tensor=SubdomainTensor(len(dims), config.n_subdomain),
+        tensor=SubdomainTensor(len(dims), config.n_subdomain, config.n_pool),
         store=NeighborStore(len(dims)),
         iteration=done,
     )

@@ -26,6 +26,7 @@ record's fitness is the mean of that objective vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -189,13 +190,17 @@ def sbx_crossover(
 
     The per-gene spread factor comes from the eta-parameterized polynomial
     distribution; the blend stage draws gamma in [-alpha, 1 + alpha] per gene.
-    Both stages conserve the per-gene midpoint before clamping.
+    Both stages conserve the per-gene midpoint before clamping.  The spread
+    factor's root is taken per gene by libm, not by numpy's vectorized
+    ``power``, whose SIMD kernel rounds differently on AVX-512 hosts.
     """
     if rng.random() >= cfg.p_crossover:
         return a.copy(), b.copy()
     u = rng.random(len(a))
     exp = 1.0 / (cfg.eta_crossover + 1.0)
-    beta = np.where(u <= 0.5, (2.0 * u) ** exp, (1.0 / (2.0 * (1.0 - u))) ** exp)
+    root = math.sqrt if exp == 0.5 else lambda x: math.pow(x, exp)
+    base = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u)))
+    beta = np.array([root(x) for x in base.tolist()])
     c1 = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
     c2 = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
     gamma = (1.0 + 2.0 * cfg.alpha_crossover) * rng.random(len(a)) - cfg.alpha_crossover

@@ -25,15 +25,14 @@ Estimates are exact and reproducible bit for bit:
   exact distances are computed and ranked.  The BLAS build and its thread
   count therefore cannot change a result.
 - **Fallback.** Every other row (k >= m, a NaN or overflowing query, a
-  near-tie within the margin) gets exact distances to every point;
-  ``np.argpartition`` finds the k nearest, and a row whose k-th distance
-  recurs beyond the k-th slot (or is NaN) is ranked by a stable full sort.
+  near-tie within the margin) gets exact distances to every point and is
+  ranked by a stable full sort, the reference's own rule.
 - **Cost.** A call with n queries against m stored points in d dimensions
   does O(n·m·d) arithmetic in the GEMM plus an O(n·m) selection, and O(n·k·d)
   exact arithmetic for the proven rows; a fallback row costs O(m·d) exact
-  arithmetic.  Queries go in chunks whose (chunk, m) float64 arrays hold at
-  most 65,536 elements (512 KiB), so they stay in a core's L2 cache; a few
-  such arrays are live at once.
+  arithmetic and an O(m log m) sort.  Queries go in chunks whose (chunk, m)
+  float64 arrays hold at most 65,536 elements (512 KiB), so they stay in a
+  core's L2 cache; a few such arrays are live at once.
 
 Points and fitnesses live in preallocated arrays whose capacity doubles, so
 appending a batch costs amortized O(batch) and estimates read them in place.
@@ -95,24 +94,6 @@ def _squared_distances(queries: np.ndarray, coords: np.ndarray, lo: int, hi: int
     for j in range(blocked, hi):
         acc += _squared_term(queries, coords, j)
     return acc
-
-
-def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
-    """Per row, the column indices of the k smallest by (distance, column)."""
-    n, m = d2.shape
-    if k < m:
-        part = np.argpartition(d2, k, axis=1)
-        chosen = np.sort(part[:, :k], axis=1)
-        d_chosen = np.take_along_axis(d2, chosen, axis=1)
-        order = np.take_along_axis(chosen, np.argsort(d_chosen, axis=1, kind="stable"), axis=1)
-        d_next = np.take_along_axis(d2, part[:, k : k + 1], axis=1)[:, 0]
-        resort = ~(d_next > d_chosen.max(axis=1))  # tie straddles slot k, or NaN
-    else:  # every point is a neighbor: rank them all
-        order = np.empty((n, k), dtype=np.intp)
-        resort = np.ones(n, dtype=bool)
-    if resort.any():
-        order[resort] = np.argsort(d2[resort], axis=1, kind="stable")[:, :k]
-    return order
 
 
 def _gram(coords: np.ndarray) -> np.ndarray:
@@ -220,7 +201,8 @@ class NeighborStore:
                     order[proven] = np.take_along_axis(cols, np.argsort(d2, axis=1, kind="stable"), axis=1)
             rest = ~proven
             if rest.any():
-                order[rest] = _nearest(_squared_distances(q[rest], coords, 0, self.n_dim), k)
+                d2 = _squared_distances(q[rest], coords, 0, self.n_dim)
+                order[rest] = np.argsort(d2, axis=1, kind="stable")[:, :k]
             out[start : start + chunk] = fit[order].mean(axis=1)
         return out
 

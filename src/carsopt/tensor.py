@@ -1,20 +1,20 @@
 """Sub-domain fitness tensor, stored sparsely.
 
 The unit hypercube is split into ``n_sub`` equal intervals per dimension,
-giving ``n_sub ** n_dim`` cells.  Cells start at an optimistic 0.75 so
-unexplored regions stay attractive; the first real observation overwrites the
-prior and later observations keep the per-cell maximum.  Sampling
-probabilities come from a numerically stable weighted softmax, optionally on
-top of a block-max pooling overlay that adds to each cell the maximum of its
-block of ``n_pool`` cells per dimension.
+giving ``n_sub ** n_dim`` cells.  Unobserved cells hold an optimistic 0.75 so
+unexplored regions stay attractive; a cell's first observation replaces it
+and later observations keep the per-cell maximum.  Sampling probabilities
+come from a numerically stable weighted softmax, optionally on top of a
+block-max pooling overlay that adds to each cell the maximum of its block of
+``n_pool`` cells per dimension.
 
-Only the special cells are stored (the observed ones and those a seeded prior
-sets to other than 0.75) as sorted int64 flat indices with float32 values.
-The cells then fall into few groups of equal effective value, called entries.
+Only the observed cells are stored, in the order a draw walks them: sorted
+int64 block-major numbers (see :class:`Entries`) with float32 values.  The
+cells then fall into few groups of equal effective value, called entries.
 The softmax gives each entry its total mass, and a draw picks an entry by
 mass, then a uniform cell inside it (two-level weighted sampling, Wong &
 Easton 1980), so a sampling step costs time and memory in the number of
-special cells, whatever ``n_sub ** n_dim`` is.
+observed cells, whatever ``n_sub ** n_dim`` is.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ class TensorError(ValueError):
 @dataclass(frozen=True)
 class Entries:
     """The cells grouped by equal effective value, in draw order: the special
-    cells one by one, then the plain cells of each block in ``blocks``, then
-    every cell of the other blocks.
+    (observed) cells one by one, then the plain cells of each block in
+    ``blocks``, then every cell of the other blocks.
 
     Cells are numbered block-major here: block after block (row-major over
     the blocks), row-major inside each.  Without pooling a block is one cell,
-    and the block-major number is the flat index.
+    and the block-major number is the row-major flat index.
     """
 
     n_pool: int  # block width per dimension
@@ -54,56 +54,40 @@ class Entries:
 
 
 class SubdomainTensor:
-    """Per-cell fitness over the discretized unit hypercube, stored sparsely."""
+    """Per-cell fitness over the discretized unit hypercube, stored sparsely.
 
-    def __init__(self, n_dim: int, n_sub: int):
+    ``n_pool`` is the pooling block width per dimension; 0 disables pooling.
+    """
+
+    def __init__(self, n_dim: int, n_sub: int, n_pool: int = 0):
         if n_dim < 1 or n_sub < 2:
             raise TensorError("need n_dim >= 1 and n_sub >= 2")
+        if n_pool < 0 or (n_pool and n_sub % n_pool):
+            raise TensorError(f"n_pool {n_pool} must be >= 0 and divide n_sub {n_sub}")
         n_cells = n_sub**n_dim
         if n_cells > np.iinfo(np.int64).max:
             raise TensorError(f"{n_sub}^{n_dim} = {n_cells} cells overflow an int64 flat index; reduce n_sub")
         self.n_dim = n_dim
         self.n_sub = n_sub
+        self.n_pool = n_pool
         self.n_cells = n_cells
-        # The special cells: sorted flat indices, values, and whether observed.
-        self.flats = np.empty(0, dtype=np.int64)
+        # The observed cells: sorted block-major numbers and their values.
+        self.keys = np.empty(0, dtype=np.int64)
         self.values = np.empty(0, dtype=np.float32)
-        self.observed = np.empty(0, dtype=bool)
-        self._updates_started = False
 
-    # -- indexing -----------------------------------------------------------
-
-    def flat_indices(self, mis) -> np.ndarray:
-        """Row-major flat indices of an (n, n_dim) array of multi-indices."""
+    def _keys(self, mis) -> np.ndarray:
+        """Block-major numbers of an (n, n_dim) array of multi-indices."""
         mis = np.asarray(mis)
         if mis.shape[-1] != self.n_dim:
             raise TensorError(f"multi-index length {mis.shape[-1]} != n_dim {self.n_dim}")
         if np.any(mis < 0) or np.any(mis >= self.n_sub):
             raise TensorError("multi-index coordinate out of range")
-        return np.ravel_multi_index(tuple(mis.T), (self.n_sub,) * self.n_dim)
-
-    def multi_indices(self, flats) -> np.ndarray:
-        """Inverse of :meth:`flat_indices`; returns an (n, n_dim) array."""
-        return np.stack(np.unravel_index(np.asarray(flats), (self.n_sub,) * self.n_dim), axis=-1)
+        p = self.n_pool or 1
+        blocks = np.ravel_multi_index(tuple((mis // p).T), (self.n_sub // p,) * self.n_dim)
+        local = np.ravel_multi_index(tuple((mis % p).T), (p,) * self.n_dim)
+        return blocks.astype(np.int64) * p**self.n_dim + local
 
     # -- updates ------------------------------------------------------------
-
-    def seed_prior(self, prior: np.ndarray) -> None:
-        """Replace the uniform optimistic prior with one value per cell.
-
-        Must happen before any fitness update; seeded cells still count as
-        unobserved, so the first observation overwrites them.
-        """
-        if self._updates_started:
-            raise TensorError("seed_prior must be called before any fitness update")
-        prior = np.asarray(prior, dtype=np.float32).reshape(-1)
-        if prior.shape[0] != self.n_cells:
-            raise TensorError(f"prior length {prior.shape[0]} != {self.n_cells} cells")
-        if not np.all(np.isfinite(prior)):
-            raise TensorError("prior contains non-finite values")
-        self.flats = np.flatnonzero(prior != np.float32(OPTIMISTIC_INIT)).astype(np.int64)
-        self.values = prior[self.flats]
-        self.observed = np.zeros(len(self.flats), dtype=bool)
 
     def update_fitness(self, mi, f: float) -> None:
         """Assign an observed fitness to one cell (max with prior observations)."""
@@ -114,43 +98,29 @@ class SubdomainTensor:
         fs = np.asarray(fs, dtype=np.float32)
         if np.any(np.isnan(fs)):
             raise TensorError("fitness contains NaN")
-        flats = np.concatenate([self.flats, self.flat_indices(mis)])
+        keys = np.concatenate([self.keys, self._keys(mis)])
         values = np.concatenate([self.values, fs])
-        observed = np.concatenate([self.observed, np.ones(len(fs), dtype=bool)])
-        self._updates_started = True
-        # Sorted by cell, then observed, then value, the last of each cell's
-        # run is its largest observation, or its seeded prior if it has none.
-        order = np.lexsort((values, observed, flats))
+        # Sorted by cell, then value, the last of each cell's run is its largest.
+        order = np.lexsort((values, keys))
         last = np.ones(len(order), dtype=bool)
-        last[:-1] = flats[order[1:]] != flats[order[:-1]]
+        last[:-1] = keys[order[1:]] != keys[order[:-1]]
         keep = order[last]
-        self.flats, self.values, self.observed = flats[keep], values[keep], observed[keep]
+        self.keys, self.values = keys[keep], values[keep]
 
     # -- sampling -----------------------------------------------------------
 
-    def _block_major(self, flats: np.ndarray, n_pool: int) -> np.ndarray:
-        """Block-major numbers (see :class:`Entries`) of flat indices."""
-        mis = self.multi_indices(flats)
-        blocks = np.ravel_multi_index(tuple((mis // n_pool).T), (self.n_sub // n_pool,) * self.n_dim)
-        local = np.ravel_multi_index(tuple((mis % n_pool).T), (n_pool,) * self.n_dim)
-        return blocks.astype(np.int64) * n_pool**self.n_dim + local
-
-    def effective_cells(self, n_pool: int | None) -> Entries:
+    def effective_cells(self) -> Entries:
         """Entries whose value is their cells' value plus, with pooling, the
         maximum of each cell's block, summed in float32."""
-        p = n_pool or 1
-        if p < 1 or self.n_sub % p != 0:
-            raise TensorError(f"n_pool {n_pool} must divide n_sub {self.n_sub}")
+        p = self.n_pool or 1
         per_block = p**self.n_dim
-        keys = self._block_major(self.flats, p)
-        order = np.argsort(keys, kind="stable")
-        keys, values = keys[order], self.values[order]
+        keys, values = self.keys, self.values
         block = keys // per_block
         start = np.flatnonzero(np.diff(block, prepend=-1))
         blocks, size = block[start], np.diff(start, append=len(keys))
         plain = per_block - size
         init = np.float32(OPTIMISTIC_INIT)
-        if n_pool:
+        if self.n_pool:
             top = np.maximum.reduceat(values, start) if len(values) else values
             top = np.where(plain > 0, np.maximum(top, init), top)
             eff = [values + np.repeat(top, size), init + top, [init + init]]
@@ -160,18 +130,19 @@ class SubdomainTensor:
         counts = np.concatenate([np.ones(len(keys), np.int64), plain, [rest]])
         return Entries(p, keys, blocks, counts, np.concatenate(eff).astype(np.float32))
 
-    def softmax_probabilities(self, alpha: float, n_pool: int | None = None) -> Entries:
+    def softmax_probabilities(self, alpha: float) -> Entries:
         """Entries whose value is their sampling mass: cell count times the
         softmax weight exp(alpha * (effective - max)).
 
         alpha = 0 is one entry of mass 1.0 holding every cell, exactly
-        uniform; the exponent maximum is taken over non-empty entries.
+        uniform and drawn row-major; the exponent maximum is taken over
+        non-empty entries.
         """
         if alpha < 0:
             raise TensorError("softmax weighting alpha must be >= 0")
         if alpha == 0:
-            return Entries(1, self.flats[:0], self.flats[:0], np.array([self.n_cells]), np.array([1.0]))
-        entries = self.effective_cells(n_pool)
+            return Entries(1, self.keys[:0], self.keys[:0], np.array([self.n_cells]), np.array([1.0]))
+        entries = self.effective_cells()
         z = entries.values.astype(np.float64)
         if not np.all(np.isfinite(z)):
             raise TensorError("tensor contains non-finite cells")

@@ -111,9 +111,9 @@ def test_05_pooling_oracle():
     for i in range(1000):
         n_dim = int(rng.integers(1, 4))
         n_sub = int(rng.choice([6, 9]))
-        t = SubdomainTensor(n_dim, n_sub)
+        t = SubdomainTensor(n_dim, n_sub, 3)
         set_cells(t, rng.random(t.n_cells))
-        got = effective(t, 3)
+        got = effective(t)
         want = brute_force_effective(cells(t)[0], n_dim, n_sub, 3)
         if not np.array_equal(got, want):
             mismatches += 1

@@ -113,6 +113,7 @@ class TestRun:
             ("population_size: 5", "population_size: 5.0", "run.ga.population_size"),
             ("population_size: 5", "population_size: 5, p_mutate: yes", "run.ga.p_mutate"),
             ("population_size: 5", "population_size: 5, p_mutate: often", "run.ga.p_mutate"),
+            ("  n_total: 200", "  n_total: 200\n  n_pool: -3", "n_pool must be >= 0"),  # -3 divides 9
         ],
         ids=[
             "unknown",
@@ -128,6 +129,7 @@ class TestRun:
             "ga-float-as-int",
             "ga-bool-as-float",
             "ga-word-as-float",
+            "negative-pool",
         ],
     )
     def test_bad_run_key_is_config_error(self, tmp_path, capsys, old, new, named):
@@ -138,6 +140,15 @@ class TestRun:
             assert rc == EXIT_CONFIG
             assert named in capsys.readouterr().err
             assert not (tmp_path / "o/run.log").exists()
+
+    @pytest.mark.parametrize("schedule", ["const:nan", "const:inf", "scale:nan", "scale:-1"])
+    def test_bad_alpha_schedule_is_config_error(self, config, tmp_path, capsys, schedule):
+        # Refused before the first sample is drawn, so no log is written.
+        out = tmp_path / "o"
+        rc = main(["run", "--config", str(config), "--alpha-schedule", schedule, "--no-pooling", "--out-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "alpha" in capsys.readouterr().err
+        assert not (out / "run.log").exists()
 
     def test_float_key_takes_yaml_exponent_string(self, tmp_path):
         # PyYAML reads 1e-3 (no decimal point) as the string "1e-3".
@@ -307,10 +318,9 @@ class TestBench:
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            tensor = SubdomainTensor(8, 9)
-            mis = tensor.multi_indices(rng.integers(0, tensor.n_cells, size=10_000))
-            tensor.update_many(mis, rng.random(10_000))
-            probs = tensor.softmax_probabilities(2.0, n_pool=3)
+            tensor = SubdomainTensor(8, 9, 3)
+            tensor.update_many(rng.integers(0, 9, (10_000, 8)), rng.random(10_000))
+            probs = tensor.softmax_probabilities(2.0)
             mis = tensor.sample_subdomains(probs, 10_000, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

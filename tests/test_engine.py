@@ -88,6 +88,9 @@ class TestHeuristics:
         assert parse_alpha_schedule("scale:0.5")(4) == 2.0
         with pytest.raises(EngineError):
             parse_alpha_schedule("nope")
+        for bad in ("const:nan", "const:inf", "const:-0.5", "scale:nan", "scale:-1"):
+            with pytest.raises(EngineError, match="finite and >= 0"):
+                parse_alpha_schedule(bad)
 
 
 class TestRun:

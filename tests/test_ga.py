@@ -329,6 +329,14 @@ class TestRunIslands:
         digest = hashlib.sha256((tmp_path / "ga.log").read_bytes()).hexdigest()
         assert digest == "f7f69b2319d10449c25005f2a2b0d13778f360ab10105a0effaf89a58fdc0a73"
 
+    def test_pinned_log_eta_2(self, tmp_path):
+        # eta = 2 takes a cube root per gene; libm's pow gives these bytes on
+        # every CPU, where numpy's vectorized power differs on AVX-512 hosts.
+        spec, ev = c.builtin_problem("boost")
+        run_islands(spec, IslandConfig(5, 40, 10, eta_crossover=2.0), ev, seed=0, log_path=tmp_path / "ga.log")
+        digest = hashlib.sha256((tmp_path / "ga.log").read_bytes()).hexdigest()
+        assert digest == "d7948d9f5cccbd315029355403b58acd5f9fb4bb5f2ff4110ca51a62631087a8"
+
     def test_dropped_sample_id_raises(self, dropping):
         spec, ev = c.builtin_problem("sphere_ring", 2)
         with pytest.raises(EngineError, match="dropped sample ids \\[3\\]"):

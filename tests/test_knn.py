@@ -239,13 +239,16 @@ def prefilter_proves(pts, queries, k):
 
 class TestPrefilter:
     def fallback_rows(self, monkeypatch):
-        rows, nearest = [], knn._nearest
+        # A fallback row's exact distances go to every point, so its call
+        # gets the 2-D coords; a proven row's gets 3-D per-row columns.
+        rows, squared_distances = [], knn._squared_distances
 
-        def counted(d2, k):
-            rows.append(len(d2))
-            return nearest(d2, k)
+        def counted(queries, coords, lo, hi):
+            if coords.ndim == 2:
+                rows.append(len(queries))
+            return squared_distances(queries, coords, lo, hi)
 
-        monkeypatch.setattr(knn, "_nearest", counted)
+        monkeypatch.setattr(knn, "_squared_distances", counted)
         return rows
 
     @pytest.mark.parametrize("n_dim,m,k", [(1, 20, 1), (3, 200, 7), (6, 1400, 13), (12, 500, 25)])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from carsopt.engine import iteration_rng
 from carsopt.tensor import OPTIMISTIC_INIT, SubdomainTensor, TensorError
-from dense_view import cells, effective, entry_of_cells, probabilities, set_cells
+from dense_view import cells, effective, entry_of_cells, flat, grid, probabilities, set_cells
 
 
 class TestSizeLaw:
@@ -30,27 +30,44 @@ class TestSizeLaw:
 
 
 class TestIndexing:
+    """Cells are stored under their block-major numbers (see ``Entries``)."""
+
     def test_flat_index_2d(self):
+        # Without pooling a block is one cell: the row-major flat index.
         t = SubdomainTensor(2, 9)
-        assert t.flat_indices([(2, 3)]).tolist() == [21]
+        t.update_fitness((2, 3), 0.5)
+        assert t.keys.tolist() == [21]
 
     def test_origin(self):
-        t = SubdomainTensor(4, 9)
-        assert t.flat_indices([(0, 0, 0, 0)]).tolist() == [0]
+        t = SubdomainTensor(4, 9, 3)
+        t.update_fitness((0, 0, 0, 0), 0.5)
+        assert t.keys.tolist() == [0]
 
     def test_inverse(self):
-        t = SubdomainTensor(2, 9)
-        assert t.multi_indices([21]).tolist() == [[2, 3]]
+        # (2, 3) is cell (2, 0) of block (0, 1) in 3-wide blocks: 1 * 9 + 6.
+        t = SubdomainTensor(2, 9, 3)
+        t.update_fitness((2, 3), 0.5)
+        assert t.keys.tolist() == [15]
+        entries = t.effective_cells()
+        one = dataclasses.replace(entries, values=np.eye(len(entries))[0])
+        assert t.sample_subdomains(one, 3, np.random.default_rng(0)).tolist() == [[2, 3]] * 3
 
-    @given(st.integers(0, 9**3 - 1))
-    def test_bijection(self, flat):
-        t = SubdomainTensor(3, 9)
-        assert t.flat_indices(t.multi_indices([flat])).tolist() == [flat]
+    @given(st.integers(0, 9**3 - 1), st.sampled_from([0, 3]))
+    def test_bijection(self, cell, n_pool):
+        # A stored cell's number decodes back to its multi-index in a draw.
+        t = SubdomainTensor(3, 9, n_pool)
+        mi = np.unravel_index(cell, (9,) * 3)
+        t.update_fitness(mi, 0.5)
+        entries = t.effective_cells()
+        one = dataclasses.replace(entries, values=np.eye(len(entries))[0])
+        assert flat(t, t.sample_subdomains(one, 1, np.random.default_rng(0))).tolist() == [cell]
 
     def test_out_of_range(self):
         t = SubdomainTensor(2, 9)
         with pytest.raises(TensorError):
-            t.flat_indices([(9, 0)])
+            t.update_fitness((9, 0), 0.5)
+        with pytest.raises(TensorError):
+            t.update_fitness((1, 2, 3), 0.5)
 
 
 class TestUpdate:
@@ -88,7 +105,7 @@ class TestUpdate:
         for mi, f in zip(mis, fs):
             t2.update_fitness(tuple(mi), f)
         assert np.array_equal(cells(t1), cells(t2))
-        assert np.array_equal(t1.flats, t2.flats) and np.array_equal(t1.values, t2.values)
+        assert np.array_equal(t1.keys, t2.keys) and np.array_equal(t1.values, t2.values)
 
 
 class TestSoftmax:
@@ -187,51 +204,47 @@ def dense_draw(probs, n, rng):
     return np.minimum(np.searchsorted(cdf, rng.random(n), side="right"), len(probs) - 1)
 
 
-def spread_cells(t, rng, prior):
-    """Observe a quarter of ``t``'s cells (with repeats), after a prior that
-    moves about a third of them off 0.75 when ``prior`` is set."""
-    if prior:
-        off = rng.random(t.n_cells) < 1 / 3
-        t.seed_prior(np.where(off, rng.normal(OPTIMISTIC_INIT, 0.5, t.n_cells), OPTIMISTIC_INIT))
+def spread_cells(t, rng):
+    """Observe a quarter of ``t``'s cells (with repeats)."""
     n = max(1, t.n_cells // 4)
-    t.update_many(t.multi_indices(rng.integers(0, t.n_cells, size=n)), rng.normal(0.0, 2.0, n))
+    t.update_many(grid(t)[rng.integers(0, t.n_cells, size=n)], rng.normal(0.0, 2.0, n))
 
 
 class TestMaxPool:
     def test_pool_counts_8x8(self):
         # One observed cell in each of the four 4x4 blocks: four entries of
         # 15 plain cells each, and none left for blocks holding no special.
-        t = SubdomainTensor(2, 8)
+        t = SubdomainTensor(2, 8, 4)
         t.update_many(np.array([[0, 0], [0, 4], [4, 0], [7, 7]]), np.ones(4))
-        entries = t.effective_cells(4)
+        entries = t.effective_cells()
         assert len(entries.blocks) == 4
         assert entries.counts.tolist() == [1] * 4 + [15] * 4 + [0]
 
     def test_1d_hand_example(self):
-        t = SubdomainTensor(1, 6)
+        t = SubdomainTensor(1, 6, 3)
         t.update_many(np.array([[3], [4]]), np.array([0.9, 0.2]))
-        assert effective(t, 3) == pytest.approx([1.5, 1.5, 1.5, 1.8, 1.1, 1.65])
-        assert len(t.effective_cells(3)) == 4  # two special cells, block 1's plain cell, block 0
+        assert effective(t) == pytest.approx([1.5, 1.5, 1.5, 1.8, 1.1, 1.65])
+        assert len(t.effective_cells()) == 4  # two special cells, block 1's plain cell, block 0
 
     def test_constant_tensor(self):
-        t = SubdomainTensor(2, 9)
-        assert len(t.effective_cells(3)) == 1
-        assert effective(t, 3) == pytest.approx(np.full(81, 2 * OPTIMISTIC_INIT))
+        t = SubdomainTensor(2, 9, 3)
+        assert len(t.effective_cells()) == 1
+        assert effective(t) == pytest.approx(np.full(81, 2 * OPTIMISTIC_INIT))
 
     def test_non_divisible_rejected(self):
-        t = SubdomainTensor(2, 9)
-        with pytest.raises(TensorError):
-            t.effective_cells(4)
+        for n_pool in (4, -3):
+            with pytest.raises(TensorError, match="n_pool"):
+                SubdomainTensor(2, 9, n_pool)
 
     @pytest.mark.parametrize("n_dim,n_sub,n_pool", [(1, 6, 3), (2, 9, 3), (3, 6, 2), (3, 9, 3)])
     def test_oracle_equivalence(self, n_dim, n_sub, n_pool):
         rng = np.random.default_rng(n_dim * 100 + n_sub)
         for _ in range(25):
-            t = SubdomainTensor(n_dim, n_sub)
-            spread_cells(t, rng, prior=False)
+            t = SubdomainTensor(n_dim, n_sub, n_pool)
+            spread_cells(t, rng)
             values = cells(t)[0]
             want = dense_effective_cells(values, n_dim, n_sub, n_pool)
-            assert np.array_equal(effective(t, n_pool), want)
+            assert np.array_equal(effective(t), want)
 
 
 class TestSampling:
@@ -245,8 +258,7 @@ class TestSampling:
         t = SubdomainTensor(2, 3)
         t.update_many(np.array([[0, 0], [2, 1]]), np.array([5.0, -5.0]))
         mis = t.sample_subdomains(t.softmax_probabilities(0.0), 90_000, np.random.default_rng(7))
-        flats = t.flat_indices(mis)
-        counts = np.bincount(flats, minlength=9)
+        counts = np.bincount(flat(t, mis), minlength=9)
         sigma = np.sqrt(90_000 * (1 / 9) * (8 / 9))
         assert np.all(np.abs(counts - 10_000) < 5 * sigma)
 
@@ -261,15 +273,15 @@ class TestSampling:
         assert mis.ravel().tolist() == golden
 
     def test_frequencies_match_the_oracle(self):
-        # 200k seeded draws over a pooled 3-D tensor with a prior, observed
-        # cells and plain ones: chi-square against the oracle's per-cell
-        # probabilities, at the 1e-4 upper quantile (Wilson-Hilferty).
+        # 200k seeded draws over a pooled 3-D tensor with observed cells and
+        # plain ones: chi-square against the oracle's per-cell probabilities,
+        # at the 1e-4 upper quantile (Wilson-Hilferty).
         rng = np.random.default_rng(3)
-        t = SubdomainTensor(3, 6)
-        spread_cells(t, rng, prior=True)
+        t = SubdomainTensor(3, 6, 3)
+        spread_cells(t, rng)
         want = dense_softmax(cells(t)[0], 3, 6, 0.5, 3)
-        mis = t.sample_subdomains(t.softmax_probabilities(0.5, 3), 200_000, np.random.default_rng(4))
-        counts = np.bincount(t.flat_indices(mis), minlength=t.n_cells)
+        mis = t.sample_subdomains(t.softmax_probabilities(0.5), 200_000, np.random.default_rng(4))
+        counts = np.bincount(flat(t, mis), minlength=t.n_cells)
         expected = 200_000 * want
         assert expected.min() > 5
         chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -278,54 +290,20 @@ class TestSampling:
         assert chi2 < bound
 
     @settings(max_examples=40, deadline=None)
-    @given(n_pool=st.sampled_from([0, 1, 3]), prior=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_each_entry_draws_only_its_own_cells(self, n_pool, prior, seed):
+    @given(n_pool=st.sampled_from([0, 1, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_each_entry_draws_only_its_own_cells(self, n_pool, seed):
         # A draw from an entry lands in that entry's cells: never on a special
         # cell from a plain-cell entry, never in another block.
         rng = np.random.default_rng(seed)
-        t = SubdomainTensor(3, 6)
-        spread_cells(t, rng, prior)
-        entries = t.effective_cells(n_pool)
+        t = SubdomainTensor(3, 6, n_pool)
+        spread_cells(t, rng)
+        entries = t.effective_cells()
         owner = entry_of_cells(t, entries)
         for e in np.flatnonzero(entries.counts):
             one = np.zeros(len(entries))
             one[e] = 1.0
             mis = t.sample_subdomains(dataclasses.replace(entries, values=one), 30, rng)
-            assert np.all(owner[t.flat_indices(mis)] == e)
-
-
-class TestSeedPrior:
-    def test_default_prior_identity(self):
-        t1, t2 = SubdomainTensor(2, 3), SubdomainTensor(2, 3)
-        t2.seed_prior(np.full(9, OPTIMISTIC_INIT))
-        assert np.array_equal(cells(t1), cells(t2)) and len(t2.flats) == 0
-
-    def test_prior_probability_ratio(self):
-        alpha = 2.0
-        t = SubdomainTensor(1, 4)
-        t.seed_prior(np.array([0.0, 0.0, 0.75, 0.75]))
-        probs = probabilities(t, alpha)
-        assert probs[2] / probs[0] == pytest.approx(np.exp(0.75 * alpha), rel=1e-5)
-
-    def test_dominant_prior_cell(self):
-        t = SubdomainTensor(2, 3)
-        prior = np.full(9, 0.75)
-        prior[4] = 10.0
-        t.seed_prior(prior)
-        probs = probabilities(t, alpha=5.0)
-        assert probs[4] > 0.999
-
-    def test_seeded_cells_still_untouched(self):
-        t = SubdomainTensor(1, 3)
-        t.seed_prior(np.array([5.0, 5.0, 5.0]))
-        t.update_fitness((0,), 0.1)
-        assert cells(t)[0][0] == pytest.approx(0.1)
-
-    def test_rejected_after_updates(self):
-        t = SubdomainTensor(1, 3)
-        t.update_fitness((0,), 0.1)
-        with pytest.raises(TensorError):
-            t.seed_prior(np.zeros(3))
+            assert np.all(owner[flat(t, mis)] == e)
 
 
 @settings(max_examples=30, deadline=None)
@@ -335,12 +313,12 @@ class TestSeedPrior:
 )
 def test_pooling_property(n_dim, seed):
     rng = np.random.default_rng(seed)
-    t = SubdomainTensor(n_dim, 9)
+    t = SubdomainTensor(n_dim, 9, 3)
     set_cells(t, rng.random(t.n_cells))
     values = cells(t)[0]
     pooled = brute_force_pool(values, n_dim, 9, 3)
-    blocks = np.ravel_multi_index(tuple((t.multi_indices(np.arange(t.n_cells)) // 3).T), (3,) * n_dim)
-    assert np.array_equal(effective(t, 3), values + pooled[blocks])
+    blocks = np.ravel_multi_index(tuple((grid(t) // 3).T), (3,) * n_dim)
+    assert np.array_equal(effective(t), values + pooled[blocks])
 
 
 @st.composite
@@ -356,22 +334,21 @@ class TestBitIdentity:
     @settings(max_examples=100, deadline=None)
     @given(
         case=tensor_cases(),
-        prior=st.booleans(),
         alpha=st.sampled_from([0.0, 0.5, 7.0]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_reference(self, case, prior, alpha, seed):
+    def test_matches_reference(self, case, alpha, seed):
         n_dim, n_sub, n_pool = case
         rng = np.random.default_rng(seed)
-        t = SubdomainTensor(n_dim, n_sub)
-        spread_cells(t, rng, prior)
+        t = SubdomainTensor(n_dim, n_sub, n_pool)
+        spread_cells(t, rng)
         values = cells(t)[0]
-        entries = t.effective_cells(n_pool)
+        entries = t.effective_cells()
         assert np.array_equal(np.bincount(entry_of_cells(t, entries), minlength=len(entries)), entries.counts)
-        assert np.array_equal(effective(t, n_pool), dense_effective_cells(values, n_dim, n_sub, n_pool))
+        assert np.array_equal(effective(t), dense_effective_cells(values, n_dim, n_sub, n_pool))
         want = dense_softmax(values, n_dim, n_sub, alpha, n_pool)
-        np.testing.assert_allclose(probabilities(t, alpha, n_pool), want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(probabilities(t, alpha), want, rtol=1e-12, atol=0)
         # Draws land only where the oracle puts probability.
-        mis = t.sample_subdomains(t.softmax_probabilities(alpha, n_pool), 500, rng)
-        assert np.all(want[t.flat_indices(mis)] > 0)
+        mis = t.sample_subdomains(t.softmax_probabilities(alpha), 500, rng)
+        assert np.all(want[flat(t, mis)] > 0)
         assert np.array_equal(cells(t)[0], values)
