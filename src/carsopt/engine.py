@@ -150,6 +150,9 @@ class RunConfig:
 
 @dataclass
 class SampleRecord:
+    """One evaluated sample with the fields its log line holds; a raw
+    objective or penalty that is not finite is None, as logged."""
+
     sample_id: int
     iteration: int
     subdomain: tuple[int, ...]
@@ -157,12 +160,10 @@ class SampleRecord:
     params: dict
     meas: dict | None
     error: str | None
-    breakdown: fit.FitnessBreakdown
+    objective_raw: list[float | None]
+    penalty_raw: list[float | None]
     fitness: float
-
-    @property
-    def valid(self) -> bool:
-        return self.breakdown.valid
+    valid: bool
 
 
 @dataclass
@@ -256,8 +257,10 @@ def sample_records(iteration: int, units, subdomains, requests, results, breakdo
             params=req.params,
             meas=res.meas,
             error=res.error,
-            breakdown=bd,
+            objective_raw=_nan_safe(bd.objective_raw),
+            penalty_raw=_nan_safe(bd.penalty_raw),
             fitness=float(f),
+            valid=bd.valid,
         )
         for unit, sub, req, res, bd, f in zip(units, subdomains, requests, results, breakdowns, fitnesses)
     ]
@@ -309,19 +312,15 @@ def sample_json(rec: SampleRecord) -> dict:
         "params": rec.params,
         "meas": rec.meas,
         "error": rec.error,
-        "objective_raw": _nan_safe(rec.breakdown.objective_raw),
-        "penalty_raw": _nan_safe(rec.breakdown.penalty_raw),
+        "objective_raw": rec.objective_raw,
+        "penalty_raw": rec.penalty_raw,
         "fitness": rec.fitness,
         "valid": rec.valid,
     }
 
 
 def _nan_safe(vals):
-    return [None if (v is None or not math.isfinite(v)) else v for v in vals]
-
-
-def _nan_restore(vals):
-    return [math.nan if v is None else v for v in vals]
+    return [v if math.isfinite(v) else None for v in vals]
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +431,6 @@ def read_log(path) -> list[dict]:
 
 
 def _record_from_json(obj: dict) -> SampleRecord:
-    bd = fit.FitnessBreakdown(
-        objective_raw=_nan_restore(obj["objective_raw"]),
-        penalty_raw=_nan_restore(obj["penalty_raw"]),
-        valid=obj["valid"],
-        failed=obj["meas"] is None,
-    )
     return SampleRecord(
         sample_id=obj["id"],
         iteration=obj["iteration"],
@@ -446,8 +439,10 @@ def _record_from_json(obj: dict) -> SampleRecord:
         params=obj["params"],
         meas=obj["meas"],
         error=obj.get("error"),
-        breakdown=bd,
+        objective_raw=obj["objective_raw"],
+        penalty_raw=obj["penalty_raw"],
         fitness=obj["fitness"],
+        valid=obj["valid"],
     )
 
 

@@ -109,7 +109,7 @@ def surrogate_boost(params: dict) -> dict:
     return {"vmean": [vmean], "vrip": [vrip], "eff_tot": [eff_tot]}
 
 
-def _boost_problem(n_dim=None) -> tuple[ProblemSpec, BuiltinEvaluator]:
+def _boost_problem() -> tuple[ProblemSpec, BuiltinEvaluator]:
     spec = ProblemSpec(
         parameters=(
             ParameterDef("C1", "log", (1e-9, 1e-3)),
@@ -211,13 +211,19 @@ BUILTIN_PROBLEMS = {
 
 
 def builtin_problem(name: str, n_dim: int | None = None) -> tuple[ProblemSpec, BuiltinEvaluator]:
-    """Problem spec plus evaluator for a named built-in problem."""
+    """Problem spec plus evaluator for a named built-in problem.
+
+    ``n_dim`` sizes the analytic problems (at least 1); boost has exactly 3
+    dimensions.  None takes the problem's default.
+    """
     try:
         factory = BUILTIN_PROBLEMS[name]
     except KeyError:
         raise ProblemError(f"unknown built-in problem {name!r}; have {sorted(BUILTIN_PROBLEMS)}") from None
-    if n_dim is None:
+    if n_dim is None or (name == "boost" and n_dim == 3):
         return factory()
+    if name == "boost" or n_dim < 1:
+        raise ProblemError(f"built-in problem {name!r} cannot have {n_dim} dimensions")
     return factory(n_dim)
 
 

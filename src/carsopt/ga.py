@@ -6,6 +6,11 @@ extra blend stage, and two-level Gaussian mutation.  All genomes live in the
 unit hypercube; clamping keeps variation inside it.  After the last
 generation the islands' non-dominated sets are merged and re-sorted.
 
+An island's population is held as arrays: genomes (P, d), objectives
+(P, m), and each row's front rank and crowding distance.  A tournament
+returns a row index, and the survivors of parents plus offspring are one
+index array.  ``Individual`` exists only for the merged front 0.
+
 Ranking is Deb et al.'s fast non-dominated sort and crowding distance in
 vectorized form: the dominance matrix is built one objective column at a
 time, each front is peeled off in one step, and one call crowds every
@@ -33,7 +38,7 @@ from functools import partial
 import numpy as np
 
 from . import fitness as fit
-from .engine import SampleRecord, evaluate_units, open_log, run_header, sample_json, sample_records
+from .engine import SampleRecord, evaluate_units, iteration_rng, open_log, run_header, sample_json, sample_records
 from .problem import ProblemError, ProblemSpec, sampled_dimensions
 
 __all__ = [
@@ -81,9 +86,7 @@ class IslandConfig:
 @dataclass
 class Individual:
     genome: np.ndarray  # unit-space coordinates
-    objectives: np.ndarray | None = None
-    rank: int = -1
-    crowding: float = 0.0
+    objectives: np.ndarray
 
 
 @dataclass
@@ -156,17 +159,33 @@ def crowding_distance(objectives: np.ndarray, front: np.ndarray | None = None) -
     return dist
 
 
-def _better(a: Individual, b: Individual) -> Individual:
-    if a.rank != b.rank:
-        return a if a.rank < b.rank else b
-    if a.crowding != b.crowding:
-        return a if a.crowding > b.crowding else b
-    return a
+def _ranked(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's front index (0 = non-dominated) and its crowding distance
+    within that front."""
+    rank = np.empty(len(objectives), dtype=np.intp)
+    for r, front in enumerate(nondominated_sort(objectives)):
+        rank[front] = r
+    return rank, crowding_distance(objectives, rank)
 
 
-def _tournament(pop: list[Individual], rng: np.random.Generator) -> Individual:
-    i, j = rng.integers(0, len(pop), size=2)
-    return _better(pop[i], pop[j])
+def _tournament(rank: np.ndarray, crowding: np.ndarray, rng: np.random.Generator) -> int:
+    """Binary tournament: the lower rank wins, then the larger crowding; the
+    first draw wins a tie (and loses to the second when either crowding is
+    NaN)."""
+    i, j = rng.integers(0, len(rank), size=2)
+    if rank[i] != rank[j]:
+        return i if rank[i] < rank[j] else j
+    if crowding[i] != crowding[j]:
+        return i if crowding[i] > crowding[j] else j
+    return i
+
+
+def _survivors(rank: np.ndarray, crowding: np.ndarray, size: int) -> np.ndarray:
+    """Indices of the ``size`` survivors of a population of more rows: whole
+    fronts in index order, then the front that overflows in stable
+    descending crowding order (NaN last)."""
+    cut = np.sort(rank)[size]
+    return np.lexsort((np.where(rank == cut, -crowding, 0.0), rank))[:size]
 
 
 # ---------------------------------------------------------------------------
@@ -213,51 +232,29 @@ def sbx_crossover(
 # Evolution loop
 # ---------------------------------------------------------------------------
 
-def _island_rng(seed: int, island: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(1_000_000 + island,)))
-    )
-
-
-def _assign_ranks(pop: list[Individual]) -> list[list[int]]:
-    objs = np.array([ind.objectives for ind in pop])
-    fronts = nondominated_sort(objs)
-    rank = np.empty(len(pop), dtype=np.intp)
-    for r, front in enumerate(fronts):
-        rank[front] = r
-    for ind, r, d in zip(pop, rank.tolist(), crowding_distance(objs, rank).tolist()):
-        ind.rank, ind.crowding = r, d
-    return fronts
-
-
-def _evolve(cfg: IslandConfig, n_dim: int, rng: np.random.Generator, evaluate) -> list[Individual]:
-    """One island's NSGA-II run; ``evaluate(generation, genomes)`` scores a
-    generation's genomes as individuals."""
-    pop = evaluate(0, [rng.random(n_dim) for _ in range(cfg.population_size)])
-    _assign_ranks(pop)
+def _evolve(cfg: IslandConfig, n_dim: int, rng: np.random.Generator, evaluate) -> tuple[np.ndarray, np.ndarray]:
+    """One island's NSGA-II run; ``evaluate(generation, genomes)`` returns a
+    generation's objective rows.  Returns the final front 0's genomes and
+    objectives."""
+    genomes = rng.random((cfg.population_size, n_dim))
+    objectives = evaluate(0, genomes)
+    rank, crowding = _ranked(objectives)
     for gen in range(1, cfg.generations + 1):
-        offspring_genomes = []
-        while len(offspring_genomes) < cfg.population_size:
-            p1 = _tournament(pop, rng)
-            p2 = _tournament(pop, rng)
-            c1, c2 = sbx_crossover(p1.genome, p2.genome, rng, cfg)
-            offspring_genomes.append(gaussian_mutate(c1, rng, cfg))
-            if len(offspring_genomes) < cfg.population_size:
-                offspring_genomes.append(gaussian_mutate(c2, rng, cfg))
-        offspring = evaluate(gen, offspring_genomes)
-        combined = pop + offspring
-        fronts = _assign_ranks(combined)
-        survivors: list[Individual] = []
-        for front in fronts:
-            if len(survivors) + len(front) <= cfg.population_size:
-                survivors.extend(combined[i] for i in front)
-            else:
-                room = cfg.population_size - len(survivors)
-                ordered = sorted(front, key=lambda i: -combined[i].crowding)
-                survivors.extend(combined[i] for i in ordered[:room])
-                break
-        pop = survivors
-    return pop
+        offspring = []
+        while len(offspring) < cfg.population_size:
+            p1 = _tournament(rank, crowding, rng)
+            p2 = _tournament(rank, crowding, rng)
+            c1, c2 = sbx_crossover(genomes[p1], genomes[p2], rng, cfg)
+            offspring.append(gaussian_mutate(c1, rng, cfg))
+            if len(offspring) < cfg.population_size:
+                offspring.append(gaussian_mutate(c2, rng, cfg))
+        offspring = np.array(offspring)
+        genomes = np.concatenate([genomes, offspring])
+        objectives = np.concatenate([objectives, evaluate(gen, offspring)])
+        rank, crowding = _ranked(objectives)
+        keep = _survivors(rank, crowding, cfg.population_size)
+        genomes, objectives, rank, crowding = genomes[keep], objectives[keep], rank[keep], crowding[keep]
+    return genomes[rank == 0], objectives[rank == 0]
 
 
 def run_islands(
@@ -276,11 +273,11 @@ def run_islands(
     """
     dims = sampled_dimensions(spec)
     records: list[SampleRecord] = []
-    merged_front: list[Individual] = []
+    fronts = []
 
     with open_log(log_path, "w") as emit:
 
-        def evaluate(island: int, generation: int, genomes: list[np.ndarray]) -> list[Individual]:
+        def evaluate(island: int, generation: int, genomes: np.ndarray) -> np.ndarray:
             first_id = (island * (cfg.generations + 1) + generation) * cfg.population_size
             requests, results, breakdowns = evaluate_units(spec, dims, evaluator, genomes, first_id)
             vecs = [fit.ga_objective_vector(bd) for bd in breakdowns]
@@ -289,20 +286,16 @@ def run_islands(
             )
             emit([{**sample_json(rec), "island": island} for rec in batch])
             records.extend(batch)
-            return [Individual(genome=g, objectives=vec) for g, vec in zip(genomes, vecs)]
+            return np.array(vecs)
 
         header = run_header("ga", seed, cfg.total_evaluations, dims, None)
         sizes = {"islands": cfg.n_islands, "population_size": cfg.population_size, "generations": cfg.generations}
         emit([{**header, **sizes}])
         for island in range(cfg.n_islands):
             emit([{"type": "island", "island": island}])
-            final_pop = _evolve(cfg, len(dims), _island_rng(seed, island), partial(evaluate, island))
-            merged_front.extend(ind for ind in final_pop if ind.rank == 0)
+            rng = iteration_rng(seed, 1_000_000 + island)
+            fronts.append(_evolve(cfg, len(dims), rng, partial(evaluate, island)))
 
-    if merged_front:
-        objs = np.array([ind.objectives for ind in merged_front])
-        front0_idx = nondominated_sort(objs)[0]
-        front0 = [merged_front[i] for i in front0_idx]
-    else:
-        front0 = []
+    genomes, objectives = (np.concatenate(rows) for rows in zip(*fronts))
+    front0 = [Individual(genomes[i], objectives[i]) for i in nondominated_sort(objectives)[0]]
     return GAResult(records=records, front0=front0, total_evaluations=cfg.total_evaluations)

@@ -136,7 +136,8 @@ class SubdomainTensor:
 
         alpha = 0 is one entry of mass 1.0 holding every cell, exactly
         uniform and drawn row-major; the exponent maximum is taken over
-        non-empty entries.
+        non-empty entries.  Raises TensorError unless alpha times every
+        effective value is finite.
         """
         if alpha < 0:
             raise TensorError("softmax weighting alpha must be >= 0")
@@ -144,9 +145,11 @@ class SubdomainTensor:
             return Entries(1, self.keys[:0], self.keys[:0], np.array([self.n_cells]), np.array([1.0]))
         entries = self.effective_cells()
         z = entries.values.astype(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z *= alpha
+        # One check covers non-finite cells, a non-finite alpha and overflow.
         if not np.all(np.isfinite(z)):
-            raise TensorError("tensor contains non-finite cells")
-        z *= alpha
+            raise TensorError(f"alpha {alpha} times the cell values is not finite")
         live = entries.counts > 0
         z -= z[live].max()
         return replace(entries, values=entries.counts * np.exp(np.where(live, z, -np.inf)))

@@ -150,6 +150,19 @@ class TestRun:
         assert "alpha" in capsys.readouterr().err
         assert not (out / "run.log").exists()
 
+    def test_overflowing_alpha_is_config_error(self, config, tmp_path, capsys):
+        # alpha = 1e308 * iteration overflows the pooled softmax from
+        # iteration 1 on; iteration 0 stays logged and resumes under another
+        # schedule.
+        out = tmp_path / "o"
+        rc = main(["run", "--config", str(config), "--alpha-schedule", "scale:1e308", "--out-dir", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "not finite" in capsys.readouterr().err
+        samples = [e for e in engine.read_log(out / "run.log") if e["type"] == "sample"]
+        assert {e["iteration"] for e in samples} == {0}
+        assert main(["resume", "--config", str(config), "--log", str(out / "run.log"), "--out-dir", str(out)]) == 0
+        assert sum(e["type"] == "sample" for e in engine.read_log(out / "run.log")) == 200
+
     def test_float_key_takes_yaml_exponent_string(self, tmp_path):
         # PyYAML reads 1e-3 (no decimal point) as the string "1e-3".
         config = tmp_path / "problem.yaml"

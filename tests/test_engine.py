@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -178,6 +179,28 @@ class TestDeterminismAndResume:
         c.run(spec, cfg, ev, log_path=tmp_path / "part.log", stop_after_iteration=4)
         c.resume(tmp_path / "part.log", spec, cfg, ev)
         assert (tmp_path / "full.log").read_bytes() == (tmp_path / "part.log").read_bytes()
+
+    def test_resumed_records_equal_uninterrupted(self, tmp_path):
+        # A NaN radius makes a failed sample whose measurements are logged:
+        # its restored record must be the one the uninterrupted run made.
+        spec, inner = c.builtin_problem("sphere_ring", 2)
+
+        def model(params):
+            meas = inner.evaluate_batch([c.EvaluationRequest(0, params)])[0].meas
+            return {**meas, "radius": [math.nan]} if params["x0"][0] > 0.5 else meas
+
+        ev = BuiltinEvaluator(model, "nan_ring")
+        cfg = RunConfig(n_total=100, seed=3)
+        full = c.run(spec, cfg, ev, log_path=tmp_path / "full.log")
+        c.run(spec, cfg, ev, log_path=tmp_path / "part.log", stop_after_iteration=1)
+        resumed = c.resume(tmp_path / "part.log", spec, cfg, ev)
+        assert (tmp_path / "full.log").read_bytes() == (tmp_path / "part.log").read_bytes()
+        assert any(r.meas and math.isnan(r.meas["radius"][0]) and r.iteration <= 1 for r in full.records)
+
+        def dump(rec):
+            return json.dumps(dataclasses.asdict(rec), sort_keys=True)
+
+        assert [dump(r) for r in resumed.records] == [dump(r) for r in full.records]
 
     def test_pinned_log_with_oversampling(self, tmp_path):
         # sphere_ring 6-D with pooling and oversampling: 10 iterations of 60,

@@ -16,6 +16,7 @@ from carsopt.evaluators import (
     surrogate_boost,
 )
 from carsopt.fitness import is_valid
+from carsopt.problem import ProblemError
 
 
 FEASIBLE_BOOST = {"C1": [1e-5], "L1": [10**-4.5], "fsw": [1e5]}
@@ -85,6 +86,18 @@ class TestAnalyticProblems:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown built-in"):
             builtin_problem("nope")
+
+    @pytest.mark.parametrize(
+        "name,n_dim", [("boost", 5), ("boost", 2), ("sphere_ring", 0), ("rosenbrock_box", -1), ("rastrigin_multi", 0)]
+    )
+    def test_dimension_it_cannot_honour_rejected(self, name, n_dim):
+        with pytest.raises(ProblemError, match="dimensions"):
+            builtin_problem(name, n_dim)
+
+    @pytest.mark.parametrize("name,n_dim", [("boost", 3), ("boost", None), ("sphere_ring", 1), ("rastrigin_multi", 6)])
+    def test_dimension_honoured(self, name, n_dim):
+        spec, _ = builtin_problem(name, n_dim)
+        assert len(spec.parameters) == (n_dim or 3)
 
 
 class TestBuiltinEvaluator:

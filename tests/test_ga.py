@@ -1,11 +1,13 @@
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import carsopt as c
+from carsopt import ga
 from carsopt.engine import EngineError, read_log
 from carsopt.ga import (
     IslandConfig,
@@ -176,6 +178,55 @@ class TestCrowding:
         d = crowding_distance(np.array([[0.0], [1.0], [2.0], [10.0]]))
         assert d[1] == pytest.approx(0.2)
         assert d[2] == pytest.approx(0.9)
+
+
+def reference_better(a, b):
+    """The per-individual tournament rule that the index tournament replaced."""
+    if a.rank != b.rank:
+        return a if a.rank < b.rank else b
+    if a.crowding != b.crowding:
+        return a if a.crowding > b.crowding else b
+    return a
+
+
+def reference_survivors(fronts, crowding, size):
+    """The survivor loop that the index-array selection replaced."""
+    survivors = []
+    for front in fronts:
+        if len(survivors) + len(front) <= size:
+            survivors.extend(front)
+        else:
+            room = size - len(survivors)
+            survivors.extend(sorted(front, key=lambda i: -crowding[i])[:room])
+            break
+    return survivors
+
+
+class TestSelectionMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), m=st.integers(1, 3))
+    def test_survivors(self, seed, n, m):
+        # Half the values are small integers, so rows repeat, fronts tie and
+        # many rows are infinitely crowded.
+        rng = np.random.default_rng(seed)
+        objs = np.where(rng.random((n, m)) < 0.5, rng.integers(0, 4, (n, m)), 4 * rng.random((n, m)))
+        rank, crowding = ga._ranked(objs)
+        fronts = nondominated_sort(objs)
+        for size in range(1, n):
+            want = reference_survivors(fronts, crowding.tolist(), size)
+            assert ga._survivors(rank, crowding, size).tolist() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+    def test_tournament(self, seed, n):
+        rng = np.random.default_rng(seed)
+        rank = rng.integers(0, 3, n)
+        crowding = rng.choice([0.0, 0.5, 1.0, math.inf, math.nan], n)
+        pop = [SimpleNamespace(index=i, rank=r, crowding=d) for i, (r, d) in enumerate(zip(rank, crowding))]
+        draws, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            i, j = ref.integers(0, n, size=2)
+            assert ga._tournament(rank, crowding, draws) == reference_better(pop[i], pop[j]).index
 
 
 def make_cfg(**kw):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -145,6 +146,16 @@ class TestSoftmax:
         t = SubdomainTensor(1, 3)
         with pytest.raises(TensorError):
             t.softmax_probabilities(alpha=-1.0)
+
+    @pytest.mark.parametrize("alpha,cell", [(1e308, 1.0), (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)])
+    def test_non_finite_exponent_rejected(self, alpha, cell):
+        # 1e308 times the observed cell's pooled value of 2.0 overflows:
+        # without the check the masses are [nan, 0, 0] and every draw lands
+        # in that cell.
+        t = SubdomainTensor(1, 9, 3)
+        t.update_fitness([0], cell)
+        with pytest.raises(TensorError, match="not finite"):
+            t.softmax_probabilities(alpha)
 
     def test_large_values_stable(self):
         t = SubdomainTensor(1, 3)
