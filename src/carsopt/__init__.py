@@ -23,14 +23,7 @@ from .evaluators import (
     builtin_problem,
     make_evaluator,
 )
-from .fitness import (
-    NormalizationConstants,
-    boundary_penalty,
-    canberra_sqrt,
-    evaluate_breakdown,
-    is_valid,
-    objective_fitness,
-)
+from .fitness import NormalizationConstants, evaluate_breakdown
 from .ga import IslandConfig, run_islands
 from .knn import NeighborStore
 from .problem import (
@@ -61,11 +54,7 @@ __all__ = [
     "builtin_problem",
     "make_evaluator",
     "NormalizationConstants",
-    "canberra_sqrt",
-    "boundary_penalty",
-    "objective_fitness",
     "evaluate_breakdown",
-    "is_valid",
     "IslandConfig",
     "run_islands",
     "NeighborStore",

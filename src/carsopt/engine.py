@@ -215,7 +215,7 @@ def iteration_rng(seed: int, iteration: int) -> np.random.Generator:
 
 # ---------------------------------------------------------------------------
 # The sample pipeline shared with the GA: unit points -> requests -> results
-# -> breakdowns -> records -> log lines
+# -> one batch breakdown -> records -> log lines
 # ---------------------------------------------------------------------------
 
 def _physical_params(spec: ProblemSpec, dims, unit: np.ndarray) -> dict:
@@ -234,8 +234,8 @@ def _physical_params(spec: ProblemSpec, dims, unit: np.ndarray) -> dict:
 def evaluate_units(spec: ProblemSpec, dims, evaluator, units, first_id: int):
     """Evaluate unit points as samples ``first_id, first_id + 1, ...``.
 
-    Returns (requests, results, breakdowns), each in the order of ``units``;
-    results are re-associated by sample id.
+    Returns the requests and results, each in the order of ``units``
+    (results are re-associated by sample id), and the batch's breakdown.
     """
     requests = [EvaluationRequest(first_id + i, _physical_params(spec, dims, u)) for i, u in enumerate(units)]
     by_id = {r.sample_id: r for r in evaluator.evaluate_batch(requests)}
@@ -243,11 +243,13 @@ def evaluate_units(spec: ProblemSpec, dims, evaluator, units, first_id: int):
     if missing:
         raise EngineError(f"evaluator dropped sample ids {missing[:5]}")
     results = [by_id[req.sample_id] for req in requests]
-    return requests, results, [fit.evaluate_breakdown(spec, r.meas) for r in results]
+    return requests, results, fit.evaluate_breakdown(spec, [r.meas for r in results])
 
 
-def sample_records(iteration: int, units, subdomains, requests, results, breakdowns, fitnesses) -> list[SampleRecord]:
-    """One record per evaluated sample, all from the same iteration."""
+def sample_records(iteration: int, units, subdomains, requests, results, bd, fitnesses) -> list[SampleRecord]:
+    """One record per evaluated sample, all from the same iteration; ``bd``
+    is the batch's breakdown."""
+    rows = zip(bd.objective_raw.tolist(), bd.penalty_raw.tolist(), bd.valid.tolist())
     return [
         SampleRecord(
             sample_id=req.sample_id,
@@ -257,12 +259,12 @@ def sample_records(iteration: int, units, subdomains, requests, results, breakdo
             params=req.params,
             meas=res.meas,
             error=res.error,
-            objective_raw=_nan_safe(bd.objective_raw),
-            penalty_raw=_nan_safe(bd.penalty_raw),
+            objective_raw=_nan_safe(obj),
+            penalty_raw=_nan_safe(pen),
             fitness=float(f),
-            valid=bd.valid,
+            valid=valid,
         )
-        for unit, sub, req, res, bd, f in zip(units, subdomains, requests, results, breakdowns, fitnesses)
+        for unit, sub, req, res, (obj, pen, valid), f in zip(units, subdomains, requests, results, rows, fitnesses)
     ]
 
 
@@ -386,15 +388,15 @@ def run(
             lines = [{"type": "iteration", "iteration": iteration, "alpha": state.alpha, "n_samples": n}]
 
             mis, units = _sample_iteration(state, iteration, n)
-            requests, results, breakdowns = evaluate_units(spec, dims, evaluator, units, len(state.records))
+            requests, results, bd = evaluate_units(spec, dims, evaluator, units, len(state.records))
             if state.consts is None:
-                state.consts = fit.NormalizationConstants.from_first_batch(spec, breakdowns)
+                state.consts = fit.NormalizationConstants.from_first_batch(spec, bd)
                 lines.append({"type": "normalization", **state.consts.to_dict()})
-            fitnesses = np.array([bd.scalar(state.consts) for bd in breakdowns])
+            fitnesses = bd.scalar(state.consts)
 
             state.tensor.update_many(mis, fitnesses)
             state.store.extend(units, fitnesses)
-            records = sample_records(iteration, units, mis, requests, results, breakdowns, fitnesses)
+            records = sample_records(iteration, units, mis, requests, results, bd, fitnesses)
             state.records.extend(records)
             emit(lines + [sample_json(rec) for rec in records])
             state.iteration = iteration + 1

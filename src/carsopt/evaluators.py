@@ -234,6 +234,14 @@ def builtin_problem(name: str, n_dim: int | None = None) -> tuple[ProblemSpec, B
 _WINDOW = 16  # requests outstanding per child
 
 
+def _numbers(vals) -> list[float]:
+    """A JSON list of numbers as floats; ValueError for anything else (a
+    string, a bool, null) and OverflowError for an int past float range."""
+    if not isinstance(vals, list) or not all(type(x) in (int, float) for x in vals):
+        raise ValueError("not a list of numbers")
+    return [float(x) for x in vals]
+
+
 def _parse_response(line: bytearray) -> EvaluationResult | None:
     """The result a response line carries; None for a line naming no id."""
     try:
@@ -243,8 +251,8 @@ def _parse_response(line: bytearray) -> EvaluationResult | None:
         return None  # unattributable noise
     if isinstance(obj.get("meas"), dict):
         try:
-            return EvaluationResult(sid, {str(k): [float(x) for x in v] for k, v in obj["meas"].items()})
-        except (TypeError, ValueError):
+            return EvaluationResult(sid, {k: _numbers(v) for k, v in obj["meas"].items()})
+        except (ValueError, OverflowError):
             return EvaluationResult(sid, None, "malformed measurements")
     return EvaluationResult(sid, None, str(obj.get("error", "evaluator error")))
 
@@ -260,7 +268,8 @@ class ExternalEvaluator:
     restarted at each response and at a write into an idle child.  When it
     runs out, the oldest outstanding request fails with ``"timeout"`` and
     the child is killed and respawned; the requests queued behind it are
-    sent again.  A malformed response fails its sample only; a child that
+    sent again.  A malformed response (one whose measurement values are not
+    all lists of numbers, for one) fails its sample only; a child that
     exits or closes its stdin mid-batch raises
     :class:`EvaluatorTransportError`.  A ``timeout`` that is not a finite
     number of seconds > 0 raises ``ValueError`` before any child is spawned.

@@ -1,10 +1,26 @@
-"""Fitness computation: penalties, objectives, normalization, aggregation.
+"""Fitness of a batch of samples: penalties, objectives, normalization,
+aggregation.
 
-Boundary violations are penalized with the square root of the Canberra
-distance, weighted by rho (100 on the scalar sampling path, 10,000 on the GA
-path) so that boundary conditions dominate objectives.  The scalar aggregate
-is mean(normalized objective fitness) - mean(normalized penalty); the GA path
-keeps objectives separate and subtracts the summed raw penalties from each.
+``evaluate_breakdown`` scores a whole batch at once and returns columns: one
+row per sample, one column per objective (its raw fitness) or per boundary
+condition (its raw penalty).  Boundary violations are penalized with the
+square root of the Canberra distance, weighted by rho (100 on the scalar
+sampling path, 10,000 on the GA path) so that boundary conditions dominate
+objectives.  The scalar aggregate is mean(normalized objective fitness) -
+mean(normalized penalty); the GA path keeps objectives separate and subtracts
+the summed raw penalties from each.
+
+A sample fails when its measurements are None, or when a measurement the
+spec reads is missing, holds fewer values than there are operating points,
+or holds a value that is not finite.  A failed sample is invalid, its raw
+columns are NaN, its scalar fitness is 0 and every GA objective is
+``FAILED_GA_OBJECTIVE``.
+
+Summation rule: every mean (over operating points, objectives or penalties)
+is a left-to-right column sum that starts from 0.0 and is then divided by
+the count, which is how ``sum(row) / len(row)`` rounds, so a sample scores
+the same bits in any batch.  Python floats overflow to inf silently, so the
+column arithmetic runs with numpy's overflow and invalid warnings off.
 
 Normalization constants are min/max values captured from the first batch and
 frozen afterwards; later values may fall outside [0, 1].
@@ -23,10 +39,6 @@ __all__ = [
     "RHO_SCALAR",
     "RHO_GA",
     "FAILED_GA_OBJECTIVE",
-    "canberra_sqrt",
-    "boundary_penalty",
-    "objective_fitness",
-    "is_valid",
     "NormalizationConstants",
     "FitnessBreakdown",
     "evaluate_breakdown",
@@ -38,85 +50,77 @@ RHO_GA = 10_000.0
 FAILED_GA_OBJECTIVE = -1e6
 
 
-def canberra_sqrt(value: float, target: float) -> float:
+def _quiet():
+    """Float arithmetic as Python does it: overflow and NaN without a warning."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _mean(cols, n: int) -> np.ndarray:
+    """Row means of ``n``-row columns, summed left to right from 0.0 and then
+    divided by their count (a column may be a scalar)."""
+    return sum(cols, np.zeros(n)) / len(cols)
+
+
+def _sqrt_canberra(value: np.ndarray, target) -> np.ndarray:
     """sqrt(|value - target| / (|value| + |target|)), with 0/0 := 0."""
-    num = abs(value - target)
-    if num == 0.0:
-        return 0.0
-    return math.sqrt(num / (abs(value) + abs(target)))
+    num = np.abs(value - target)
+    return np.where(num == 0.0, 0.0, np.sqrt(num / (np.abs(value) + np.abs(target))))
 
 
-def _op_values(meas: dict, name: str, ops) -> list[float]:
-    vals = meas[name]
-    return [vals[i] for i in ops]
+def _measurements(spec: ProblemSpec, metas: list) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Each measurement the spec reads as an (n, n_ops) array, and which
+    samples failed.  A failed sample's row may hold anything."""
+    n_ops = spec.n_operating_points
+    nan_row = [math.nan] * n_ops
+    failed = np.array([meas is None for meas in metas], dtype=bool)
+    arrays = {}
+    for name in spec.measurement_names():
+        rows = []
+        for i, meas in enumerate(metas):
+            vals = None if meas is None else meas.get(name)
+            if vals is None or len(vals) < n_ops or not all(map(math.isfinite, vals)):
+                failed[i] = True
+                rows.append(nan_row)
+            else:
+                rows.append(vals[:n_ops])
+        arrays[name] = np.array(rows, dtype=float).reshape(len(metas), n_ops)
+    return arrays, failed
 
 
-def _boundary_pass(b: BoundaryDef, meas: dict, n_ops: int, rho: float) -> tuple[float, bool]:
-    """Mean penalty of one boundary condition over its operating points, and
-    whether it holds at every one of them.
+def _objective(o: ObjectiveDef, x: np.ndarray) -> np.ndarray:
+    """Raw fitness of one objective from its (n, ops) measured values."""
+    n = len(x)
+    if o.kind == "max":
+        return _mean(x.T, n)
+    if o.kind == "min":
+        return -_mean(x.T, n)
+    if o.kind == "target":
+        return -_mean(_sqrt_canberra(x, np.array(o.target_values, dtype=float)).T, n)
+    # min_range: spread across all covered operating points.  Python's max
+    # and min would pick the first of equal values; + 0.0 makes the only
+    # case where numpy's pick could differ, an all-zero row, give +0.0 too.
+    return -x.max(axis=1) + x.min(axis=1) + 0.0
+
+
+def _boundary(b: BoundaryDef, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean penalty of one boundary condition from its (n, ops) measured
+    values, and whether it holds at every one of those operating points.
 
     The ``larger`` kind is strict, so a value exactly at the threshold does
     not hold even though its distance-based penalty is 0.
     """
-    ops = b.ops(n_ops)
-    pens, holds = [], True
-    for v, bound in zip(_op_values(meas, b.name, ops), b.per_op_values(len(ops))):
-        if not math.isfinite(v):
-            pens.append(rho)  # failed measurement counts as maximal unit distance
-            holds = False
-            continue
-        if b.kind == "range":
-            lo, hi = bound
-            ok = lo <= v <= hi
-            pens.append(0.0 if ok else rho * canberra_sqrt(v, lo if v < lo else hi))
-        elif b.kind == "target":
-            ok = v == bound
-            pens.append(rho * canberra_sqrt(v, bound))
-        else:  # larger: strict threshold
-            ok = v > bound
-            pens.append(0.0 if ok else rho * canberra_sqrt(v, bound))
-        holds = holds and ok
-    return sum(pens) / len(pens), holds
-
-
-def boundary_penalty(b: BoundaryDef, meas: dict, n_ops: int, rho: float) -> float:
-    """Mean penalty of one boundary condition over its operating points."""
-    return _boundary_pass(b, meas, n_ops, rho)[0]
-
-
-def objective_fitness(o: ObjectiveDef, meas: dict, n_ops: int) -> float:
-    """Raw (unnormalized) fitness of one objective, reduced over operating points."""
-    ops = o.ops(n_ops)
-    vals = _op_values(meas, o.name, ops)
-    if o.kind == "max":
-        return sum(vals) / len(vals)
-    if o.kind == "min":
-        return -sum(vals) / len(vals)
-    if o.kind == "target":
-        targets = o.target_values
-        if len(targets) == 1:
-            targets = targets * len(ops)
-        return -sum(canberra_sqrt(v, t) for v, t in zip(vals, targets)) / len(vals)
-    # min_range: spread across all covered operating points
-    return -max(vals) + min(vals)
-
-
-def _measured(spec: ProblemSpec, meas: dict | None) -> bool:
-    """True iff every measurement the spec reads is present and finite."""
-    if meas is None:
-        return False
-    for name in spec.measurement_names():
-        vals = meas.get(name)
-        if vals is None or any(not math.isfinite(v) for v in vals):
-            return False
-    return True
-
-
-def is_valid(spec: ProblemSpec, meas: dict) -> bool:
-    """True iff every boundary condition holds at every covered operating point."""
-    return _measured(spec, meas) and all(
-        _boundary_pass(b, meas, spec.n_operating_points, RHO_SCALAR)[1] for b in spec.boundaries
-    )
+    bound = np.array(b.per_op_values(v.shape[1]), dtype=float)
+    if b.kind == "range":
+        lo, hi = bound[:, 0], bound[:, 1]
+        holds = (lo <= v) & (v <= hi)
+        pen = np.where(holds, 0.0, RHO_SCALAR * _sqrt_canberra(v, np.where(v < lo, lo, hi)))
+    elif b.kind == "target":
+        holds = v == bound
+        pen = RHO_SCALAR * _sqrt_canberra(v, bound)
+    else:  # larger: strict threshold
+        holds = v > bound
+        pen = np.where(holds, 0.0, RHO_SCALAR * _sqrt_canberra(v, bound))
+    return _mean(pen.T, len(v)), holds.all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -132,31 +136,24 @@ class NormalizationConstants:
     scalar: tuple[float, float] | None = None
 
     @staticmethod
-    def normalize(value: float, lo_hi: tuple[float, float]) -> float:
+    def normalize(value, lo_hi: tuple[float, float]):
+        """``value`` (a float or an array) mapped so that lo -> 0 and hi -> 1."""
         lo, hi = lo_hi
         if hi == lo:
             return 0.5  # degenerate first batch: contribute no gradient
         return (value - lo) / (hi - lo)
 
     @classmethod
-    def from_first_batch(
-        cls,
-        spec: ProblemSpec,
-        breakdowns: list["FitnessBreakdown"],
-    ) -> "NormalizationConstants":
-        """Capture min/max of raw objective fitnesses, penalties and aggregates."""
+    def from_first_batch(cls, spec: ProblemSpec, bd: "FitnessBreakdown") -> "NormalizationConstants":
+        """Capture min/max of the batch's finite raw objective fitnesses,
+        penalties and aggregates, over its samples that did not fail."""
         consts = cls()
-        ok = [bd for bd in breakdowns if not bd.failed]
-        if not ok:
-            ok = breakdowns  # all failed: fall back to degenerate constants
+        ok = ~bd.failed
         for i, o in enumerate(spec.objectives):
-            vals = [bd.objective_raw[i] for bd in ok if math.isfinite(bd.objective_raw[i])]
-            consts.objective[_obj_key(o, i)] = _min_max(vals)
+            consts.objective[_obj_key(o, i)] = _min_max(bd.objective_raw[ok, i])
         for i, b in enumerate(spec.boundaries):
-            vals = [bd.penalty_raw[i] for bd in ok if math.isfinite(bd.penalty_raw[i])]
-            consts.boundary[_bnd_key(b, i)] = _min_max(vals)
-        scalars = [bd.pre_scalar(consts) for bd in ok]
-        consts.scalar = _min_max([s for s in scalars if math.isfinite(s)])
+            consts.boundary[_bnd_key(b, i)] = _min_max(bd.penalty_raw[ok, i])
+        consts.scalar = _min_max(bd.pre_scalar(consts)[ok])
         return consts
 
     def to_dict(self) -> dict:
@@ -171,10 +168,13 @@ class NormalizationConstants:
         )
 
 
-def _min_max(vals) -> tuple[float, float]:
-    if not vals:
+def _min_max(vals: np.ndarray) -> tuple[float, float]:
+    """Min and max of the finite values; Python's min and max keep the
+    first of equal values, which fixes the sign of a zero."""
+    finite = vals[np.isfinite(vals)].tolist()
+    if not finite:
         return (0.0, 0.0)
-    return (min(vals), max(vals))
+    return (min(finite), max(finite))
 
 
 def _obj_key(o: ObjectiveDef, i: int) -> str:
@@ -186,76 +186,65 @@ def _bnd_key(b: BoundaryDef, i: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Per-sample breakdown and aggregation
+# Batch breakdown and aggregation
 # ---------------------------------------------------------------------------
 
 @dataclass
 class FitnessBreakdown:
-    """Raw per-objective fitnesses and per-boundary penalties for one sample."""
+    """Raw fitnesses and penalties of a batch, one row per sample: shapes
+    (n, objectives), (n, boundaries), (n,) and (n,)."""
 
-    objective_raw: list[float]
-    penalty_raw: list[float]
-    valid: bool
-    failed: bool
+    objective_raw: np.ndarray
+    penalty_raw: np.ndarray
+    valid: np.ndarray
+    failed: np.ndarray
 
-    def pre_scalar(self, consts: NormalizationConstants) -> float:
+    def pre_scalar(self, consts: NormalizationConstants) -> np.ndarray:
         """Normalized-objective mean minus normalized-penalty mean (before the
-        final aggregate normalization)."""
-        if self.failed:
-            return 0.0
-        obj = [
-            consts.normalize(v, lo_hi)
-            for v, lo_hi in zip(self.objective_raw, consts.objective.values())
-        ]
-        fit = sum(obj) / len(obj) if obj else 0.0
-        if self.penalty_raw:
-            pen = [
-                consts.normalize(v, lo_hi)
-                for v, lo_hi in zip(self.penalty_raw, consts.boundary.values())
-            ]
-            fit -= sum(pen) / len(pen)
-        return fit
+        final aggregate normalization); 0 for a failed sample."""
+        n = len(self.failed)
+        with _quiet():
+            obj = [consts.normalize(c, lo_hi) for c, lo_hi in zip(self.objective_raw.T, consts.objective.values())]
+            fit = _mean(obj, n) if obj else np.zeros(n)
+            if self.penalty_raw.shape[1]:
+                pen = [consts.normalize(c, lo_hi) for c, lo_hi in zip(self.penalty_raw.T, consts.boundary.values())]
+                fit = fit - _mean(pen, n)
+        return np.where(self.failed, 0.0, fit)
 
-    def scalar(self, consts: NormalizationConstants) -> float:
-        """Final scalar fitness: the pre-scalar passed through its own
-        first-batch normalization."""
-        if self.failed:
-            return 0.0
+    def scalar(self, consts: NormalizationConstants) -> np.ndarray:
+        """The batch's scalar fitness: each pre-scalar passed through its own
+        first-batch normalization; 0 for a failed sample."""
         pre = self.pre_scalar(consts)
         if consts.scalar is None:
             return pre
-        return consts.normalize(pre, consts.scalar)
-
-    def ga_vector(self) -> list[float]:
-        """GA objective vector: raw objectives minus the summed GA penalties."""
-        if self.failed:
-            return [FAILED_GA_OBJECTIVE] * len(self.objective_raw)
-        total_pen = sum(self.penalty_raw) * (RHO_GA / RHO_SCALAR)
-        return [v - total_pen for v in self.objective_raw]
+        with _quiet():
+            return np.where(self.failed, 0.0, consts.normalize(pre, consts.scalar))
 
 
-def evaluate_breakdown(spec: ProblemSpec, meas: dict | None) -> FitnessBreakdown:
-    """Compute raw objectives and penalties for one sample's measurements.
-
-    ``meas`` of None, missing measurements or non-finite values mark the
-    sample failed (scalar fitness 0, GA vector heavily penalized).
-    """
-    if not _measured(spec, meas):
-        return FitnessBreakdown(
-            objective_raw=[math.nan] * len(spec.objectives),
-            penalty_raw=[math.nan] * len(spec.boundaries),
-            valid=False,
-            failed=True,
-        )
-    n_ops = spec.n_operating_points
-    passes = [_boundary_pass(b, meas, n_ops, RHO_SCALAR) for b in spec.boundaries]
-    return FitnessBreakdown(
-        objective_raw=[objective_fitness(o, meas, n_ops) for o in spec.objectives],
-        penalty_raw=[pen for pen, _ in passes],
-        valid=all(holds for _, holds in passes),
-        failed=False,
-    )
+def evaluate_breakdown(spec: ProblemSpec, metas: list) -> FitnessBreakdown:
+    """Raw objectives, penalties and validity of a batch from its samples'
+    ``meas`` dicts (None for a sample the evaluator failed)."""
+    n, n_ops = len(metas), spec.n_operating_points
+    with _quiet():
+        arrays, failed = _measurements(spec, metas)
+        objective_raw = np.empty((n, len(spec.objectives)))
+        for i, o in enumerate(spec.objectives):
+            objective_raw[:, i] = _objective(o, arrays[o.name][:, o.ops(n_ops)])
+        penalty_raw = np.empty((n, len(spec.boundaries)))
+        valid = ~failed
+        for i, b in enumerate(spec.boundaries):
+            penalty_raw[:, i], holds = _boundary(b, arrays[b.name][:, b.ops(n_ops)])
+            valid &= holds
+    objective_raw[failed] = math.nan
+    penalty_raw[failed] = math.nan
+    return FitnessBreakdown(objective_raw, penalty_raw, valid, failed)
 
 
 def ga_objective_vector(bd: FitnessBreakdown) -> np.ndarray:
-    return np.asarray(bd.ga_vector(), dtype=float)
+    """GA objective rows, (n, objectives): raw objectives minus the summed GA
+    penalties; every objective of a failed sample is FAILED_GA_OBJECTIVE."""
+    with _quiet():
+        total_pen = sum(bd.penalty_raw.T, np.zeros(len(bd.failed))) * (RHO_GA / RHO_SCALAR)
+        vecs = bd.objective_raw - total_pen[:, None]
+    vecs[bd.failed] = FAILED_GA_OBJECTIVE
+    return vecs

@@ -279,14 +279,12 @@ def run_islands(
 
         def evaluate(island: int, generation: int, genomes: np.ndarray) -> np.ndarray:
             first_id = (island * (cfg.generations + 1) + generation) * cfg.population_size
-            requests, results, breakdowns = evaluate_units(spec, dims, evaluator, genomes, first_id)
-            vecs = [fit.ga_objective_vector(bd) for bd in breakdowns]
-            batch = sample_records(
-                generation, genomes, [()] * len(genomes), requests, results, breakdowns, [np.mean(v) for v in vecs]
-            )
+            requests, results, bd = evaluate_units(spec, dims, evaluator, genomes, first_id)
+            vecs = fit.ga_objective_vector(bd)
+            batch = sample_records(generation, genomes, [()] * len(genomes), requests, results, bd, vecs.mean(axis=1))
             emit([{**sample_json(rec), "island": island} for rec in batch])
             records.extend(batch)
-            return np.array(vecs)
+            return vecs
 
         header = run_header("ga", seed, cfg.total_evaluations, dims, None)
         sizes = {"islands": cfg.n_islands, "population_size": cfg.population_size, "generations": cfg.generations}

@@ -22,10 +22,10 @@ from carsopt.engine import (
     neighbor_count,
     oversampling_width,
 )
-from carsopt.fitness import NormalizationConstants, boundary_penalty, canberra_sqrt, objective_fitness
+from carsopt.fitness import NormalizationConstants, evaluate_breakdown
 from carsopt.ga import IslandConfig, nondominated_sort, sbx_crossover
 from carsopt.knn import NeighborStore
-from carsopt.problem import BoundaryDef, ObjectiveDef
+from carsopt.problem import BoundaryDef, ObjectiveDef, ParameterDef, ProblemSpec
 from carsopt.tensor import SubdomainTensor
 from dense_view import cells, effective, probabilities, set_cells
 
@@ -271,20 +271,25 @@ def test_10_determinism_and_resume(tmp_path):
 
 
 def test_11_per_formula_goldens():
+    def raw(item, meas, n_ops=1):
+        """The raw column of a one-item spec's only objective or boundary."""
+        is_obj = isinstance(item, ObjectiveDef)
+        spec = ProblemSpec(
+            parameters=(ParameterDef("x", "linear", (0.0, 1.0)),),
+            objectives=(item,) if is_obj else (),
+            boundaries=() if is_obj else (item,),
+            n_operating_points=n_ops,
+        )
+        bd = evaluate_breakdown(spec, [meas])
+        return (bd.objective_raw if is_obj else bd.penalty_raw)[0, 0]
+
     checks = [
-        canberra_sqrt(2300.0, 2300.0) == 0.0,
+        # The Canberra root of a one-point target objective is its negated fitness.
+        -raw(ObjectiveDef("p", "target", target_values=(2300.0,)), {"p": [2300.0]}) == 0.0,
+        math.isclose(raw(BoundaryDef("p", "target", (2300.0,)), {"p": [2400.0]}), 14.587, abs_tol=1e-3),
+        math.isclose(raw(BoundaryDef("p", "range", ((2600.0, 2700.0),)), {"p": [2300.0]}), 24.74, abs_tol=1e-2),
         math.isclose(
-            boundary_penalty(BoundaryDef("p", "target", (2300.0,)), {"p": [2400.0]}, 1, rho=100.0),
-            14.587, abs_tol=1e-3,
-        ),
-        math.isclose(
-            boundary_penalty(
-                BoundaryDef("p", "range", ((2600.0, 2700.0),)), {"p": [2300.0]}, 1, rho=100.0
-            ),
-            24.74, abs_tol=1e-2,
-        ),
-        math.isclose(
-            objective_fitness(ObjectiveDef("fsw", "min_range"), {"fsw": [250e3, 300e3, 280e3]}, 3),
+            raw(ObjectiveDef("fsw", "min_range"), {"fsw": [250e3, 300e3, 280e3]}, 3),
             -50e3, rel_tol=1e-12,
         ),
         math.isclose(NormalizationConstants.normalize(10.0, (-5.0, 15.0)), 0.75, rel_tol=1e-12),

@@ -1,5 +1,7 @@
 import csv
 import json
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -90,6 +92,25 @@ class TestRun:
         rc = main(["run", "--config", str(tmp_path / "nope.yaml")])
         assert rc == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
+
+    def test_short_measurement_list_fails_its_sample(self, config, tmp_path):
+        # Sample 5's radius holds no value for the problem's one operating point.
+        child = tmp_path / "short_child.py"
+        child.write_text(textwrap.dedent("""\
+            import json, math, sys
+            for line in sys.stdin:
+                req = json.loads(line)
+                s = sum(v[0] ** 2 for v in req["params"].values())
+                radius = [] if req["id"] == 5 else [math.sqrt(s)]
+                print(json.dumps({"id": req["id"], "meas": {"sphere": [s], "radius": radius}}), flush=True)
+        """))
+        out = tmp_path / "out"
+        args = ["--n-total", "40", "--evaluator", f"cmd:{sys.executable} {child}", "--out-dir", str(out)]
+        assert main(["run", "--config", str(config)] + args) == 0
+        samples = [r for r in engine.read_log(out / "run.log") if r["type"] == "sample"]
+        assert len(samples) == 40
+        failed = [(s["id"], s["valid"], s["fitness"]) for s in samples if s["objective_raw"] == [None]]
+        assert failed == [(5, False, 0.0)]
 
     def test_bad_evaluator(self, config, capsys, tmp_path):
         rc = main(

@@ -15,11 +15,15 @@ from carsopt.evaluators import (
     make_evaluator,
     surrogate_boost,
 )
-from carsopt.fitness import is_valid
+from carsopt.fitness import evaluate_breakdown
 from carsopt.problem import ProblemError
 
 
 FEASIBLE_BOOST = {"C1": [1e-5], "L1": [10**-4.5], "fsw": [1e5]}
+
+
+def is_valid(spec, meas):
+    return bool(evaluate_breakdown(spec, [meas]).valid[0])
 
 
 class TestSurrogateBoost:
@@ -220,6 +224,32 @@ class TestExternalEvaluator:
             ev.close()
         assert res[0].ok and res[2].ok
         assert not res[1].ok and res[1].error == "diverged"
+
+    def test_measurements_must_be_number_lists(self, tmp_path):
+        # Sample i gets MEAS[i]; only lists of JSON numbers are measurements.
+        body = """\
+            import sys, json
+            MEAS = [
+                '{"y": [1, 2.5]}',
+                '{"radius": "12"}',
+                '{"y": [true]}',
+                '{"y": 3.0}',
+                '{"y": [null]}',
+                '{"y": ["1.0"]}',
+                '{"y": [[1.0]]}',
+                '{"y": [1%s]}' % ("0" * 400),
+            ]
+            for line in sys.stdin:
+                req = json.loads(line)
+                print('{"id": %d, "meas": %s}' % (req["id"], MEAS[req["id"]]), flush=True)
+        """
+        ev = ExternalEvaluator(child_script(tmp_path, body), timeout=10.0)
+        try:
+            res = ev.evaluate_batch(self.requests(8))
+        finally:
+            ev.close()
+        assert res[0].ok and res[0].meas == {"y": [1.0, 2.5]}
+        assert [(r.meas, r.error) for r in res[1:]] == [(None, "malformed measurements")] * 7
 
     def test_noise_lines_ignored(self, tmp_path):
         body = """\
