@@ -30,7 +30,7 @@ from . import engine
 from .engine import EngineError, RunConfig
 from .evaluators import EvaluatorTransportError, make_evaluator
 from .ga import IslandConfig, run_islands
-from .problem import ProblemError, load_problem
+from .problem import ProblemError, from_mapping, load_problem
 from .tensor import SubdomainTensor, TensorError
 
 EXIT_CONFIG = 2
@@ -54,35 +54,13 @@ _CARS_FLAGS = {
 }
 
 
-def _from_mapping(cls, mapping, prefix: str, other_keys=(), **given):
-    """``cls`` built from the YAML ``mapping`` at ``prefix`` by field name,
-    each value checked against its field's type; ``given`` values win.  Keys in
-    ``other_keys`` belong to the caller."""
-    if not isinstance(mapping, dict):
-        raise ProblemError(f"{prefix} must be a mapping, not {mapping!r}")
-    fields = dataclasses.fields(cls)
-    unknown = sorted(set(mapping) - {f.name for f in fields} - set(other_keys))
-    if unknown:
-        raise ProblemError(f"unknown key(s) in the config: {', '.join(f'{prefix}.{k}' for k in unknown)}")
-    values = {}
-    for f in fields:
-        if f.name in mapping:
-            values[f.name] = _coerce(mapping[f.name], type(f.default), f"{prefix}.{f.name}")
-    return cls(**{**values, **given})
+@dataclasses.dataclass
+class _RunSection(RunConfig):
+    """The config's ``run:`` section: the RunConfig keys, the evaluator and
+    the GA settings."""
 
-
-def _coerce(value, kind: type, key: str):
-    """``value`` for a field of type ``kind``, taken without loss: a bool only
-    from a YAML boolean, an int only from an int, a float also from an int or
-    from a string ``float()`` parses (PyYAML reads ``1e-3`` as a string)."""
-    if type(value) is kind:
-        return value
-    if kind is float and type(value) in (int, str):
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    raise ProblemError(f"{key}: expected {kind.__name__}, got {value!r}")
+    evaluator: str | None = None
+    ga: IslandConfig = dataclasses.field(default_factory=IslandConfig)
 
 
 def _load(args):
@@ -90,15 +68,13 @@ def _load(args):
     defaults), its IslandConfig (``run.ga`` keys over the defaults) and its
     evaluator."""
     spec = load_problem(args.config)
-    run = spec.run_settings
-    flags = {f.name: v for f in dataclasses.fields(RunConfig) if (v := getattr(args, f.name, None)) is not None}
-    cfg = _from_mapping(RunConfig, run, "run", ("evaluator", "ga"), **flags)
-    ga_cfg = _from_mapping(IslandConfig, run.get("ga", {}), "run.ga")
-    evaluator_ref = args.evaluator or run.get("evaluator")
-    if evaluator_ref is None:
+    flags = {f.name: v for f in dataclasses.fields(_RunSection) if (v := getattr(args, f.name, None)) is not None}
+    run = from_mapping(_RunSection, spec.run, "run", **flags)
+    cfg = RunConfig(**{f.name: getattr(run, f.name) for f in dataclasses.fields(RunConfig)})
+    if run.evaluator is None:
         raise ProblemError("no evaluator: pass --evaluator or set run.evaluator in the config")
-    evaluator = make_evaluator(evaluator_ref, timeout=args.timeout)
-    return spec, cfg, ga_cfg, evaluator
+    evaluator = make_evaluator(run.evaluator, timeout=args.timeout)
+    return spec, cfg, run.ga, evaluator
 
 
 def cmd_run(args) -> int:

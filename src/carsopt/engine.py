@@ -140,6 +140,8 @@ class RunConfig:
     alpha_schedule: str = "identity"
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2**63:
+            raise EngineError(f"seed must be in [0, 2**63), got {self.seed}")
         if self.n_subdomain < 2:
             raise EngineError("n_subdomain must be >= 2")
         if self.n_pool < 0:

@@ -18,6 +18,7 @@ import os
 import select
 import shlex
 import subprocess
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -59,7 +60,9 @@ class EvaluatorTransportError(RuntimeError):
 
 
 class BuiltinEvaluator:
-    """Pure evaluator wrapping an algebraic measurement model."""
+    """Pure evaluator wrapping an algebraic measurement model.  As from an
+    external child, a return value that is not a dict of lists of numbers
+    fails its own sample with ``"malformed measurements"``."""
 
     def __init__(self, fn, name: str = "builtin"):
         self._fn = fn
@@ -73,7 +76,10 @@ class BuiltinEvaluator:
             except Exception as exc:  # model blew up: sample fails, batch continues
                 results.append(EvaluationResult(req.sample_id, None, str(exc)))
                 continue
-            results.append(EvaluationResult(req.sample_id, meas))
+            if _is_number_lists(meas):  # kept as returned, so a model's ints log as ints
+                results.append(EvaluationResult(req.sample_id, meas))
+            else:
+                results.append(EvaluationResult(req.sample_id, None, "malformed measurements"))
         return results
 
     def close(self):
@@ -232,14 +238,22 @@ def builtin_problem(name: str, n_dim: int | None = None) -> tuple[ProblemSpec, B
 # ---------------------------------------------------------------------------
 
 _WINDOW = 16  # requests outstanding per child
+_FLOAT_MAX = int(sys.float_info.max)  # the largest int a measurement may be
 
 
-def _numbers(vals) -> list[float]:
-    """A JSON list of numbers as floats; ValueError for anything else (a
-    string, a bool, null) and OverflowError for an int past float range."""
-    if not isinstance(vals, list) or not all(type(x) in (int, float) for x in vals):
-        raise ValueError("not a list of numbers")
-    return [float(x) for x in vals]
+def _is_number_lists(meas) -> bool:
+    """Whether ``meas`` is a dict of lists (or tuples) of floats or of ints
+    within float range, subclasses such as ``numpy.float64`` included, bools
+    not; plain loops, as this runs once per sample."""
+    if not isinstance(meas, dict):
+        return False
+    for vals in meas.values():
+        if not isinstance(vals, (list, tuple)):
+            return False
+        for x in vals:
+            if not (isinstance(x, float) or (isinstance(x, int) and not isinstance(x, bool) and abs(x) <= _FLOAT_MAX)):
+                return False
+    return True
 
 
 def _parse_response(line: bytearray) -> EvaluationResult | None:
@@ -249,11 +263,11 @@ def _parse_response(line: bytearray) -> EvaluationResult | None:
         sid = int(obj["id"])
     except (ValueError, TypeError, KeyError):
         return None  # unattributable noise
-    if isinstance(obj.get("meas"), dict):
-        try:
-            return EvaluationResult(sid, {k: _numbers(v) for k, v in obj["meas"].items()})
-        except (ValueError, OverflowError):
+    meas = obj.get("meas")
+    if isinstance(meas, dict):
+        if not _is_number_lists(meas):
             return EvaluationResult(sid, None, "malformed measurements")
+        return EvaluationResult(sid, {k: [float(x) for x in vals] for k, vals in meas.items()})
     return EvaluationResult(sid, None, str(obj.get("error", "evaluator error")))
 
 

@@ -134,7 +134,7 @@ def crowding_distance(objectives: np.ndarray, front: np.ndarray | None = None) -
     of one or two rows is all infinite.  Per objective, a front's extreme
     rows (lowest index first among ties) are infinite and each interior row
     adds (next - previous) / (highest - lowest); an objective constant over
-    a front adds nothing to it.
+    a front, or whose range over it is not finite, adds nothing to it.
     """
     objectives = np.asarray(objectives, dtype=float)
     n = len(objectives)
@@ -152,10 +152,11 @@ def crowding_distance(objectives: np.ndarray, front: np.ndarray | None = None) -
     for values in objectives.T:
         order = np.lexsort((values, front))
         v = values[order]
-        lo, hi = v[starts], v[ends]
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = v[ends] - v[starts]
         dist[order[edge]] = np.inf
-        pos = np.flatnonzero(~edge & (hi != lo)[group])
-        dist[order[pos]] += (v[pos + 1] - v[pos - 1]) / (hi - lo)[group[pos]]
+        pos = np.flatnonzero(~edge & ((span > 0) & np.isfinite(span))[group])
+        dist[order[pos]] += (v[pos + 1] - v[pos - 1]) / span[group[pos]]
     return dist
 
 

@@ -8,9 +8,12 @@ varied independently at 5 operating points adds 5 dimensions.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -25,6 +28,7 @@ __all__ = [
     "to_physical",
     "load_problem",
     "parse_problem",
+    "from_mapping",
 ]
 
 PARAM_SCALES = ("linear", "log", "grid")
@@ -76,14 +80,23 @@ class ParameterDef:
         return self.scale != "grid"
 
 
+class _Scoped:
+    """An objective or boundary, over the operating points in ``op_scope``."""
+
+    def ops(self, n_ops: int) -> tuple[int, ...]:
+        if self.op_scope == "all":
+            return tuple(range(n_ops))
+        return tuple(self.op_scope)
+
+
 @dataclass(frozen=True)
-class ObjectiveDef:
+class ObjectiveDef(_Scoped):
     """One optimization objective over a named measurement."""
 
     name: str
     kind: str
     target_values: tuple[float, ...] | None = None
-    op_scope: tuple[int, ...] | str = "all"
+    op_scope: tuple[int, ...] | Literal["all"] = "all"
 
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
@@ -91,59 +104,49 @@ class ObjectiveDef:
         if self.kind == "target" and not self.target_values:
             raise ProblemError(f"objective {self.name}: target kind requires target_values")
 
-    def ops(self, n_ops: int) -> tuple[int, ...]:
-        if self.op_scope == "all":
-            return tuple(range(n_ops))
-        return tuple(self.op_scope)
-
 
 @dataclass(frozen=True)
-class BoundaryDef:
+class BoundaryDef(_Scoped):
     """One hard boundary condition over a named measurement.
 
     kinds: ``range`` with [lo, hi] per operating point, ``target`` with one
     value per operating point, ``larger`` with a strict scalar threshold.
+    One value (one [lo, hi] for ``range``) serves every operating point.
+    ``values`` is kept as a tuple of (lo, hi) pairs for ``range`` and of
+    numbers otherwise.
     """
 
     name: str
     kind: str
-    values: tuple = ()
-    op_scope: tuple[int, ...] | str = "all"
+    values: float | tuple[float | tuple[float, float], ...] = ()
+    op_scope: tuple[int, ...] | Literal["all"] = "all"
 
     def __post_init__(self):
         if self.kind not in BOUNDARY_KINDS:
             raise ProblemError(f"boundary {self.name}: unknown kind {self.kind!r}")
+        vals = tuple(self.values) if isinstance(self.values, (tuple, list)) else (self.values,)
         if self.kind == "range":
-            for lo, hi in self.per_op_values(self._n_ops_hint()):
-                if lo > hi:
-                    raise ProblemError(f"boundary {self.name}: range lo > hi")
+            if _is_pair(vals):
+                vals = (vals,)
+            if not all(map(_is_pair, vals)):
+                raise ProblemError(
+                    f"boundary {self.name}: range values must be [lo, hi] or one [lo, hi] "
+                    f"per operating point, not {self.values!r}"
+                )
+            vals = tuple(map(tuple, vals))
+            if any(lo > hi for lo, hi in vals):
+                raise ProblemError(f"boundary {self.name}: range lo > hi")
+        elif not all(isinstance(v, numbers.Real) for v in vals):
+            raise ProblemError(f"boundary {self.name}: {self.kind} values must be numbers, not {self.values!r}")
+        object.__setattr__(self, "values", vals)
 
-    def _n_ops_hint(self) -> int:
-        # Enough to validate whatever values were supplied.
-        if self.values and isinstance(self.values[0], (tuple, list)):
-            return len(self.values)
-        return 1
+    def per_op_values(self, n_ops: int) -> list:
+        """``values`` with one entry per covered operating point."""
+        return list(self.values * n_ops if len(self.values) == 1 else self.values)
 
-    def per_op_values(self, n_ops: int):
-        """Expand ``values`` to one entry per covered operating point."""
-        vals = self.values
-        if self.kind == "range":
-            if vals and not isinstance(vals[0], (tuple, list)):
-                vals = (tuple(vals),)  # single [lo, hi] shared by all ops
-            if len(vals) == 1:
-                vals = vals * n_ops
-            return [tuple(v) for v in vals]
-        # target / larger: scalar per op
-        if not isinstance(vals, (tuple, list)):
-            vals = (vals,)
-        if len(vals) == 1:
-            vals = tuple(vals) * n_ops
-        return list(vals)
 
-    def ops(self, n_ops: int) -> tuple[int, ...]:
-        if self.op_scope == "all":
-            return tuple(range(n_ops))
-        return tuple(self.op_scope)
+def _is_pair(v) -> bool:
+    return isinstance(v, (tuple, list)) and len(v) == 2 and all(isinstance(x, numbers.Real) for x in v)
 
 
 @dataclass(frozen=True)
@@ -165,11 +168,11 @@ class DimensionDescriptor:
 class ProblemSpec:
     """Complete problem: parameters, objectives, boundaries, operating points."""
 
-    parameters: tuple[ParameterDef, ...]
-    objectives: tuple[ObjectiveDef, ...]
-    boundaries: tuple[BoundaryDef, ...]
+    parameters: tuple[ParameterDef, ...] = ()
+    objectives: tuple[ObjectiveDef, ...] = ()
+    boundaries: tuple[BoundaryDef, ...] = ()
     n_operating_points: int = 1
-    run_settings: dict = field(default_factory=dict, compare=False)
+    run: dict = field(default_factory=dict, compare=False)  # the config's ``run:`` section
 
     def __post_init__(self):
         if self.n_operating_points < 1:
@@ -177,22 +180,21 @@ class ProblemSpec:
         names = [p.name for p in self.parameters]
         if len(set(names)) != len(names):
             raise ProblemError("duplicate parameter names")
+        n_ops = self.n_operating_points
         for item in (*self.objectives, *self.boundaries):
-            if any(not 0 <= op < self.n_operating_points for op in item.ops(self.n_operating_points)):
+            ops = item.ops(n_ops)
+            if not ops or not all(0 <= op < n_ops for op in ops):
                 raise ProblemError(
-                    f"{item.name}: op_scope {item.op_scope} outside the {self.n_operating_points} operating points"
+                    f"{item.name}: op_scope {item.op_scope} must list some of the {n_ops} operating points"
                 )
         for b in self.boundaries:
-            n_ops = len(b.ops(self.n_operating_points))
-            if len(b.per_op_values(n_ops)) != n_ops:
-                raise ProblemError(f"boundary {b.name}: needs one value or one per operating point ({n_ops})")
+            if len(b.values) not in (1, len(b.ops(n_ops))):
+                raise ProblemError(f"boundary {b.name}: needs one value or one per operating point in its op_scope")
         for o in self.objectives:
-            if o.kind == "min_range" and len(o.ops(self.n_operating_points)) < 2:
+            if o.kind == "min_range" and len(o.ops(n_ops)) < 2:
                 raise ProblemError(f"objective {o.name}: min_range needs >= 2 operating points")
-            if o.kind == "target":
-                need = len(o.ops(self.n_operating_points))
-                if len(o.target_values) not in (1, need):
-                    raise ProblemError(f"objective {o.name}: needs one target per operating point")
+            if o.kind == "target" and len(o.target_values) not in (1, len(o.ops(n_ops))):
+                raise ProblemError(f"objective {o.name}: needs one target per operating point")
 
     @property
     def n_dim(self) -> int:
@@ -237,9 +239,10 @@ def to_physical(dim: DimensionDescriptor, u: float) -> float:
 def parse_problem(data: dict) -> ProblemSpec:
     """Build a :class:`ProblemSpec` from a parsed configuration tree.
 
-    Expected sections::
+    Every section is optional, and every key in it is checked by
+    :func:`from_mapping`::
 
-        n_operating_points: 1
+        n_operating_points: 2
         parameters:
           - {name: C1, scale: log, bounds: [1e-9, 1e-3], op_count: 1}
           - {name: V_out, scale: grid, grid_values: [300, 350], op_count: 2}
@@ -249,71 +252,71 @@ def parse_problem(data: dict) -> ProblemSpec:
         boundaries:
           - {name: vmean, kind: range, values: [11.5, 12.5]}
           - {name: i_off, kind: larger, values: 0}
-        run:            # optional engine overrides
+        run:            # RunConfig keys, plus evaluator and ga; read by the CLI
           n_total: 5000
           seed: 0
-          n_subdomain: 9
-          n_pool: 3
-          oversampling: true
     """
-    if not isinstance(data, dict):
-        raise ProblemError("configuration root must be a mapping")
-    try:
-        params = []
-        for p in data.get("parameters", []):
-            params.append(
-                ParameterDef(
-                    name=str(p["name"]),
-                    scale=str(p["scale"]),
-                    bounds=tuple(p["bounds"]) if "bounds" in p else None,
-                    grid_values=tuple(p["grid_values"]) if "grid_values" in p else None,
-                    op_count=int(p.get("op_count", 1)),
-                )
-            )
-        objectives = []
-        for o in data.get("objectives", []):
-            objectives.append(
-                ObjectiveDef(
-                    name=str(o["name"]),
-                    kind=str(o["kind"]),
-                    target_values=tuple(o["target_values"]) if "target_values" in o else None,
-                    op_scope=_parse_scope(o.get("op_scope", "all")),
-                )
-            )
-        boundaries = []
-        for b in data.get("boundaries", []):
-            vals = b.get("values", ())
-            if isinstance(vals, (int, float)):
-                vals = (vals,)
-            else:
-                vals = tuple(tuple(v) if isinstance(v, (list, tuple)) else v for v in vals)
-            boundaries.append(
-                BoundaryDef(
-                    name=str(b["name"]),
-                    kind=str(b["kind"]),
-                    values=vals,
-                    op_scope=_parse_scope(b.get("op_scope", "all")),
-                )
-            )
-        n_operating_points = int(data.get("n_operating_points", 1))
-        run_settings = dict(data.get("run", {}))
-    except ProblemError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProblemError(f"malformed problem configuration: {exc}") from exc
-    return ProblemSpec(
-        parameters=tuple(params),
-        objectives=tuple(objectives),
-        boundaries=tuple(boundaries),
-        n_operating_points=n_operating_points,
-        run_settings=run_settings,
-    )
+    return from_mapping(ProblemSpec, data, "")
 
 
-def _parse_scope(scope):
-    if scope == "all":
-        return "all"
-    return tuple(int(i) for i in scope)
+def from_mapping(cls, mapping, prefix: str, **given):
+    """``cls`` built from the YAML ``mapping`` at ``prefix`` by field name,
+    each value read as its field's annotated type; ``given`` values win.  An
+    unknown key, or a missing one whose field has no default, is an error
+    naming it."""
+    if not isinstance(mapping, dict):
+        raise ProblemError(f"{prefix or 'configuration root'} must be a mapping, not {mapping!r}")
+    dot = f"{prefix}." if prefix else ""
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(mapping) - {f.name for f in fields}, key=str)
+    if unknown:
+        raise ProblemError(f"unknown key(s) in the config: {', '.join(f'{dot}{k}' for k in unknown)}")
+    # A field without a default has both default and default_factory MISSING.
+    missing = [f.name for f in fields if f.default is f.default_factory and f.name not in {**mapping, **given}]
+    if missing:
+        raise ProblemError(f"missing key(s) in the config: {', '.join(dot + k for k in missing)}")
+    hints = get_type_hints(cls)
+    values = {f.name: _coerce(mapping[f.name], hints[f.name], dot + f.name) for f in fields if f.name in mapping}
+    return cls(**{**values, **given})
+
+
+def _coerce(value, kind, key: str):
+    """``value`` read as type ``kind`` without loss: a bool only from a YAML
+    boolean, an int only from a 64-bit int, a float also from an int (kept as
+    given, so it logs as written) or from a string ``float()`` parses
+    (PyYAML reads ``1e-3`` as a string).  Unions, ``Literal``, tuples (from
+    YAML lists) and dataclasses (from mappings) are read part by part."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin in (Union, UnionType):
+        alternatives = [a for a in args if a is not type(None)]
+        if value is None and len(alternatives) < len(args):
+            return None
+        if len(alternatives) == 1:
+            return _coerce(value, alternatives[0], key)
+        for alternative in alternatives:
+            try:
+                return _coerce(value, alternative, key)
+            except ProblemError:
+                pass
+    elif origin is Literal:
+        if any(type(value) is type(a) and value == a for a in args):
+            return value
+    elif origin is tuple and type(value) in (list, tuple):
+        kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(kinds) == len(value):
+            return tuple(_coerce(v, k, f"{key}[{i}]") for i, (v, k) in enumerate(zip(value, kinds)))
+    elif dataclasses.is_dataclass(kind):
+        return from_mapping(kind, value, key)
+    elif type(value) is kind and (kind is not int or -(2**63) <= value < 2**63):
+        return value
+    elif kind is float and type(value) in (int, str):
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            return value if type(value) is int else number
+    raise ProblemError(f"{key}: expected {kind.__name__ if isinstance(kind, type) else kind}, got {value!r}")
 
 
 def load_problem(path) -> ProblemSpec:

@@ -3,6 +3,7 @@ import json
 import sys
 import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import yaml
 
 import carsopt as c
 from carsopt import engine
-from carsopt.cli import EXIT_CONFIG, STUDY_VARIANTS, _from_mapping, main
+from carsopt.cli import EXIT_CONFIG, STUDY_VARIANTS, _RunSection, main
 from carsopt.engine import RunConfig
+from carsopt.problem import from_mapping, parse_problem
 from carsopt.tensor import SubdomainTensor
 
 
@@ -135,6 +137,9 @@ class TestRun:
             ("population_size: 5", "population_size: 5, p_mutate: yes", "run.ga.p_mutate"),
             ("population_size: 5", "population_size: 5, p_mutate: often", "run.ga.p_mutate"),
             ("  n_total: 200", "  n_total: 200\n  n_pool: -3", "n_pool must be >= 0"),  # -3 divides 9
+            ('"builtin:sphere_ring"', "5", "run.evaluator"),
+            ("  seed: 0", "  seed: -1", "seed must be in [0, 2**63)"),
+            ("  n_total: 200", "  n_total: 1" + "0" * 400, "run.n_total"),
         ],
         ids=[
             "unknown",
@@ -151,6 +156,9 @@ class TestRun:
             "ga-bool-as-float",
             "ga-word-as-float",
             "negative-pool",
+            "evaluator-not-string",
+            "negative-seed",
+            "int-past-64-bits",
         ],
     )
     def test_bad_run_key_is_config_error(self, tmp_path, capsys, old, new, named):
@@ -161,6 +169,18 @@ class TestRun:
             assert rc == EXIT_CONFIG
             assert named in capsys.readouterr().err
             assert not (tmp_path / "o/run.log").exists()
+
+    def test_seed_range_is_the_same_from_config_and_flag(self, config, tmp_path, capsys):
+        # 2**63 - 1 is the largest seed; a config key and --seed agree on it.
+        over = tmp_path / "over.yaml"
+        over.write_text(CONFIG.replace("  seed: 0", f"  seed: {2**63}"))
+        for argv in (["--config", str(over)], ["--config", str(config), "--seed", str(2**63)]):
+            assert main(["run", *argv, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+            assert "seed" in capsys.readouterr().err
+            assert not (tmp_path / "o/run.log").exists()
+        largest = ["run", "--config", str(config), "--seed", str(2**63 - 1), "--n-total", "20"]
+        assert main([*largest, "--out-dir", str(tmp_path / "o")]) == 0
+        assert engine.read_log(tmp_path / "o/run.log")[0]["seed"] == 2**63 - 1
 
     @pytest.mark.parametrize("schedule", ["const:nan", "const:inf", "scale:nan", "scale:-1"])
     def test_bad_alpha_schedule_is_config_error(self, config, tmp_path, capsys, schedule):
@@ -189,23 +209,63 @@ class TestRun:
         config = tmp_path / "problem.yaml"
         config.write_text(CONFIG.replace("population_size: 5", "population_size: 5, p_mutate: 1e-3"))
         assert main(["run", "--config", str(config), "--method", "ga", "--out-dir", str(tmp_path / "o")]) == 0
-        assert _from_mapping(c.IslandConfig, yaml.safe_load("p_mutate: 1e-3"), "run.ga").p_mutate == 0.001
+        assert from_mapping(c.IslandConfig, yaml.safe_load("p_mutate: 1e-3"), "run.ga").p_mutate == 0.001
 
     @pytest.mark.parametrize(
-        "old,new",
+        "old,new,named",
         [
-            ("objectives:\n", "objectives: [\n"),
-            ("{name: sphere, kind: min}", "{name: sphere, kind: min, op_scope: [a]}"),
-            ("n_operating_points: 1", "n_operating_points: two"),
-            ("builtin:sphere_ring", "builtin:nosuch"),
+            ("objectives:\n", "objectives: [\n", "not valid YAML"),
+            ("{name: sphere, kind: min}", "{name: sphere, kind: min, op_scope: [a]}", "objectives[0].op_scope"),
+            ("n_operating_points: 1", "n_operating_points: two", "n_operating_points"),
+            ("builtin:sphere_ring", "builtin:nosuch", "nosuch"),
+            ("boundaries:\n", "boundary:\n", "in the config: boundary"),
+            ("bounds: [-1.0, 1.0]}", "bounds: [-1.0, 1.0], op_cont: 2}", "parameters[0].op_cont"),
+            ("bounds: [-1.0, 1.0]}", "bounds: [-1.0, 1.0], op_count: 2.7}", "parameters[0].op_count"),
+            ("n_operating_points: 1", "n_operating_points: 2.9", "n_operating_points"),
+            ("{name: sphere, kind: min}", "{name: sphere, kind: min, op_scope: some}", "objectives[0].op_scope"),
+            ("{name: radius, kind: range,", "{name: radius,", "boundaries[0].kind"),
+            ("values: [[0.3, 0.8]]", "values: 0", "boundary radius: range values"),
         ],
-        ids=["yaml-syntax", "op-scope", "n-operating-points", "unknown-builtin"],
+        ids=[
+            "yaml-syntax",
+            "op-scope",
+            "n-operating-points",
+            "unknown-builtin",
+            "boundary-typo",
+            "unknown-parameter-key",
+            "fractional-op-count",
+            "fractional-operating-points",
+            "op-scope-word",
+            "missing-kind",
+            "range-scalar",
+        ],
     )
-    def test_malformed_problem_is_config_error(self, tmp_path, capsys, old, new):
+    def test_malformed_problem_is_config_error(self, tmp_path, capsys, old, new, named):
         config = tmp_path / "problem.yaml"
         config.write_text(CONFIG.replace(old, new))
         assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert named in err
+        assert not (tmp_path / "o/run.log").exists()
+
+    def test_exponent_without_point_loads(self, tmp_path):
+        # PyYAML reads 1e-9 (no decimal point) as a string; a float key takes it.
+        config = tmp_path / "problem.yaml"
+        text = CONFIG.replace("x0, scale: linear, bounds: [-1.0, 1.0]", "x0, scale: log, bounds: [1e-9, 1e-3]")
+        config.write_text(text)
+        assert c.load_problem(config).parameters[0].bounds == (1e-9, 1e-3)
+        assert main(["run", "--config", str(config), "--n-total", "20", "--out-dir", str(tmp_path / "o")]) == 0
+
+    def test_readme_example_loads(self):
+        # The example under "Problem configuration" in README.md, as documented.
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Problem configuration", 1)[1]
+        example = yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+        spec = parse_problem(example)
+        assert [p.name for p in spec.parameters] == ["C1", "fsw"]
+        assert [b.per_op_values(1) for b in spec.boundaries] == [[(11.5, 12.5)], [(0.0, 2.0)]]
+        assert from_mapping(_RunSection, spec.run, "run") == _RunSection(n_total=5000, seed=0, evaluator="builtin:boost")
 
     def test_internal_value_error_is_not_config_error(self, config, tmp_path, monkeypatch):
         # Exit 2 means a configuration error; any other fault shows its traceback.

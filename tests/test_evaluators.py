@@ -3,6 +3,7 @@ import sys
 import textwrap
 import time
 
+import numpy as np
 import pytest
 
 from carsopt.engine import RunConfig, read_log, run
@@ -117,6 +118,54 @@ class TestBuiltinEvaluator:
         )
         assert res[0].ok and res[0].meas["y"] == [4.0]
         assert not res[1].ok and "negative" in res[1].error
+
+    def test_measurements_must_be_number_lists(self):
+        # Sample i's model returns RETURNS[i]; as from an external child, only
+        # a dict of lists of numbers is a measurement.  A valid one is kept
+        # as returned: ints, numpy floats and tuples included.
+        returns = [
+            {"y": [1, 2.5]},
+            {"y": [np.sqrt(2.0)], "z": (1.0, np.float64(-3.5))},
+            {"y": ["oops"]},
+            {"y": [True]},
+            {"y": 3.0},
+            {"y": [None]},
+            {"y": [10**400]},
+            [1.0],
+            None,
+        ]
+        ev = BuiltinEvaluator(lambda params: returns[int(params["i"][0])])
+        res = ev.evaluate_batch([EvaluationRequest(i, {"i": [i]}) for i in range(len(returns))])
+        assert res[0].ok and res[0].meas is returns[0] and type(res[0].meas["y"][0]) is int
+        assert res[1].ok and res[1].meas is returns[1]
+        assert [(r.meas, r.error) for r in res[2:]] == [(None, "malformed measurements")] * (len(returns) - 2)
+
+    def test_numpy_floats_log_as_floats(self, tmp_path):
+        spec, inner = builtin_problem("sphere_ring", 2)
+
+        def model(params):
+            meas = inner.evaluate_batch([EvaluationRequest(0, params)])[0].meas
+            return {k: tuple(np.float64(v) for v in vals) for k, vals in meas.items()}
+
+        for name, ev in (("plain", inner), ("numpy", BuiltinEvaluator(model))):
+            run(spec, RunConfig(n_total=60, seed=0), ev, log_path=tmp_path / f"{name}.log")
+        assert (tmp_path / "numpy.log").read_bytes() == (tmp_path / "plain.log").read_bytes()
+
+    def test_malformed_measurements_fail_only_their_samples(self):
+        spec, inner = builtin_problem("sphere_ring", 2)
+
+        def model(params):
+            if params["x0"][0] > 0.5:
+                return {"sphere": ["oops"], "radius": [0.5]}
+            if params["x0"][0] < -0.5:
+                return "oops"
+            return inner.evaluate_batch([EvaluationRequest(0, params)])[0].meas
+
+        records = run(spec, RunConfig(n_total=60, seed=0), BuiltinEvaluator(model)).records
+        bad = [r for r in records if abs(r.params["x0"][0]) > 0.5]
+        assert len(records) == 60 and bad
+        assert all(r.error == "malformed measurements" and not r.valid for r in bad)
+        assert all(r.error is None for r in records if r not in bad)
 
 
 def child_script(tmp_path, body):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,7 +44,8 @@ def reference_nondominated_sort(objectives):
 
 def reference_crowding_distance(objectives):
     """Crowding within one front, one objective at a time, as it was before
-    every front was crowded in one call."""
+    every front was crowded in one call; an objective whose range is not
+    finite adds nothing, as one that is constant."""
     objectives = np.asarray(objectives, dtype=float)
     n, m = objectives.shape
     dist = np.zeros(n)
@@ -53,7 +55,7 @@ def reference_crowding_distance(objectives):
         order = np.argsort(objectives[:, j], kind="stable")
         lo, hi = objectives[order[0], j], objectives[order[-1], j]
         dist[order[0]] = dist[order[-1]] = np.inf
-        if hi == lo:
+        if hi == lo or not math.isfinite(float(hi) - float(lo)):
             continue
         gaps = (objectives[order[2:], j] - objectives[order[:-2], j]) / (hi - lo)
         dist[order[1:-1]] += gaps
@@ -171,6 +173,17 @@ class TestCrowding:
     def test_degenerate_objective_ignored(self):
         d = crowding_distance(np.array([[0.0, 7.0], [5.0, 7.0], [10.0, 7.0]]))
         assert d[1] == pytest.approx(1.0)
+
+    def test_infinite_range_adds_nothing(self):
+        # inf / inf would make the interior row NaN, with a RuntimeWarning.
+        for column in ([0.0, 1.0, 2.0, np.inf], [-np.inf, 1.0, 2.0, np.inf], [-1e308, 1.0, 2.0, 1e308]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                d = crowding_distance(np.array(column)[:, None])
+            assert d.tolist() == [np.inf, 0.0, 0.0, np.inf]
+        # Only the objective with the infinite range drops out.
+        d = crowding_distance(np.array([[0.0, 0.0], [1.0, 5.0], [2.0, 7.0], [np.inf, 10.0]]))
+        assert d[1:3].tolist() == [0.7, 0.5]
 
     def test_uneven_spacing(self):
         d = crowding_distance(np.array([[0.0], [1.0], [10.0]]))

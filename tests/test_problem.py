@@ -109,6 +109,35 @@ class TestValidation:
         with pytest.raises(ProblemError):
             ParameterDef("v", "grid", grid_values=(1.0,), op_count=3)
 
+    @pytest.mark.parametrize(
+        "kind,values,want",
+        [
+            ("range", (0.0, 1.0), ((0.0, 1.0),)),
+            ("range", [[0.0, 1.0], [2, 3]], ((0.0, 1.0), (2, 3))),
+            ("larger", 0, (0,)),
+            ("target", [1.0, 2.0], (1.0, 2.0)),
+        ],
+    )
+    def test_boundary_values_canonical(self, kind, values, want):
+        # Pairs for range, numbers otherwise, so one value repeats per op.
+        b = BoundaryDef("m", kind, values)
+        assert b.values == want
+        assert b.per_op_values(2) == list(want * 2 if len(want) == 1 else want)
+
+    @pytest.mark.parametrize(
+        "kind,values",
+        [
+            ("range", 0),
+            ("range", ((1.0, 2.0, 3.0),)),
+            ("range", ((1.0, 2.0), 3.0)),
+            ("target", ((1.0, 2.0),)),
+            ("larger", "x"),
+        ],
+    )
+    def test_boundary_values_wrong_shape(self, kind, values):
+        with pytest.raises(ProblemError, match="values must be"):
+            BoundaryDef("m", kind, values)
+
     def test_min_range_needs_two_ops(self):
         with pytest.raises(ProblemError):
             ProblemSpec(
@@ -138,8 +167,10 @@ class TestValidation:
         [
             ((ObjectiveDef("m", "max", op_scope=(3,)),), ()),
             ((), (BoundaryDef("m", "larger", (0.0,), op_scope=(-1,)),)),
+            ((ObjectiveDef("m", "max", op_scope=()),), ()),
+            ((), (BoundaryDef("m", "larger", (0.0,), op_scope=()),)),
         ],
-        ids=["objective", "boundary"],
+        ids=["objective", "boundary", "objective-empty", "boundary-empty"],
     )
     def test_op_scope_within_operating_points(self, objectives, boundaries):
         with pytest.raises(ProblemError, match="op_scope"):
@@ -165,7 +196,7 @@ class TestConfigParsing:
         }
         spec = parse_problem(data)
         assert spec.n_dim == 2
-        assert spec.run_settings["n_total"] == 100
+        assert spec.run["n_total"] == 100
         assert spec.boundaries[0].per_op_values(1) == [(11.5, 12.5)]
 
     def test_bad_root(self):
