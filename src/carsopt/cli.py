@@ -259,6 +259,16 @@ def summarize_log(log_path) -> dict:
     }
 
 
+def _cell(value) -> str:
+    """``json.dumps(value)``, written directly for a list of finite floats
+    (the repr of nan or inf holds an "n"; json spells them NaN and Infinity)."""
+    try:
+        text = ", ".join(map(float.__repr__, value)) if type(value) is list else "n"
+    except TypeError:  # an element that is not a float
+        text = "n"
+    return json.dumps(value) if "n" in text else f"[{text}]"
+
+
 def cmd_report(args) -> int:
     summary = summarize_log(args.log)
     print(f"method: {summary['header'].get('method')}  seed: {summary['header'].get('seed')}")
@@ -276,8 +286,8 @@ def cmd_report(args) -> int:
         w.writerow(["id", "iteration", "fitness", "valid"] + param_names + meas_names)
         for s in summary["samples"]:
             row = [s["id"], s["iteration"], s["fitness"], int(s["valid"])]
-            row += [json.dumps(s["params"].get(n)) for n in param_names]
-            row += [json.dumps(s["meas"].get(n)) if s["meas"] else "" for n in meas_names]
+            row += [_cell(s["params"].get(n)) for n in param_names]
+            row += [_cell(s["meas"].get(n)) if s["meas"] else "" for n in meas_names]
             w.writerow(row)
     print(f"wrote {path}")
     return 0

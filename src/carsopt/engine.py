@@ -28,7 +28,7 @@ import numpy as np
 from . import fitness as fit
 from .evaluators import EvaluationRequest
 from .knn import NeighborStore
-from .problem import ProblemSpec, sampled_dimensions, to_physical
+from .problem import ProblemError, ProblemSpec, sampled_dimensions
 from .tensor import SubdomainTensor
 
 __all__ = [
@@ -220,16 +220,26 @@ def iteration_rng(seed: int, iteration: int) -> np.random.Generator:
 # -> one batch breakdown -> records -> log lines
 # ---------------------------------------------------------------------------
 
-def _physical_params(spec: ProblemSpec, dims, unit: np.ndarray) -> dict:
-    """Physical per-operating-point values for one unit-space point."""
-    params: dict[str, list[float]] = {}
+def _physical_params(spec: ProblemSpec, dims, units) -> list[dict]:
+    """Physical per-operating-point values for each row of ``units``, mapped
+    one dimension's column at a time to the bits ``to_physical`` gives."""
+    units = np.asarray(units, dtype=float)
+    outside = ~((units >= 0.0) & (units <= 1.0))  # also true for NaN
+    if outside.any():
+        raise ProblemError(f"unit coordinate {float(units[outside][0])} outside [0, 1]")
+    columns: dict[str, list] = {}
+    for d, u in zip(dims, units.T):
+        if d.scale == "log":
+            lo = math.log(d.lo)
+            col = list(map(math.exp, (lo + u * (math.log(d.hi) - lo)).tolist()))
+        else:  # float() rounds an int bound as Python's mixed arithmetic does
+            col = (float(d.lo) + u * float(d.hi - d.lo)).tolist()
+        columns.setdefault(d.parameter, []).append(col)
+    params = [{} for _ in units]
     for p in spec.parameters:
-        if p.is_sampled:
-            params[p.name] = [0.0] * p.op_count
-        else:
-            params[p.name] = list(p.grid_values)
-    for d, u in zip(dims, unit):
-        params[d.parameter][d.op_index] = to_physical(d, float(u))
+        values = zip(*columns[p.name]) if p.is_sampled else [p.grid_values] * len(units)
+        for row, v in zip(params, values):
+            row[p.name] = list(v)
     return params
 
 
@@ -239,7 +249,7 @@ def evaluate_units(spec: ProblemSpec, dims, evaluator, units, first_id: int):
     Returns the requests and results, each in the order of ``units``
     (results are re-associated by sample id), and the batch's breakdown.
     """
-    requests = [EvaluationRequest(first_id + i, _physical_params(spec, dims, u)) for i, u in enumerate(units)]
+    requests = [EvaluationRequest(first_id + i, p) for i, p in enumerate(_physical_params(spec, dims, units))]
     by_id = {r.sample_id: r for r in evaluator.evaluate_batch(requests)}
     missing = [req.sample_id for req in requests if req.sample_id not in by_id]
     if missing:
@@ -251,22 +261,19 @@ def evaluate_units(spec: ProblemSpec, dims, evaluator, units, first_id: int):
 def sample_records(iteration: int, units, subdomains, requests, results, bd, fitnesses) -> list[SampleRecord]:
     """One record per evaluated sample, all from the same iteration; ``bd``
     is the batch's breakdown."""
-    rows = zip(bd.objective_raw.tolist(), bd.penalty_raw.tolist(), bd.valid.tolist())
+    columns = (
+        map(tuple, np.asarray(subdomains).tolist()),
+        map(tuple, np.asarray(units).tolist()),
+        requests,
+        results,
+        _nan_safe(bd.objective_raw),
+        _nan_safe(bd.penalty_raw),
+        np.asarray(fitnesses).tolist(),
+        bd.valid.tolist(),
+    )
     return [
-        SampleRecord(
-            sample_id=req.sample_id,
-            iteration=iteration,
-            subdomain=tuple(int(c) for c in sub),
-            unit=tuple(float(u) for u in unit),
-            params=req.params,
-            meas=res.meas,
-            error=res.error,
-            objective_raw=_nan_safe(obj),
-            penalty_raw=_nan_safe(pen),
-            fitness=float(f),
-            valid=valid,
-        )
-        for unit, sub, req, res, (obj, pen, valid), f in zip(units, subdomains, requests, results, rows, fitnesses)
+        SampleRecord(req.sample_id, iteration, sub, unit, req.params, res.meas, res.error, obj, pen, f, valid)
+        for sub, unit, req, res, obj, pen, f, valid in zip(*columns)
     ]
 
 
@@ -323,8 +330,10 @@ def sample_json(rec: SampleRecord) -> dict:
     }
 
 
-def _nan_safe(vals):
-    return [v if math.isfinite(v) else None for v in vals]
+def _nan_safe(a: np.ndarray) -> list[list]:
+    """``a``'s rows as logged: a value that is not finite becomes None."""
+    finite = np.isfinite(a).all(axis=1).tolist()
+    return [row if ok else [v if math.isfinite(v) else None for v in row] for row, ok in zip(a.tolist(), finite)]
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +480,8 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
     # Dimension labels do not pin bounds or scales; the parameter values
     # logged for the first sample's unit point do.
     first = next((obj for obj in entries if obj["type"] == "sample"), None)
-    if first and first["params"] != _physical_params(spec, dims, first["unit"]):
+    unit = first["unit"] if first else []
+    if first and (len(unit) != len(dims) or [first["params"]] != _physical_params(spec, dims, [unit])):
         raise EngineError(f"log dimensions mismatch: this problem maps sample {first['id']}'s unit point elsewhere")
     sizes = iteration_sizes(config.n_total)
     logged = collections.Counter(obj["iteration"] for obj in entries if obj["type"] == "sample")

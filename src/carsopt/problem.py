@@ -181,6 +181,9 @@ class ProblemSpec:
         if len(set(names)) != len(names):
             raise ProblemError("duplicate parameter names")
         n_ops = self.n_operating_points
+        for p in self.parameters:
+            if p.op_count not in (1, n_ops):
+                raise ProblemError(f"parameter {p.name}: op_count {p.op_count} must be 1 or n_operating_points ({n_ops})")
         for item in (*self.objectives, *self.boundaries):
             ops = item.ops(n_ops)
             if not ops or not all(0 <= op < n_ops for op in ops):

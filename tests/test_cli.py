@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import math
 import sys
 import textwrap
 import tracemalloc
@@ -8,13 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, strategies as st
 
 import carsopt as c
 from carsopt import engine
-from carsopt.cli import EXIT_CONFIG, STUDY_VARIANTS, _RunSection, main
+from carsopt.cli import EXIT_CONFIG, STUDY_VARIANTS, _cell, _RunSection, main
 from carsopt.engine import RunConfig
 from carsopt.problem import from_mapping, parse_problem
 from carsopt.tensor import SubdomainTensor
+from test_engine import two_op_problem
 
 
 CONFIG = """\
@@ -225,6 +229,7 @@ class TestRun:
             ("{name: sphere, kind: min}", "{name: sphere, kind: min, op_scope: some}", "objectives[0].op_scope"),
             ("{name: radius, kind: range,", "{name: radius,", "boundaries[0].kind"),
             ("values: [[0.3, 0.8]]", "values: 0", "boundary radius: range values"),
+            ("bounds: [-1.0, 1.0]}", "bounds: [-1.0, 1.0], op_count: 2}", "parameter x0: op_count 2"),
         ],
         ids=[
             "yaml-syntax",
@@ -238,6 +243,7 @@ class TestRun:
             "op-scope-word",
             "missing-kind",
             "range-scalar",
+            "op-count-past-operating-points",
         ],
     )
     def test_malformed_problem_is_config_error(self, tmp_path, capsys, old, new, named):
@@ -499,6 +505,35 @@ class TestReport:
         rows = read_csv(out / "scatter.csv")
         assert len(rows) == 200
         assert {"id", "iteration", "fitness", "valid", "x0", "x1"} <= set(rows[0])
+
+    @pytest.mark.parametrize(
+        "method,digest",
+        [
+            ("cars", "86b77f7dfb020a64a3a04966585702908da51992100ed7e873be866d2eba0894"),
+            ("ga", "b69d8cf31b646f80f2b4e69e0b2eb1d02aad6ac5d36184f03304960e2cf75e6c"),
+        ],
+    )
+    def test_pinned_scatter_csv(self, tmp_path, method, digest):
+        # Failed samples, NaN measurements and grid parameters: every cell
+        # keeps the bytes json.dumps gave it.
+        spec, ev = two_op_problem()
+        if method == "cars":
+            c.run(spec, RunConfig(n_total=200, seed=4), ev, log_path=tmp_path / "run.log")
+        else:
+            c.run_islands(spec, c.IslandConfig(3, 8, 4), ev, seed=4, log_path=tmp_path / "run.log")
+        assert main(["report", "--log", str(tmp_path / "run.log"), "--out-dir", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "scatter.csv").read_bytes()).hexdigest() == digest
+
+    @given(
+        st.none()
+        | st.lists(st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]))
+        | st.lists(st.integers())
+        | st.lists(st.floats() | st.integers() | st.booleans() | st.none() | st.text() | st.lists(st.floats()))
+        | st.text()
+        | st.dictionaries(st.text(), st.floats())
+    )
+    def test_cell_equals_json_dumps(self, value):
+        assert _cell(value) == json.dumps(value)
 
     def test_report_missing_log(self, tmp_path, capsys):
         rc = main(["report", "--log", str(tmp_path / "none.log"), "--out-dir", str(tmp_path)])

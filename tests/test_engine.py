@@ -3,9 +3,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings, strategies as st
 
 import carsopt as c
@@ -13,6 +15,7 @@ from carsopt import BoundaryDef, BuiltinEvaluator, ObjectiveDef, ParameterDef, P
 from carsopt.engine import (
     EngineError,
     RunConfig,
+    _physical_params,
     heuristic_schedule,
     iteration_sizes,
     neighbor_count,
@@ -21,6 +24,7 @@ from carsopt.engine import (
     read_log,
     restore_state,
 )
+from carsopt.problem import ProblemError, parse_problem, sampled_dimensions
 from carsopt.tensor import OPTIMISTIC_INIT, SubdomainTensor
 from dense_view import cells
 
@@ -434,3 +438,61 @@ class TestLog:
         assert header == "iteration,fit_min,fit_mean,fit_max,valid,n"
         n_valid = sum(r.valid for r in st.records)
         assert len((tmp_path / "v.csv").read_text().splitlines()) == n_valid + 1
+
+
+def per_value_params(spec, dims, unit):
+    """Reference: one unit point's parameters, ``to_physical`` per value."""
+    params = {p.name: [0.0] * p.op_count if p.is_sampled else list(p.grid_values) for p in spec.parameters}
+    for d, u in zip(dims, unit):
+        params[d.parameter][d.op_index] = c.to_physical(d, u)
+    return params
+
+
+def bits(params):
+    """Parameters as their log line would order them, each value by type and bits."""
+    return [(k, [(type(v), v.hex() if type(v) is float else v) for v in vals]) for k, vals in params.items()]
+
+
+@st.composite
+def parameter_yaml(draw, n_ops):
+    """A YAML problem: linear, log and grid parameters with float or int
+    bounds, each shared or one per operating point."""
+    entries = []
+    for i in range(draw(st.integers(1, 4))):
+        scale = draw(st.sampled_from(["linear", "log", "grid"]))
+        op_count = draw(st.sampled_from([1, n_ops]))
+        entry = {"name": f"p{i}", "scale": scale, "op_count": op_count}
+        if scale == "grid":
+            value = st.integers(-9, 9) | st.floats(-1e3, 1e3)
+            entry["grid_values"] = draw(st.lists(value, min_size=op_count, max_size=op_count))
+        else:
+            small = 1e-12 if scale == "log" else -1e6
+            number = st.integers(math.ceil(small), 10**6) | st.floats(small, 1e6)
+            entry["bounds"] = sorted(draw(st.lists(number, min_size=2, max_size=2, unique=True)))
+        entries.append(entry)
+    return yaml.safe_dump({"n_operating_points": n_ops, "parameters": entries})
+
+
+class TestPhysicalParams:
+    """The batch parameter map equals ``to_physical`` per value, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_batch_equals_per_value(self, data):
+        spec = parse_problem(yaml.safe_load(data.draw(parameter_yaml(data.draw(st.sampled_from([1, 3]))))))
+        dims = sampled_dimensions(spec)
+        unit = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+        units = data.draw(st.lists(st.lists(unit, min_size=len(dims), max_size=len(dims)), min_size=1, max_size=6))
+        batch = _physical_params(spec, dims, np.array(units).reshape(len(units), len(dims)))
+        assert [bits(p) for p in batch] == [bits(per_value_params(spec, dims, u)) for u in units]
+
+    @given(st.integers(0, 11), st.floats(allow_nan=True).filter(lambda u: not 0.0 <= u <= 1.0))
+    def test_unit_outside_range_is_problem_error(self, at, bad):
+        spec, _ = c.builtin_problem("sphere_ring", 4)
+        dims = sampled_dimensions(spec)
+        units = np.full((3, 4), 0.5)
+        units.flat[at] = bad
+        with pytest.raises(ProblemError) as oracle:
+            c.to_physical(dims[at % 4], bad)
+        with pytest.raises(ProblemError, match=re.escape(str(oracle.value))):
+            _physical_params(spec, dims, units)

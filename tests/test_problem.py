@@ -110,6 +110,18 @@ class TestValidation:
             ParameterDef("v", "grid", grid_values=(1.0,), op_count=3)
 
     @pytest.mark.parametrize(
+        "param",
+        [
+            ParameterDef("x", "linear", (0.0, 1.0), op_count=3),
+            ParameterDef("v", "grid", grid_values=(1.0, 2.0, 3.0), op_count=3),
+        ],
+    )
+    def test_op_count_is_one_or_every_operating_point(self, param):
+        with pytest.raises(ProblemError, match=f"parameter {param.name}: op_count 3"):
+            ProblemSpec(parameters=(param,), n_operating_points=2)
+        assert ProblemSpec(parameters=(param,), n_operating_points=3).n_operating_points == 3
+
+    @pytest.mark.parametrize(
         "kind,values,want",
         [
             ("range", (0.0, 1.0), ((0.0, 1.0),)),
