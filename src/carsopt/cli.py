@@ -243,18 +243,17 @@ def summarize_log(log_path) -> dict:
     entries = engine.read_log(log_path)
     samples = [e for e in entries if e.get("type") == "sample"]
     valid = [s for s in samples if s["valid"]]
-    ranges: dict[str, tuple[float, float]] = {}
+    columns: dict[str, list] = {}  # each parameter's valid values, named in order of first value
     for s in valid:
         for name, vals in s["params"].items():
-            for v in vals:
-                lo, hi = ranges.get(name, (v, v))
-                ranges[name] = (min(lo, v), max(hi, v))
+            if vals:
+                columns.setdefault(name, []).extend(vals)
     return {
         "header": entries[0],
         "total": len(samples),
         "valid": len(valid),
         "best_fitness": max((s["fitness"] for s in samples), default=None),
-        "param_ranges": ranges,
+        "param_ranges": {name: (min(vals), max(vals)) for name, vals in columns.items()},
         "samples": samples,
     }
 

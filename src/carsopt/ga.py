@@ -6,10 +6,11 @@ extra blend stage, and two-level Gaussian mutation.  All genomes live in the
 unit hypercube; clamping keeps variation inside it.  After the last
 generation the islands' non-dominated sets are merged and re-sorted.
 
-An island's population is held as arrays: genomes (P, d), objectives
-(P, m), and each row's front rank and crowding distance.  A tournament
-returns a row index, and the survivors of parents plus offspring are one
-index array.  ``Individual`` exists only for the merged front 0.
+The islands evolve in lockstep, their populations stacked along a leading
+axis: genomes (I, P, d), objectives (I, P, m), and each row's front rank and
+crowding distance (I, P).  Each island is ranked and selected on its own; a
+tournament returns row indices, and the survivors of parents plus offspring
+are one index array.  ``Individual`` exists only for the merged front 0.
 
 Ranking is Deb et al.'s fast non-dominated sort and crowding distance in
 vectorized form: the dominance matrix is built one objective column at a
@@ -18,11 +19,12 @@ front with a single sort by (front, value) per objective.  Fronts, their
 ascending index order and the crowding floats equal those of the per-index
 loops.
 
-A generation is evaluated, scored, recorded and logged by the same engine
-functions as a CARS iteration (``evaluate_units``, ``sample_records``,
-``sample_json``), so both methods write the same log format: a run header,
-then per island an ``island`` line and its sample lines, each tagged with
-the island.  A record's ``iteration`` is its generation.
+Generation g of every island is one batch, evaluated, scored, recorded and
+logged by the same engine functions as a CARS iteration (``evaluate_units``,
+``sample_records``, ``sample_json``), so both methods write the same log
+format: a run header, then per generation a ``generation`` line and its
+sample lines, island by island, each tagged with its island.  A record's
+``iteration`` is its generation.
 
 Objectives follow the maximization convention; boundary penalties (weighted
 by rho = 10,000) are subtracted from every objective of an individual.  A
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -169,16 +170,13 @@ def _ranked(objectives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank, crowding_distance(objectives, rank)
 
 
-def _tournament(rank: np.ndarray, crowding: np.ndarray, rng: np.random.Generator) -> int:
-    """Binary tournament: the lower rank wins, then the larger crowding; the
-    first draw wins a tie (and loses to the second when either crowding is
-    NaN)."""
-    i, j = rng.integers(0, len(rank), size=2)
-    if rank[i] != rank[j]:
-        return i if rank[i] < rank[j] else j
-    if crowding[i] != crowding[j]:
-        return i if crowding[i] > crowding[j] else j
-    return i
+def _tournament(rank: np.ndarray, crowding: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Binary tournaments over the index pairs ``pairs`` (k, 2); returns the k
+    winners.  The lower rank wins, then the larger crowding; the first index
+    wins a tie (and loses to the second when either crowding is NaN)."""
+    i, j = pairs.T
+    ri, rj, ci, cj = rank[i], rank[j], crowding[i], crowding[j]
+    return np.where(np.where(ri != rj, ri < rj, ci >= cj), i, j)
 
 
 def _survivors(rank: np.ndarray, crowding: np.ndarray, size: int) -> np.ndarray:
@@ -193,12 +191,14 @@ def _survivors(rank: np.ndarray, crowding: np.ndarray, size: int) -> np.ndarray:
 # Variation operators
 # ---------------------------------------------------------------------------
 
-def gaussian_mutate(genome: np.ndarray, rng: np.random.Generator, cfg: IslandConfig) -> np.ndarray:
-    """Two-level Gaussian mutation; the result is clamped to [0, 1]."""
-    if rng.random() >= cfg.p_mutate:
-        return genome.copy()
-    out = genome.copy()
-    mask = rng.random(len(genome)) < cfg.p_mutate_val
+def gaussian_mutate(genomes: np.ndarray, rng: np.random.Generator, cfg: IslandConfig) -> np.ndarray:
+    """Two-level Gaussian mutation of the rows of ``genomes`` (n, d), which lie
+    in the unit box, clamped to [0, 1].  Draws, in order: a flag per row
+    (mutated when below ``p_mutate``), a gene mask (n, d) (below
+    ``p_mutate_val``), and one normal per masked gene of a flagged row."""
+    flags = rng.random(len(genomes)) < cfg.p_mutate
+    mask = (rng.random(genomes.shape) < cfg.p_mutate_val) & flags[:, None]
+    out = genomes.copy()
     out[mask] += rng.normal(0.0, cfg.sigma_mutate, size=mask.sum())
     return np.clip(out, 0.0, 1.0)
 
@@ -206,57 +206,33 @@ def gaussian_mutate(genome: np.ndarray, rng: np.random.Generator, cfg: IslandCon
 def sbx_crossover(
     a: np.ndarray, b: np.ndarray, rng: np.random.Generator, cfg: IslandConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover followed by a symmetric blend stage.
+    """Simulated binary crossover of the row pairs (a[k], b[k]) of two (n, d)
+    parent arrays, then a symmetric blend stage; returns the (n, d) children.
 
-    The per-gene spread factor comes from the eta-parameterized polynomial
-    distribution; the blend stage draws gamma in [-alpha, 1 + alpha] per gene.
-    Both stages conserve the per-gene midpoint before clamping.  The spread
-    factor's root is taken per gene by libm, not by numpy's vectorized
-    ``power``, whose SIMD kernel rounds differently on AVX-512 hosts.
+    Draws, in order: a flag per pair (crossed when below ``p_crossover``,
+    else the children are the parents), ``u`` (n, d) and ``gamma`` (n, d).
+    The spread factor follows the eta-parameterized polynomial distribution,
+    and gamma is scaled to [-alpha, 1 + alpha]; both stages conserve the
+    per-gene midpoint before clamping.  The spread factor's root is libm's,
+    per value: numpy's vectorized ``power`` rounds differently on AVX-512.
     """
-    if rng.random() >= cfg.p_crossover:
-        return a.copy(), b.copy()
-    u = rng.random(len(a))
+    crossed = (rng.random(len(a)) < cfg.p_crossover)[:, None]
+    u = rng.random(a.shape)
+    gamma = (1.0 + 2.0 * cfg.alpha_crossover) * rng.random(a.shape) - cfg.alpha_crossover
     exp = 1.0 / (cfg.eta_crossover + 1.0)
     root = math.sqrt if exp == 0.5 else lambda x: math.pow(x, exp)
     base = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u)))
-    beta = np.array([root(x) for x in base.tolist()])
+    beta = np.array(list(map(root, base.ravel().tolist()))).reshape(a.shape)
     c1 = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
     c2 = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
-    gamma = (1.0 + 2.0 * cfg.alpha_crossover) * rng.random(len(a)) - cfg.alpha_crossover
     d1 = (1.0 - gamma) * c1 + gamma * c2
     d2 = gamma * c1 + (1.0 - gamma) * c2
-    return np.clip(d1, 0.0, 1.0), np.clip(d2, 0.0, 1.0)
+    return np.where(crossed, np.clip(d1, 0.0, 1.0), a), np.where(crossed, np.clip(d2, 0.0, 1.0), b)
 
 
 # ---------------------------------------------------------------------------
 # Evolution loop
 # ---------------------------------------------------------------------------
-
-def _evolve(cfg: IslandConfig, n_dim: int, rng: np.random.Generator, evaluate) -> tuple[np.ndarray, np.ndarray]:
-    """One island's NSGA-II run; ``evaluate(generation, genomes)`` returns a
-    generation's objective rows.  Returns the final front 0's genomes and
-    objectives."""
-    genomes = rng.random((cfg.population_size, n_dim))
-    objectives = evaluate(0, genomes)
-    rank, crowding = _ranked(objectives)
-    for gen in range(1, cfg.generations + 1):
-        offspring = []
-        while len(offspring) < cfg.population_size:
-            p1 = _tournament(rank, crowding, rng)
-            p2 = _tournament(rank, crowding, rng)
-            c1, c2 = sbx_crossover(genomes[p1], genomes[p2], rng, cfg)
-            offspring.append(gaussian_mutate(c1, rng, cfg))
-            if len(offspring) < cfg.population_size:
-                offspring.append(gaussian_mutate(c2, rng, cfg))
-        offspring = np.array(offspring)
-        genomes = np.concatenate([genomes, offspring])
-        objectives = np.concatenate([objectives, evaluate(gen, offspring)])
-        rank, crowding = _ranked(objectives)
-        keep = _survivors(rank, crowding, cfg.population_size)
-        genomes, objectives, rank, crowding = genomes[keep], objectives[keep], rank[keep], crowding[keep]
-    return genomes[rank == 0], objectives[rank == 0]
-
 
 def run_islands(
     spec: ProblemSpec,
@@ -265,36 +241,59 @@ def run_islands(
     seed: int = 0,
     log_path=None,
 ) -> GAResult:
-    """Evolve every island independently and merge their non-dominated sets.
+    """Evolve the islands in lockstep and merge their non-dominated sets.
 
-    Island i uses an RNG stream derived from (seed, i), so its trajectory is
-    unaffected by the other islands.  Sample ids are unique across islands:
-    island i's generation g holds ids from (i * (generations + 1) + g) *
-    population_size on.
+    Generation g of every island is one batch: one ``evaluate_units`` call,
+    one score, one set of records and one log write that starts with a
+    ``{"type": "generation", "generation": g}`` line.  Member j of island
+    i's generation g has sample id (g * n_islands + i) * population_size + j,
+    so ids run 0, 1, 2, ... in log order.
+
+    Island i draws from its own stream ``iteration_rng(seed, 1_000_000 + i)``,
+    so its trajectory does not depend on how many islands there are: first
+    its initial genomes, one ``random((population_size, n_dim))`` call; then
+    in each generation, in this order, every tournament index pair (one
+    ``integers`` call), the crossover flags, ``u``, ``gamma``, the mutation
+    flags, the gene masks and the normals.
     """
     dims = sampled_dimensions(spec)
+    size, n_dim = cfg.population_size, len(dims)
+    rngs = [iteration_rng(seed, 1_000_000 + island) for island in range(cfg.n_islands)]
     records: list[SampleRecord] = []
-    fronts = []
 
     with open_log(log_path, "w") as emit:
 
-        def evaluate(island: int, generation: int, genomes: np.ndarray) -> np.ndarray:
-            first_id = (island * (cfg.generations + 1) + generation) * cfg.population_size
-            requests, results, bd = evaluate_units(spec, dims, evaluator, genomes, first_id)
+        def evaluate(generation: int, genomes: np.ndarray) -> np.ndarray:
+            """Evaluate, score, record and log one generation; returns (I, P, m) objectives."""
+            units = genomes.reshape(-1, n_dim)
+            requests, results, bd = evaluate_units(spec, dims, evaluator, units, generation * len(units))
             vecs = fit.ga_objective_vector(bd)
-            batch = sample_records(generation, genomes, [()] * len(genomes), requests, results, bd, vecs.mean(axis=1))
-            emit([{**sample_json(rec), "island": island} for rec in batch])
+            batch = sample_records(generation, units, [()] * len(units), requests, results, bd, vecs.mean(axis=1))
+            lines = [{**sample_json(rec), "island": k // size} for k, rec in enumerate(batch)]
+            emit([{"type": "generation", "generation": generation}, *lines])
             records.extend(batch)
-            return vecs
+            return vecs.reshape(cfg.n_islands, size, -1)
 
         header = run_header("ga", seed, cfg.total_evaluations, dims, None)
         sizes = {"islands": cfg.n_islands, "population_size": cfg.population_size, "generations": cfg.generations}
         emit([{**header, **sizes}])
-        for island in range(cfg.n_islands):
-            emit([{"type": "island", "island": island}])
-            rng = iteration_rng(seed, 1_000_000 + island)
-            fronts.append(_evolve(cfg, len(dims), rng, partial(evaluate, island)))
+        genomes = np.stack([rng.random((size, n_dim)) for rng in rngs])
+        objectives = evaluate(0, genomes)
+        rank, crowding = map(np.stack, zip(*map(_ranked, objectives)))
+        rows = np.arange(cfg.n_islands)[:, None]
+        for gen in range(1, cfg.generations + 1):
+            offspring = []
+            for g, r, c, rng in zip(genomes, rank, crowding, rngs):  # ceil(P / 2) pairs; odd P drops a child
+                parents = _tournament(r, c, rng.integers(0, size, size=(size + size % 2, 2)))
+                c1, c2 = sbx_crossover(g[parents[0::2]], g[parents[1::2]], rng, cfg)
+                offspring.append(gaussian_mutate(np.stack([c1, c2], axis=1).reshape(-1, n_dim)[:size], rng, cfg))
+            offspring = np.stack(offspring)
+            genomes = np.concatenate([genomes, offspring], axis=1)
+            objectives = np.concatenate([objectives, evaluate(gen, offspring)], axis=1)
+            rank, crowding = map(np.stack, zip(*map(_ranked, objectives)))
+            keep = rows, np.stack([_survivors(r, c, size) for r, c in zip(rank, crowding)])
+            genomes, objectives, rank, crowding = genomes[keep], objectives[keep], rank[keep], crowding[keep]
 
-    genomes, objectives = (np.concatenate(rows) for rows in zip(*fronts))
+    genomes, objectives = genomes[rank == 0], objectives[rank == 0]
     front0 = [Individual(genomes[i], objectives[i]) for i in nondominated_sort(objectives)[0]]
     return GAResult(records=records, front0=front0, total_evaluations=cfg.total_evaluations)

@@ -510,7 +510,7 @@ class TestReport:
         "method,digest",
         [
             ("cars", "86b77f7dfb020a64a3a04966585702908da51992100ed7e873be866d2eba0894"),
-            ("ga", "b69d8cf31b646f80f2b4e69e0b2eb1d02aad6ac5d36184f03304960e2cf75e6c"),
+            ("ga", "18accc9072220cbf11cd603dbbdf4efe9e9669aba3acb8802f2ee90c920d7b6b"),
         ],
     )
     def test_pinned_scatter_csv(self, tmp_path, method, digest):

@@ -236,10 +236,9 @@ class TestSelectionMatchesReference:
         rank = rng.integers(0, 3, n)
         crowding = rng.choice([0.0, 0.5, 1.0, math.inf, math.nan], n)
         pop = [SimpleNamespace(index=i, rank=r, crowding=d) for i, (r, d) in enumerate(zip(rank, crowding))]
-        draws, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(50):
-            i, j = ref.integers(0, n, size=2)
-            assert ga._tournament(rank, crowding, draws) == reference_better(pop[i], pop[j]).index
+        pairs = rng.integers(0, n, size=(50, 2))
+        want = [reference_better(pop[i], pop[j]).index for i, j in pairs.tolist()]
+        assert ga._tournament(rank, crowding, pairs).tolist() == want
 
 
 def make_cfg(**kw):
@@ -248,15 +247,116 @@ def make_cfg(**kw):
     return IslandConfig(**base)
 
 
+class Replay:
+    """A stand-in for ``np.random.Generator`` that returns prescribed draws in
+    order, each checked against the size asked for."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def _next(self, size):
+        value = np.asarray(self.draws.pop(0), dtype=float)
+        assert value.shape == (() if size is None else np.empty(size).shape)
+        return value[()] if size is None else value
+
+    def random(self, size=None):
+        return self._next(size)
+
+    def normal(self, loc, scale, size=None):
+        return self._next(size)
+
+
+def reference_sbx_crossover(a, b, rng, cfg):
+    """Crossover of one parent pair, as it was before pairs were batched."""
+    if rng.random() >= cfg.p_crossover:
+        return a.copy(), b.copy()
+    u = rng.random(len(a))
+    exp = 1.0 / (cfg.eta_crossover + 1.0)
+    root = math.sqrt if exp == 0.5 else lambda x: math.pow(x, exp)
+    base = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u)))
+    beta = np.array([root(x) for x in base.tolist()])
+    c1 = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
+    c2 = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
+    gamma = (1.0 + 2.0 * cfg.alpha_crossover) * rng.random(len(a)) - cfg.alpha_crossover
+    d1 = (1.0 - gamma) * c1 + gamma * c2
+    d2 = gamma * c1 + (1.0 - gamma) * c2
+    return np.clip(d1, 0.0, 1.0), np.clip(d2, 0.0, 1.0)
+
+
+def reference_gaussian_mutate(genome, rng, cfg):
+    """Mutation of one genome, as it was before children were batched."""
+    if rng.random() >= cfg.p_mutate:
+        return genome.copy()
+    out = genome.copy()
+    mask = rng.random(len(genome)) < cfg.p_mutate_val
+    out[mask] += rng.normal(0.0, cfg.sigma_mutate, size=mask.sum())
+    return np.clip(out, 0.0, 1.0)
+
+
+def hex_rows(a):
+    return [list(map(float.hex, row)) for row in np.asarray(a).tolist()]
+
+
+unit_value = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 5e-324, 1.0 - 2**-53]), st.floats(0.0, 1.0))
+draw_value = st.one_of(st.sampled_from([0.0, 0.5, 1.0 - 2**-53]), st.floats(0.0, 1.0, exclude_max=True))
+
+
+def unit_rows(data, elements, n, d):
+    return np.array(data.draw(st.lists(st.lists(elements, min_size=d, max_size=d), min_size=n, max_size=n)))
+
+
+class TestOracle:
+    """The batched operators against the per-pair and per-child code they
+    replaced, fed the same draws row by row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), d=st.integers(1, 4), eta=st.sampled_from([1.0, 2.0]))
+    def test_crossover_rows_equal_reference(self, data, n, d, eta):
+        cfg = make_cfg(
+            p_crossover=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+            alpha_crossover=data.draw(st.sampled_from([0.0, 0.2, 0.5])),
+            eta_crossover=eta,
+        )
+        a, b = unit_rows(data, unit_value, n, d), unit_rows(data, unit_value, n, d)
+        flags = unit_rows(data, draw_value, n, 1)[:, 0]
+        u, gamma = unit_rows(data, draw_value, n, d), unit_rows(data, draw_value, n, d)
+        rng = Replay(flags, u, gamma)
+        c1, c2 = sbx_crossover(a, b, rng, cfg)
+        assert rng.draws == []
+        for k in range(n):
+            r1, r2 = reference_sbx_crossover(a[k], b[k], Replay(flags[k], u[k], gamma[k]), cfg)
+            assert hex_rows([c1[k], c2[k]]) == hex_rows([r1, r2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), d=st.integers(1, 4))
+    def test_mutation_rows_equal_reference(self, data, n, d):
+        cfg = make_cfg(
+            p_mutate=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+            p_mutate_val=data.draw(st.sampled_from([0.0, 0.3, 1.0])),
+        )
+        genomes = unit_rows(data, unit_value, n, d)
+        flags, masks = unit_rows(data, draw_value, n, 1)[:, 0], unit_rows(data, draw_value, n, d)
+        hit = (masks < cfg.p_mutate_val) & (flags < cfg.p_mutate)[:, None]
+        count = int(hit.sum())
+        normals = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=count, max_size=count)))
+        rng = Replay(flags, masks, normals)
+        got = gaussian_mutate(genomes, rng, cfg)
+        assert rng.draws == []
+        row_normals = np.split(normals, np.cumsum(hit.sum(axis=1))[:-1])
+        for k in range(n):
+            draws = (flags[k], masks[k], row_normals[k]) if flags[k] < cfg.p_mutate else (flags[k],)
+            assert hex_rows([got[k]]) == hex_rows([reference_gaussian_mutate(genomes[k], Replay(*draws), cfg)])
+
+
 class TestVariation:
     def test_mutate_identity_when_disabled(self):
-        g = np.array([0.2, 0.8, 0.5])
+        g = np.array([[0.2, 0.8, 0.5], [0.0, 1.0, 0.3]])
         out = gaussian_mutate(g, np.random.default_rng(0), make_cfg(p_mutate=0.0))
         assert np.array_equal(out, g)
         assert out is not g
 
     def test_mutate_small_sigma_near_identity(self):
-        g = np.array([0.5, 0.5, 0.5, 0.5])
+        g = np.full((3, 4), 0.5)
         cfg = make_cfg(p_mutate=1.0, p_mutate_val=1.0, sigma_mutate=1e-8)
         out = gaussian_mutate(g, np.random.default_rng(1), cfg)
         assert np.allclose(out, g, atol=1e-6)
@@ -264,40 +364,32 @@ class TestVariation:
 
     def test_mutate_clamped(self):
         cfg = make_cfg(p_mutate=1.0, p_mutate_val=1.0, sigma_mutate=5.0)
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            out = gaussian_mutate(np.array([0.0, 1.0, 0.5]), rng, cfg)
-            assert np.all(out >= 0.0) and np.all(out <= 1.0)
+        out = gaussian_mutate(np.tile([0.0, 1.0, 0.5], (50, 1)), np.random.default_rng(2), cfg)
+        assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
     def test_crossover_disabled_returns_parents(self):
-        a, b = np.array([0.1, 0.9]), np.array([0.7, 0.3])
+        a, b = np.array([[0.1, 0.9], [0.4, 0.2]]), np.array([[0.7, 0.3], [0.5, 0.5]])
         c1, c2 = sbx_crossover(a, b, np.random.default_rng(0), make_cfg(p_crossover=0.0))
         assert np.array_equal(c1, a) and np.array_equal(c2, b)
 
     def test_crossover_identical_parents(self):
-        a = np.array([0.4, 0.6, 0.5])
+        a = np.tile([0.4, 0.6, 0.5], (5, 1))
         c1, c2 = sbx_crossover(a, a.copy(), np.random.default_rng(3), make_cfg(p_crossover=1.0))
         assert np.allclose(c1, a, atol=1e-12) and np.allclose(c2, a, atol=1e-12)
 
     def test_midpoint_conserved_without_clamping(self):
-        rng = np.random.default_rng(4)
         cfg = make_cfg(p_crossover=1.0)
-        a, b = np.array([0.48, 0.52]), np.array([0.52, 0.48])
-        checked = 0
-        for _ in range(200):
-            c1, c2 = sbx_crossover(a, b, rng, cfg)
-            if np.all(c1 > 0) and np.all(c1 < 1) and np.all(c2 > 0) and np.all(c2 < 1):
-                assert np.allclose((c1 + c2) / 2, (a + b) / 2, atol=1e-12)
-                checked += 1
-        assert checked > 100
+        a, b = np.tile([0.48, 0.52], (200, 1)), np.tile([0.52, 0.48], (200, 1))
+        c1, c2 = sbx_crossover(a, b, np.random.default_rng(4), cfg)
+        inside = np.all((c1 > 0) & (c1 < 1) & (c2 > 0) & (c2 < 1), axis=1)
+        assert np.allclose((c1 + c2)[inside] / 2, ((a + b) / 2)[inside], atol=1e-12)
+        assert inside.sum() > 100
 
     def test_crossover_in_unit_box(self):
         rng = np.random.default_rng(5)
         cfg = make_cfg(p_crossover=1.0)
-        for _ in range(100):
-            c1, c2 = sbx_crossover(rng.random(4), rng.random(4), rng, cfg)
-            for child in (c1, c2):
-                assert np.all(child >= 0.0) and np.all(child <= 1.0)
+        for child in sbx_crossover(rng.random((100, 4)), rng.random((100, 4)), rng, cfg):
+            assert np.all(child >= 0.0) and np.all(child <= 1.0)
 
 
 class TestRunIslands:
@@ -346,9 +438,10 @@ class TestRunIslands:
         cfg3 = make_cfg(n_islands=3, population_size=6, generations=2)
         r1 = run_islands(spec, cfg1, ev, seed=5)
         r3 = run_islands(spec, cfg3, ev, seed=5)
-        block = cfg1.total_evaluations
-        assert [r.unit for r in r3.records[:block]] == [r.unit for r in r1.records]
-        assert [r.fitness for r in r3.records[:block]] == [r.fitness for r in r1.records]
+        island0 = [r for r in r3.records if r.sample_id // 6 % 3 == 0]
+        assert [r.unit for r in island0] == [r.unit for r in r1.records]
+        assert [r.fitness for r in island0] == [r.fitness for r in r1.records]
+        assert [r.iteration for r in island0] == [r.iteration for r in r1.records]
 
     def test_log_written(self, tmp_path):
         import json
@@ -362,13 +455,31 @@ class TestRunIslands:
         assert len(samples) == cfg.total_evaluations
         assert {s["island"] for s in samples} == {0, 1}
 
+    @pytest.mark.parametrize("islands,size,generations", [(3, 5, 2), (1, 4, 3), (2, 7, 0)])
+    def test_generation_major_log(self, tmp_path, islands, size, generations):
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        cfg = make_cfg(n_islands=islands, population_size=size, generations=generations)
+        res = run_islands(spec, cfg, ev, seed=7, log_path=tmp_path / "ga.log")
+        entries = read_log(tmp_path / "ga.log")[1:]
+        samples = [e for e in entries if e["type"] == "sample"]
+        assert [s["id"] for s in samples] == list(range(cfg.total_evaluations))
+        assert [r.sample_id for r in res.records] == list(range(cfg.total_evaluations))
+        block = islands * size
+        assert len(entries) == (generations + 1) * (block + 1)
+        for g in range(generations + 1):
+            head, *members = entries[g * (block + 1) : (g + 1) * (block + 1)]
+            assert head == {"type": "generation", "generation": g}
+            assert [m["type"] for m in members] == ["sample"] * block
+            assert [m["iteration"] for m in members] == [g] * block
+            assert [m["island"] for m in members] == [k // size for k in range(block)]
+
     def test_killed_run_keeps_complete_generations(self, tmp_path, killed_run):
-        # Generations of 10; the 75th evaluation is in island 1's generation 2.
+        # Generations of 2 islands x 10; the 75th evaluation is in generation 3.
         log = killed_run("c.run_islands(spec, c.IslandConfig(2, 10, 4), ev, seed=1, log_path=log)", die_at=75)
         spec, ev = c.builtin_problem("sphere_ring", 2)
         run_islands(spec, IslandConfig(2, 10, 4), ev, seed=1, log_path=tmp_path / "full.log")
         assert (tmp_path / "full.log").read_bytes().startswith(log.read_bytes())
-        assert sum(e["type"] == "sample" for e in read_log(log)) == 70
+        assert sum(e["type"] == "sample" for e in read_log(log)) == 60
 
     @pytest.mark.parametrize(
         "values", [(1, 0, 2), (1, 3, -1), (0, 4, 1), (1, 4, 1, 0.1, 0.3, 0.4, 0.95, 0.2, -1.0)]
@@ -379,11 +490,11 @@ class TestRunIslands:
 
     def test_pinned_log(self, tmp_path):
         # Boost over 3 islands: the digest pins the GA log bytes (header,
-        # island markers, sample records and their order).
+        # generation markers, sample records and their order).
         spec, ev = c.builtin_problem("boost")
         run_islands(spec, IslandConfig(3, 10, 4), ev, seed=3, log_path=tmp_path / "ga.log")
         digest = hashlib.sha256((tmp_path / "ga.log").read_bytes()).hexdigest()
-        assert digest == "4eadb083d0664cd8c8944bfbc6d1375ffb25a7754bd567e8a45e64094982da28"
+        assert digest == "747eafe350ef9e9866605dbf108566e2e61c08f018b100c1d2b8b969e487a7f0"
 
     def test_pinned_log_many_fronts(self, tmp_path):
         # The benchmark's island shape: combined populations of 80 split into
@@ -391,7 +502,7 @@ class TestRunIslands:
         spec, ev = c.builtin_problem("boost")
         run_islands(spec, IslandConfig(5, 40, 10), ev, seed=0, log_path=tmp_path / "ga.log")
         digest = hashlib.sha256((tmp_path / "ga.log").read_bytes()).hexdigest()
-        assert digest == "f7f69b2319d10449c25005f2a2b0d13778f360ab10105a0effaf89a58fdc0a73"
+        assert digest == "2b3a9fb32ca0138f835e39053263494944d699c175a213e3ba9db99d5578bb4c"
 
     def test_pinned_log_eta_2(self, tmp_path):
         # eta = 2 takes a cube root per gene; libm's pow gives these bytes on
@@ -399,7 +510,7 @@ class TestRunIslands:
         spec, ev = c.builtin_problem("boost")
         run_islands(spec, IslandConfig(5, 40, 10, eta_crossover=2.0), ev, seed=0, log_path=tmp_path / "ga.log")
         digest = hashlib.sha256((tmp_path / "ga.log").read_bytes()).hexdigest()
-        assert digest == "d7948d9f5cccbd315029355403b58acd5f9fb4bb5f2ff4110ca51a62631087a8"
+        assert digest == "c1a79e4e1aa98e93c8ae9c44937dc24858c2edfb295df67430f622236c09945f"
 
     def test_dropped_sample_id_raises(self, dropping):
         spec, ev = c.builtin_problem("sphere_ring", 2)
