@@ -7,6 +7,7 @@ term steers later iterations almost entirely into the valid region.
 """
 
 import carsopt
+from carsopt.engine import iteration_stats
 
 spec, evaluator = carsopt.builtin_problem("boost")
 state = carsopt.run(spec, carsopt.RunConfig(n_total=5000, seed=0), evaluator)
@@ -15,17 +16,18 @@ state = carsopt.run(spec, carsopt.RunConfig(n_total=5000, seed=0), evaluator)
 # Valid fraction per iteration: the signature of penalty-driven focusing
 # ---------------------------------------------------------------------------
 print("iter  valid fraction")
-for s in state.iteration_stats():
+for s in iteration_stats(state.records):
     bar = "#" * int(40 * s["valid"] / s["n"])
     print(f"{s['iteration']:4d}  {s['valid'] / s['n']:.3f}  {bar}")
 
 # ---------------------------------------------------------------------------
 # The best valid design
 # ---------------------------------------------------------------------------
-valid = [r for r in state.records if r.valid]
-best = max(valid, key=lambda r: r.fitness)
+valid = [r for r in state.records if r["valid"]]
+best = max(valid, key=lambda r: r["fitness"])
 print(f"\nvalid designs: {len(valid)}/{len(state.records)}")
-print(f"best design: C1={best.params['C1'][0]:.3e} F, "
-      f"L1={best.params['L1'][0]:.3e} H, fsw={best.params['fsw'][0]:.3e} Hz")
-print(f"  vmean={best.meas['vmean'][0]:.3f} V, "
-      f"vrip={best.meas['vrip'][0]:.4f} V, eff={best.meas['eff_tot'][0]:.4f}")
+params, meas = best["params"], best["meas"]
+print(f"best design: C1={params['C1'][0]:.3e} F, "
+      f"L1={params['L1'][0]:.3e} H, fsw={params['fsw'][0]:.3e} Hz")
+print(f"  vmean={meas['vmean'][0]:.3f} V, "
+      f"vrip={meas['vrip'][0]:.4f} V, eff={meas['eff_tot'][0]:.4f}")

@@ -23,7 +23,7 @@ for variant, overrides in STUDY_VARIANTS.items():
         state = carsopt.run(spec, cfg, evaluator)
         per_iter = {}
         for r in state.records:
-            per_iter.setdefault(r.iteration, []).append(r.fitness)
+            per_iter.setdefault(r["iteration"], []).append(r["fitness"])
         means = [np.mean(v) for _, v in sorted(per_iter.items())]
         first.append(means[0])
         last.append(means[-1])

@@ -42,7 +42,7 @@ try:
 finally:
     evaluator.close()
 
-best = max(state.records, key=lambda r: r.fitness)
+best = max(state.records, key=lambda r: r["fitness"])
 print(f"samples: {len(state.records)}")
-print(f"best x: {best.params['x'][0]:.4f} (optimum 0.3000)")
-print(f"best y: {best.meas['y'][0]:.6f}")
+print(f"best x: {best['params']['x'][0]:.4f} (optimum 0.3000)")
+print(f"best y: {best['meas']['y'][0]:.6f}")

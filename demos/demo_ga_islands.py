@@ -18,11 +18,11 @@ result = run_islands(spec, config, evaluator, seed=0)
 # Merged front 0, sorted by the voltage-target objective
 # ---------------------------------------------------------------------------
 front = sorted(result.front0, key=lambda ind: -ind.objectives[0])
-valid_at = {r.unit: r.valid for r in result.records}
+valid_at = {tuple(r["unit"]): r["valid"] for r in result.records}
 print(f"\nfront 0 size: {len(front)} (from {config.n_islands} islands)")
 print("voltage objective   efficiency   valid")
 for ind in front[:15]:
     print(f"{ind.objectives[0]:17.4f}   {ind.objectives[1]:10.4f}   {valid_at[tuple(ind.genome.tolist())]}")
 
-valid = sum(r.valid for r in result.records)
+valid = sum(r["valid"] for r in result.records)
 print(f"\nvalid evaluations overall: {valid}/{len(result.records)}")

@@ -8,6 +8,7 @@ has to settle onto the inner shell at radius 0.3.
 import numpy as np
 
 import carsopt
+from carsopt.engine import iteration_stats
 
 # ---------------------------------------------------------------------------
 # Set up the problem and run with default settings (pooling + oversampling on)
@@ -17,20 +18,20 @@ config = carsopt.RunConfig(n_total=5000, seed=0)
 state = carsopt.run(spec, config, evaluator)
 
 print(f"samples: {len(state.records)}")
-print(f"iterations: {max(r.iteration for r in state.records) + 1}")
+print(f"iterations: {max(r['iteration'] for r in state.records) + 1}")
 
 # ---------------------------------------------------------------------------
 # Fitness climbs iteration by iteration as the softmax sharpens
 # ---------------------------------------------------------------------------
 print("\niter  fit_mean  fit_max  valid")
-for s in state.iteration_stats():
+for s in iteration_stats(state.records):
     print(f"{s['iteration']:4d}  {s['fit_mean']:8.3f}  {s['fit_max']:7.3f}  {s['valid']:5d}")
 
 # ---------------------------------------------------------------------------
 # Best valid design found
 # ---------------------------------------------------------------------------
-valid = [r for r in state.records if r.valid]
-best = max(valid, key=lambda r: r.fitness)
-x = np.array([best.params[f"x{i}"][0] for i in range(4)])
-print(f"\nbest valid sphere value: {best.meas['sphere'][0]:.4f} (optimum 0.09)")
+valid = [r for r in state.records if r["valid"]]
+best = max(valid, key=lambda r: r["fitness"])
+x = np.array([best["params"][f"x{i}"][0] for i in range(4)])
+print(f"\nbest valid sphere value: {best['meas']['sphere'][0]:.4f} (optimum 0.09)")
 print(f"radius: {np.linalg.norm(x):.4f} (target shell starts at 0.30)")

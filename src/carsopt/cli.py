@@ -96,7 +96,7 @@ def cmd_run(args) -> int:
         evaluator.close()
     engine.export_summary_csv(records, out / "summary.csv")
     engine.export_valid_samples_csv(spec, records, out / "valid_samples.csv")
-    valid = sum(r.valid for r in records)
+    valid = sum(r["valid"] for r in records)
     print(f"samples: {len(records)}  valid: {valid}  log: {log_path}")
     return 0
 
@@ -110,7 +110,7 @@ def cmd_resume(args) -> int:
     out = _out_dir(args)
     engine.export_summary_csv(state.records, out / "summary.csv")
     engine.export_valid_samples_csv(spec, state.records, out / "valid_samples.csv")
-    valid = sum(r.valid for r in state.records)
+    valid = sum(r["valid"] for r in state.records)
     print(f"samples: {len(state.records)}  valid: {valid}  log: {args.log}")
     return 0
 
@@ -204,7 +204,7 @@ def run_study(spec, evaluator, config: RunConfig, seeds: list[int]) -> list[dict
     for variant, overrides in STUDY_VARIANTS.items():
         for seed in seeds:
             state = engine.run(spec, dataclasses.replace(config, seed=seed, **overrides), evaluator)
-            for s in state.iteration_stats():
+            for s in engine.iteration_stats(state.records):
                 rows.append(
                     {
                         "variant": variant,

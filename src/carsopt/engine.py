@@ -34,7 +34,6 @@ from .tensor import SubdomainTensor
 __all__ = [
     "RunConfig",
     "RunState",
-    "SampleRecord",
     "EngineError",
     "heuristic_schedule",
     "iteration_sizes",
@@ -48,7 +47,6 @@ __all__ = [
     "sample_records",
     "run_header",
     "open_log",
-    "sample_json",
     "iteration_stats",
     "export_summary_csv",
     "export_valid_samples_csv",
@@ -151,24 +149,6 @@ class RunConfig:
 
 
 @dataclass
-class SampleRecord:
-    """One evaluated sample with the fields its log line holds; a raw
-    objective or penalty that is not finite is None, as logged."""
-
-    sample_id: int
-    iteration: int
-    subdomain: tuple[int, ...]
-    unit: tuple[float, ...]
-    params: dict
-    meas: dict | None
-    error: str | None
-    objective_raw: list[float | None]
-    penalty_raw: list[float | None]
-    fitness: float
-    valid: bool
-
-
-@dataclass
 class RunState:
     spec: ProblemSpec
     config: RunConfig
@@ -177,27 +157,24 @@ class RunState:
     consts: fit.NormalizationConstants | None = None
     iteration: int = 0  # next iteration to execute
     alpha: float = 0.0
-    records: list[SampleRecord] = field(default_factory=list)
-
-    def iteration_stats(self) -> list[dict]:
-        return iteration_stats(self.records)
+    records: list[dict] = field(default_factory=list)  # the log's sample lines
 
 
-def iteration_stats(records: list[SampleRecord]) -> list[dict]:
+def iteration_stats(records: list[dict]) -> list[dict]:
     """Per-iteration (min, mean, max) fitness and valid count."""
-    by_iter: dict[int, list[SampleRecord]] = {}
+    by_iter: dict[int, list[dict]] = {}
     for r in records:
-        by_iter.setdefault(r.iteration, []).append(r)
+        by_iter.setdefault(r["iteration"], []).append(r)
     stats = []
     for i in sorted(by_iter):
-        fs = [r.fitness for r in by_iter[i]]
+        fs = [r["fitness"] for r in by_iter[i]]
         stats.append(
             {
                 "iteration": i,
                 "fit_min": min(fs),
                 "fit_mean": sum(fs) / len(fs),
                 "fit_max": max(fs),
-                "valid": sum(r.valid for r in by_iter[i]),
+                "valid": sum(r["valid"] for r in by_iter[i]),
                 "n": len(fs),
             }
         )
@@ -217,7 +194,7 @@ def iteration_rng(seed: int, iteration: int) -> np.random.Generator:
 
 # ---------------------------------------------------------------------------
 # The sample pipeline shared with the GA: unit points -> requests -> results
-# -> one batch breakdown -> records -> log lines
+# -> one batch breakdown -> records, each the dict its log line encodes
 # ---------------------------------------------------------------------------
 
 def _physical_params(spec: ProblemSpec, dims, units) -> list[dict]:
@@ -258,12 +235,13 @@ def evaluate_units(spec: ProblemSpec, dims, evaluator, units, first_id: int):
     return requests, results, fit.evaluate_breakdown(spec, [r.meas for r in results])
 
 
-def sample_records(iteration: int, units, subdomains, requests, results, bd, fitnesses) -> list[SampleRecord]:
+def sample_records(iteration: int, units, subdomains, requests, results, bd, fitnesses) -> list[dict]:
     """One record per evaluated sample, all from the same iteration; ``bd``
-    is the batch's breakdown."""
+    is the batch's breakdown.  A record is the dict its log line encodes; a
+    raw objective or penalty that is not finite is None in it."""
     columns = (
-        map(tuple, np.asarray(subdomains).tolist()),
-        map(tuple, np.asarray(units).tolist()),
+        np.asarray(subdomains).tolist(),
+        np.asarray(units).tolist(),
         requests,
         results,
         _nan_safe(bd.objective_raw),
@@ -272,7 +250,20 @@ def sample_records(iteration: int, units, subdomains, requests, results, bd, fit
         bd.valid.tolist(),
     )
     return [
-        SampleRecord(req.sample_id, iteration, sub, unit, req.params, res.meas, res.error, obj, pen, f, valid)
+        {
+            "type": "sample",
+            "id": req.sample_id,
+            "iteration": iteration,
+            "subdomain": sub,
+            "unit": unit,
+            "params": req.params,
+            "meas": res.meas,
+            "error": res.error,
+            "objective_raw": obj,
+            "penalty_raw": pen,
+            "fitness": f,
+            "valid": valid,
+        }
         for sub, unit, req, res, obj, pen, f, valid in zip(*columns)
     ]
 
@@ -310,24 +301,6 @@ def open_log(path, mode: str):
             fh.flush()
 
         yield emit
-
-
-def sample_json(rec: SampleRecord) -> dict:
-    """A record as its log line."""
-    return {
-        "type": "sample",
-        "id": rec.sample_id,
-        "iteration": rec.iteration,
-        "subdomain": list(rec.subdomain),
-        "unit": list(rec.unit),
-        "params": rec.params,
-        "meas": rec.meas,
-        "error": rec.error,
-        "objective_raw": rec.objective_raw,
-        "penalty_raw": rec.penalty_raw,
-        "fitness": rec.fitness,
-        "valid": rec.valid,
-    }
 
 
 def _nan_safe(a: np.ndarray) -> list[list]:
@@ -409,7 +382,7 @@ def run(
             state.store.extend(units, fitnesses)
             records = sample_records(iteration, units, mis, requests, results, bd, fitnesses)
             state.records.extend(records)
-            emit(lines + [sample_json(rec) for rec in records])
+            emit(lines + records)
             state.iteration = iteration + 1
             if stop_after_iteration is not None and iteration >= stop_after_iteration:
                 break
@@ -441,22 +414,6 @@ def read_log(path) -> list[dict]:
     if not records or records[0].get("type") != "run":
         raise EngineError("log does not start with a run header")
     return records
-
-
-def _record_from_json(obj: dict) -> SampleRecord:
-    return SampleRecord(
-        sample_id=obj["id"],
-        iteration=obj["iteration"],
-        subdomain=tuple(obj["subdomain"]),
-        unit=tuple(obj["unit"]),
-        params=obj["params"],
-        meas=obj["meas"],
-        error=obj.get("error"),
-        objective_raw=obj["objective_raw"],
-        penalty_raw=obj["penalty_raw"],
-        fitness=obj["fitness"],
-        valid=obj["valid"],
-    )
 
 
 def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
@@ -503,14 +460,14 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
         elif kind == "iteration" and obj["iteration"] < done:
             state.alpha = obj["alpha"]
         elif kind == "sample" and obj["iteration"] < done:
-            state.records.append(_record_from_json(obj))
+            state.records.append(obj)
     # One max-fold of all kept samples; reshape keeps the (0, n_dim) shape
     # when there are none.
     n = len(state.records)
-    fitnesses = [r.fitness for r in state.records]
-    subdomains = np.array([r.subdomain for r in state.records], dtype=np.intp).reshape(n, len(dims))
+    fitnesses = [r["fitness"] for r in state.records]
+    subdomains = np.array([r["subdomain"] for r in state.records], dtype=np.intp).reshape(n, len(dims))
     state.tensor.update_many(subdomains, fitnesses)
-    units = np.array([r.unit for r in state.records], dtype=float).reshape(n, len(dims))
+    units = np.array([r["unit"] for r in state.records], dtype=float).reshape(n, len(dims))
     state.store.extend(units, fitnesses)
     return state
 
@@ -557,7 +514,7 @@ def resume(
 # CSV exports
 # ---------------------------------------------------------------------------
 
-def export_summary_csv(records: list[SampleRecord], path) -> None:
+def export_summary_csv(records: list[dict], path) -> None:
     """Per-iteration min/mean/max fitness and valid count."""
     import csv
 
@@ -568,7 +525,7 @@ def export_summary_csv(records: list[SampleRecord], path) -> None:
             w.writerow([s["iteration"], s["fit_min"], s["fit_mean"], s["fit_max"], s["valid"], s["n"]])
 
 
-def export_valid_samples_csv(spec: ProblemSpec, records: list[SampleRecord], path) -> None:
+def export_valid_samples_csv(spec: ProblemSpec, records: list[dict], path) -> None:
     """Parameter and measurement table of boundary-valid samples."""
     import csv
 
@@ -587,9 +544,10 @@ def export_valid_samples_csv(spec: ProblemSpec, records: list[SampleRecord], pat
             + [f"{n}[{op}]" for n, op in meas_cols]
         )
         for rec in records:
-            if not rec.valid:
+            if not rec["valid"]:
                 continue
-            row = [rec.sample_id, rec.iteration, rec.fitness]
-            row += [rec.params[n][op] for n, op in param_cols]
-            row += [rec.meas[n][op] if rec.meas and n in rec.meas else "" for n, op in meas_cols]
+            meas = rec["meas"]
+            row = [rec["id"], rec["iteration"], rec["fitness"]]
+            row += [rec["params"][n][op] for n, op in param_cols]
+            row += [meas[n][op] if meas and n in meas else "" for n, op in meas_cols]
             w.writerow(row)

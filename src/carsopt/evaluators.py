@@ -257,12 +257,14 @@ def _is_number_lists(meas) -> bool:
 
 
 def _parse_response(line: bytearray) -> EvaluationResult | None:
-    """The result a response line carries; None for a line naming no id."""
+    """The result a response line carries; None for a line naming no integer id."""
     try:
         obj = json.loads(line.decode())  # UnicodeDecodeError is a ValueError
-        sid = int(obj["id"])
+        sid = obj["id"]
     except (ValueError, TypeError, KeyError):
         return None  # unattributable noise
+    if type(sid) is not int:
+        return None  # an id of 2.5, "2" or true names no sample
     meas = obj.get("meas")
     if isinstance(meas, dict):
         if not _is_number_lists(meas):
@@ -277,12 +279,12 @@ class ExternalEvaluator:
     Up to 16 requests are outstanding at once; responses may arrive in any
     order and are matched by id.  The child's stdout is read in the calling
     thread, by ``select`` on its pipe (POSIX only), and a response counts
-    once its newline arrives.  A line that is not UTF-8 JSON naming an id is
-    ignored as noise.  The child has one clock of ``timeout`` seconds,
-    restarted at each response and at a write into an idle child.  When it
-    runs out, the oldest outstanding request fails with ``"timeout"`` and
-    the child is killed and respawned; the requests queued behind it are
-    sent again.  A malformed response (one whose measurement values are not
+    once its newline arrives.  A line that is not UTF-8 JSON naming an
+    integer id is ignored as noise.  The child has one clock of ``timeout``
+    seconds, restarted at each response and at a write into an idle child.
+    When it runs out, the oldest outstanding request fails with
+    ``"timeout"`` and the child is killed and respawned; the requests queued
+    behind it are sent again.  A malformed response (one whose measurement values are not
     all lists of numbers, for one) fails its sample only; a child that
     exits or closes its stdin mid-batch raises
     :class:`EvaluatorTransportError`.  A ``timeout`` that is not a finite

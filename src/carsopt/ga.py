@@ -19,12 +19,12 @@ front with a single sort by (front, value) per objective.  Fronts, their
 ascending index order and the crowding floats equal those of the per-index
 loops.
 
-Generation g of every island is one batch, evaluated, scored, recorded and
-logged by the same engine functions as a CARS iteration (``evaluate_units``,
-``sample_records``, ``sample_json``), so both methods write the same log
-format: a run header, then per generation a ``generation`` line and its
-sample lines, island by island, each tagged with its island.  A record's
-``iteration`` is its generation.
+Generation g of every island is one batch, evaluated, scored and recorded
+by the same engine functions as a CARS iteration (``evaluate_units``,
+``sample_records``), so both methods write the same log format: a run
+header, then per generation a ``generation`` line and its sample lines,
+island by island.  A record is its log line: the engine's sample dict with
+an ``island`` key last.  Its ``iteration`` is its generation.
 
 Objectives follow the maximization convention; boundary penalties (weighted
 by rho = 10,000) are subtracted from every objective of an individual.  A
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fitness as fit
-from .engine import SampleRecord, evaluate_units, iteration_rng, open_log, run_header, sample_json, sample_records
+from .engine import evaluate_units, iteration_rng, open_log, run_header, sample_records
 from .problem import ProblemError, ProblemSpec, sampled_dimensions
 
 __all__ = [
@@ -70,6 +70,9 @@ class IslandConfig:
     eta_crossover: float = 1.0
 
     def __post_init__(self):
+        for name in ("sigma_mutate", "alpha_crossover", "eta_crossover"):
+            if not math.isfinite(getattr(self, name)):
+                raise ProblemError(f"{name} must be finite, got {getattr(self, name)}")
         for name, least in (("n_islands", 1), ("population_size", 1), ("generations", 0), ("eta_crossover", 0)):
             if getattr(self, name) < least:
                 raise ProblemError(f"{name} must be >= {least}")
@@ -92,7 +95,7 @@ class Individual:
 
 @dataclass
 class GAResult:
-    records: list[SampleRecord]
+    records: list[dict]  # the log's sample lines
     front0: list[Individual]
     total_evaluations: int
 
@@ -259,7 +262,7 @@ def run_islands(
     dims = sampled_dimensions(spec)
     size, n_dim = cfg.population_size, len(dims)
     rngs = [iteration_rng(seed, 1_000_000 + island) for island in range(cfg.n_islands)]
-    records: list[SampleRecord] = []
+    records: list[dict] = []
 
     with open_log(log_path, "w") as emit:
 
@@ -269,8 +272,9 @@ def run_islands(
             requests, results, bd = evaluate_units(spec, dims, evaluator, units, generation * len(units))
             vecs = fit.ga_objective_vector(bd)
             batch = sample_records(generation, units, [()] * len(units), requests, results, bd, vecs.mean(axis=1))
-            lines = [{**sample_json(rec), "island": k // size} for k, rec in enumerate(batch)]
-            emit([{"type": "generation", "generation": generation}, *lines])
+            for k, rec in enumerate(batch):
+                rec["island"] = k // size
+            emit([{"type": "generation", "generation": generation}, *batch])
             records.extend(batch)
             return vecs.reshape(cfg.n_islands, size, -1)
 

@@ -144,6 +144,9 @@ class TestRun:
             ('"builtin:sphere_ring"', "5", "run.evaluator"),
             ("  seed: 0", "  seed: -1", "seed must be in [0, 2**63)"),
             ("  n_total: 200", "  n_total: 1" + "0" * 400, "run.n_total"),
+            ("population_size: 5", "population_size: 5, sigma_mutate: .nan", "sigma_mutate must be finite"),
+            ("population_size: 5", "population_size: 5, alpha_crossover: .nan", "alpha_crossover must be finite"),
+            ("population_size: 5", "population_size: 5, eta_crossover: .inf", "eta_crossover must be finite"),
         ],
         ids=[
             "unknown",
@@ -163,6 +166,9 @@ class TestRun:
             "evaluator-not-string",
             "negative-seed",
             "int-past-64-bits",
+            "ga-nan-sigma",
+            "ga-nan-alpha",
+            "ga-inf-eta",
         ],
     )
     def test_bad_run_key_is_config_error(self, tmp_path, capsys, old, new, named):
@@ -459,7 +465,7 @@ class TestStudy:
         rows = [r for r in read_csv(out / "study.csv") if r["variant"] == "none"]
         spec, ev = c.builtin_problem("sphere_ring", 4)
         cfg = RunConfig(n_total=100, seed=3, alpha_schedule="const:0", **STUDY_VARIANTS["none"])
-        want = c.run(spec, cfg, ev).iteration_stats()
+        want = engine.iteration_stats(c.run(spec, cfg, ev).records)
         assert [float(r["fit_mean"]) for r in rows] == [s["fit_mean"] for s in want]
 
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--no-pooling"], ["--no-oversampling"]])

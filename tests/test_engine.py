@@ -29,6 +29,11 @@ from carsopt.tensor import OPTIMISTIC_INIT, SubdomainTensor
 from dense_view import cells
 
 
+def sample_lines(path) -> list[str]:
+    """The sample lines of a run log, as written."""
+    return [line for line in path.read_text().splitlines() if line.startswith('{"type": "sample"')]
+
+
 def two_op_problem():
     """Two operating points, a log and a linear parameter beside a grid one,
     and one boundary of each kind.  The model raises for L > 0.9 (failed
@@ -108,14 +113,14 @@ class TestRun:
         spec, ev = c.builtin_problem("sphere_ring", 3)
         st = c.run(spec, RunConfig(n_total=300, seed=1), ev)
         for r in st.records:
-            for coord, cell in zip(r.unit, r.subdomain):
+            for coord, cell in zip(r["unit"], r["subdomain"]):
                 assert cell / 9 <= coord < (cell + 1) / 9
 
     def test_uniform_when_alpha_zero(self):
         spec, ev = c.builtin_problem("sphere_ring", 2)
         cfg = RunConfig(n_total=100_000, seed=5, n_pool=0, oversampling=False, alpha_schedule="const:0")
         st = c.run(spec, cfg, ev)
-        counts = collections.Counter(r.subdomain for r in st.records)
+        counts = collections.Counter(tuple(r["subdomain"]) for r in st.records)
         observed = np.array([counts.get((i, j), 0) for i in range(9) for j in range(9)])
         expected = 100_000 / 81
         chi2 = float(((observed - expected) ** 2 / expected).sum())
@@ -128,7 +133,7 @@ class TestRun:
         st = c.run(spec, cfg, ev)
         frac = {}
         for r in st.records:
-            frac.setdefault(r.iteration, []).append(r.subdomain == (0, 0))
+            frac.setdefault(r["iteration"], []).append(r["subdomain"] == [0, 0])
         frac = {i: sum(v) / len(v) for i, v in frac.items()}
         assert frac[5] > frac[2]
         assert frac[8] > frac[5]
@@ -164,8 +169,8 @@ class TestRun:
 
         st = c.run(spec, RunConfig(n_total=100, seed=0), BuiltinEvaluator(flaky))
         assert len(st.records) == 100
-        failed = [r for r in st.records if r.meas is None]
-        assert failed and all(r.fitness == 0.0 for r in failed)
+        failed = [r for r in st.records if r["meas"] is None]
+        assert failed and all(r["fitness"] == 0.0 for r in failed)
 
 
 class TestDeterminismAndResume:
@@ -187,6 +192,8 @@ class TestDeterminismAndResume:
     def test_resumed_records_equal_uninterrupted(self, tmp_path):
         # A NaN radius makes a failed sample whose measurements are logged:
         # its restored record must be the one the uninterrupted run made.
+        # Records are the log's sample lines, both for the uninterrupted run
+        # and for the run resumed from its middle.
         spec, inner = c.builtin_problem("sphere_ring", 2)
 
         def model(params):
@@ -199,12 +206,11 @@ class TestDeterminismAndResume:
         c.run(spec, cfg, ev, log_path=tmp_path / "part.log", stop_after_iteration=1)
         resumed = c.resume(tmp_path / "part.log", spec, cfg, ev)
         assert (tmp_path / "full.log").read_bytes() == (tmp_path / "part.log").read_bytes()
-        assert any(r.meas and math.isnan(r.meas["radius"][0]) and r.iteration <= 1 for r in full.records)
-
-        def dump(rec):
-            return json.dumps(dataclasses.asdict(rec), sort_keys=True)
-
-        assert [dump(r) for r in resumed.records] == [dump(r) for r in full.records]
+        assert any(r["meas"] and math.isnan(r["meas"]["radius"][0]) and r["iteration"] <= 1 for r in full.records)
+        lines = sample_lines(tmp_path / "full.log")
+        assert len(lines) == 100
+        assert [json.dumps(r) for r in full.records] == lines
+        assert [json.dumps(r) for r in resumed.records] == lines
 
     def test_pinned_log_with_oversampling(self, tmp_path):
         # sphere_ring 6-D with pooling and oversampling: 10 iterations of 60,
@@ -243,7 +249,7 @@ class TestDeterminismAndResume:
         st = c.run(spec, cfg, ev, log_path=tmp_path / "r.log")
         st2 = c.resume(tmp_path / "r.log", spec, cfg, ev)
         assert len(st2.records) == len(st.records)
-        assert [r.fitness for r in st2.records] == [r.fitness for r in st.records]
+        assert [r["fitness"] for r in st2.records] == [r["fitness"] for r in st.records]
         assert np.array_equal(cells(st2.tensor), cells(st.tensor))
 
     def test_tensor_reconstruction(self, tmp_path):
@@ -395,8 +401,8 @@ class TestDeterminismAndResume:
         c.run(spec, cfg, ev, log_path=tmp_path / "h.log", stop_after_iteration=5)
         greedy = RunConfig(n_total=2000, seed=3, n_pool=0, oversampling=False, alpha_schedule="const:20")
         st = c.resume(tmp_path / "h.log", spec, greedy, ev)
-        post = [r for r in st.records if r.iteration >= 6]
-        counts = collections.Counter(r.subdomain for r in post)
+        post = [r for r in st.records if r["iteration"] >= 6]
+        counts = collections.Counter(tuple(r["subdomain"]) for r in post)
         top, n = counts.most_common(1)[0]
         assert top == (0, 0)
         assert n / len(post) > 0.9
@@ -411,7 +417,7 @@ class TestLog:
         assert entries[0]["type"] == "run"
         samples = [e for e in entries if e["type"] == "sample"]
         assert len(samples) == 60
-        assert [s["fitness"] for s in samples] == [r.fitness for r in st.records]
+        assert [s["fitness"] for s in samples] == [r["fitness"] for r in st.records]
 
     def test_killed_run_keeps_complete_iterations(self, tmp_path, killed_run):
         # 10 iterations of 40 samples; the 300th evaluation is in iteration 7.
@@ -436,7 +442,7 @@ class TestLog:
         export_valid_samples_csv(spec, st.records, tmp_path / "v.csv")
         header = (tmp_path / "s.csv").read_text().splitlines()[0]
         assert header == "iteration,fit_min,fit_mean,fit_max,valid,n"
-        n_valid = sum(r.valid for r in st.records)
+        n_valid = sum(r["valid"] for r in st.records)
         assert len((tmp_path / "v.csv").read_text().splitlines()) == n_valid + 1
 
 

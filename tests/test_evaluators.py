@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import textwrap
@@ -12,6 +13,7 @@ from carsopt.evaluators import (
     EvaluationRequest,
     EvaluatorTransportError,
     ExternalEvaluator,
+    _parse_response,
     builtin_problem,
     make_evaluator,
     surrogate_boost,
@@ -162,10 +164,10 @@ class TestBuiltinEvaluator:
             return inner.evaluate_batch([EvaluationRequest(0, params)])[0].meas
 
         records = run(spec, RunConfig(n_total=60, seed=0), BuiltinEvaluator(model)).records
-        bad = [r for r in records if abs(r.params["x0"][0]) > 0.5]
+        bad = [r for r in records if abs(r["params"]["x0"][0]) > 0.5]
         assert len(records) == 60 and bad
-        assert all(r.error == "malformed measurements" and not r.valid for r in bad)
-        assert all(r.error is None for r in records if r not in bad)
+        assert all(r["error"] == "malformed measurements" and not r["valid"] for r in bad)
+        assert all(r["error"] is None for r in records if r not in bad)
 
 
 def child_script(tmp_path, body):
@@ -315,6 +317,28 @@ class TestExternalEvaluator:
         finally:
             ev.close()
         assert all(r.ok and r.meas["y"] == [7.0] for r in res)
+
+    def test_non_integer_id_attributes_nothing(self, tmp_path):
+        # 1.5 would truncate to sample 1; it names no sample, so sample 1
+        # times out and no other sample takes its measurements.
+        body = """\
+            import sys, json
+            for line in sys.stdin:
+                req = json.loads(line)
+                sid = req["id"] + 0.5 if req["id"] == 1 else req["id"]
+                print(json.dumps({"id": sid, "meas": {"y": [float(sid)]}}), flush=True)
+        """
+        ev = ExternalEvaluator(child_script(tmp_path, body), timeout=0.5)
+        try:
+            res = ev.evaluate_batch(self.requests(4))
+        finally:
+            ev.close()
+        assert [r.error for r in res] == [None, "timeout", None, None]
+        assert [r.meas["y"][0] for r in res if r.ok] == [0.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("sid", [2.5, 2.0, "2", True])
+    def test_only_an_int_id_names_a_sample(self, sid):
+        assert _parse_response(bytearray(json.dumps({"id": sid, "meas": {"y": [1.0]}}).encode())) is None
 
     def test_undecodable_line_ignored(self, tmp_path):
         body = """\

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import warnings
 from types import SimpleNamespace
@@ -19,6 +20,7 @@ from carsopt.ga import (
     sbx_crossover,
 )
 from carsopt.problem import ProblemError
+from test_engine import sample_lines
 
 
 def reference_nondominated_sort(objectives):
@@ -405,21 +407,21 @@ class TestRunIslands:
     def test_unique_sample_ids(self):
         spec, ev = c.builtin_problem("sphere_ring", 2)
         res = run_islands(spec, make_cfg(n_islands=3, population_size=5, generations=2), ev, seed=1)
-        ids = [r.sample_id for r in res.records]
+        ids = [r["id"] for r in res.records]
         assert len(set(ids)) == len(ids)
 
     def test_no_variation_keeps_initial_genomes(self):
         spec, ev = c.builtin_problem("sphere_ring", 2)
         cfg = make_cfg(p_crossover=0.0, p_mutate=0.0, population_size=6, generations=3)
         res = run_islands(spec, cfg, ev, seed=2)
-        initial = {r.unit for r in res.records if r.iteration == 0}
-        later = {r.unit for r in res.records if r.iteration > 0}
+        initial = {tuple(r["unit"]) for r in res.records if r["iteration"] == 0}
+        later = {tuple(r["unit"]) for r in res.records if r["iteration"] > 0}
         assert later <= initial
 
     def test_single_objective_elitism(self):
         spec, ev = c.builtin_problem("rosenbrock_box", 2)
         res = run_islands(spec, make_cfg(population_size=10, generations=5), ev, seed=3)
-        best_seen = max(r.fitness for r in res.records)
+        best_seen = max(r["fitness"] for r in res.records)
         best_front = max(float(ind.objectives[0]) for ind in res.front0)
         assert best_front == pytest.approx(best_seen)
 
@@ -438,14 +440,13 @@ class TestRunIslands:
         cfg3 = make_cfg(n_islands=3, population_size=6, generations=2)
         r1 = run_islands(spec, cfg1, ev, seed=5)
         r3 = run_islands(spec, cfg3, ev, seed=5)
-        island0 = [r for r in r3.records if r.sample_id // 6 % 3 == 0]
-        assert [r.unit for r in island0] == [r.unit for r in r1.records]
-        assert [r.fitness for r in island0] == [r.fitness for r in r1.records]
-        assert [r.iteration for r in island0] == [r.iteration for r in r1.records]
+        island0 = [r for r in r3.records if r["id"] // 6 % 3 == 0]
+        assert [r["island"] for r in island0] == [0] * len(r1.records)
+        assert [r["unit"] for r in island0] == [r["unit"] for r in r1.records]
+        assert [r["fitness"] for r in island0] == [r["fitness"] for r in r1.records]
+        assert [r["iteration"] for r in island0] == [r["iteration"] for r in r1.records]
 
     def test_log_written(self, tmp_path):
-        import json
-
         spec, ev = c.builtin_problem("sphere_ring", 2)
         cfg = make_cfg(n_islands=2, population_size=4, generations=1)
         run_islands(spec, cfg, ev, seed=6, log_path=tmp_path / "ga.log")
@@ -455,6 +456,15 @@ class TestRunIslands:
         assert len(samples) == cfg.total_evaluations
         assert {s["island"] for s in samples} == {0, 1}
 
+    def test_records_are_log_sample_lines(self, tmp_path):
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        cfg = make_cfg(n_islands=2, population_size=4, generations=2)
+        res = run_islands(spec, cfg, ev, seed=6, log_path=tmp_path / "ga.log")
+        lines = sample_lines(tmp_path / "ga.log")
+        assert len(lines) == cfg.total_evaluations
+        assert [json.dumps(r) for r in res.records] == lines
+        assert all(list(r)[-1] == "island" for r in res.records)
+
     @pytest.mark.parametrize("islands,size,generations", [(3, 5, 2), (1, 4, 3), (2, 7, 0)])
     def test_generation_major_log(self, tmp_path, islands, size, generations):
         spec, ev = c.builtin_problem("sphere_ring", 2)
@@ -463,7 +473,7 @@ class TestRunIslands:
         entries = read_log(tmp_path / "ga.log")[1:]
         samples = [e for e in entries if e["type"] == "sample"]
         assert [s["id"] for s in samples] == list(range(cfg.total_evaluations))
-        assert [r.sample_id for r in res.records] == list(range(cfg.total_evaluations))
+        assert [r["id"] for r in res.records] == list(range(cfg.total_evaluations))
         block = islands * size
         assert len(entries) == (generations + 1) * (block + 1)
         for g in range(generations + 1):
@@ -482,7 +492,16 @@ class TestRunIslands:
         assert sum(e["type"] == "sample" for e in read_log(log)) == 60
 
     @pytest.mark.parametrize(
-        "values", [(1, 0, 2), (1, 3, -1), (0, 4, 1), (1, 4, 1, 0.1, 0.3, 0.4, 0.95, 0.2, -1.0)]
+        "values",
+        [
+            (1, 0, 2),
+            (1, 3, -1),
+            (0, 4, 1),
+            (1, 4, 1, 0.1, 0.3, 0.4, 0.95, 0.2, -1.0),
+            (1, 4, 1, 0.1, 0.3, math.nan),
+            (1, 4, 1, 0.1, 0.3, 0.4, 0.95, math.nan),
+            (1, 4, 1, 0.1, 0.3, 0.4, 0.95, 0.2, math.nan),
+        ],
     )
     def test_settings_that_cannot_run_rejected(self, values):
         with pytest.raises(ProblemError):
