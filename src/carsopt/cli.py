@@ -39,9 +39,13 @@ EXIT_INTERRUPTED = 4
 
 
 def _out_dir(args) -> Path:
-    out = args.out_dir or os.environ.get("CARSOPT_OUT_DIR") or "out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    """The output directory, created; one that cannot be is a ProblemError.
+    Subcommands call it before they spawn an evaluator."""
+    path = Path(args.out_dir or os.environ.get("CARSOPT_OUT_DIR") or "out")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ProblemError(f"cannot create --out-dir {str(path)!r}: {exc.strerror or exc}") from None
     return path
 
 
@@ -82,8 +86,8 @@ def cmd_run(args) -> int:
         refused = [flag for name, flag in _CARS_FLAGS.items() if getattr(args, name) is not None]
         if refused:
             raise ProblemError(f"--method ga does not take {', '.join(refused)}")
-    spec, cfg, ga_cfg, evaluator = _load(args)
     out = _out_dir(args)
+    spec, cfg, ga_cfg, evaluator = _load(args)
     log_path = out / "run.log"
     try:
         if args.method == "cars":
@@ -102,12 +106,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_resume(args) -> int:
+    out = _out_dir(args)
     spec, cfg, _, evaluator = _load(args)
     try:
         state = engine.resume(args.log, spec, cfg, evaluator)
     finally:
         evaluator.close()
-    out = _out_dir(args)
     engine.export_summary_csv(state.records, out / "summary.csv")
     engine.export_valid_samples_csv(spec, state.records, out / "valid_samples.csv")
     valid = sum(r["valid"] for r in state.records)
@@ -219,12 +223,12 @@ def run_study(spec, evaluator, config: RunConfig, seeds: list[int]) -> list[dict
 
 
 def cmd_study(args) -> int:
+    out = _out_dir(args)
     spec, cfg, _, evaluator = _load(args)
     try:
         rows = run_study(spec, evaluator, cfg, args.seeds)
     finally:
         evaluator.close()
-    out = _out_dir(args)
     path = out / "study.csv"
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=["variant", "seed", "iteration", "fit_min", "fit_mean", "fit_max"])

@@ -150,14 +150,30 @@ class RunConfig:
 
 @dataclass
 class RunState:
+    """A CARS run after ``iteration`` iterations; its tensor and kNN store
+    are the fold of ``records``."""
+
     spec: ProblemSpec
     config: RunConfig
-    tensor: SubdomainTensor
-    store: NeighborStore
     consts: fit.NormalizationConstants | None = None
     iteration: int = 0  # next iteration to execute
-    alpha: float = 0.0
     records: list[dict] = field(default_factory=list)  # the log's sample lines
+    tensor: SubdomainTensor = field(init=False)
+    store: NeighborStore = field(init=False)
+
+    def __post_init__(self):
+        n_dim = len(sampled_dimensions(self.spec))
+        self.tensor = SubdomainTensor(n_dim, self.config.n_subdomain, self.config.n_pool)
+        self.store = NeighborStore(n_dim)
+        self._fold(self.records)
+
+    def _fold(self, records: list[dict]) -> None:
+        """Max-fold the records' fitnesses into the tensor and append their
+        points to the store; reshape keeps (0, n_dim) when there are none."""
+        shape = (len(records), self.tensor.n_dim)
+        fitnesses = np.array([r["fitness"] for r in records], dtype=float)
+        self.tensor.update_many(np.array([r["subdomain"] for r in records], dtype=np.intp).reshape(shape), fitnesses)
+        self.store.extend(np.array([r["unit"] for r in records], dtype=float).reshape(shape), fitnesses)
 
 
 def iteration_stats(records: list[dict]) -> list[dict]:
@@ -313,7 +329,7 @@ def _nan_safe(a: np.ndarray) -> list[list]:
 # The loop
 # ---------------------------------------------------------------------------
 
-def _sample_iteration(state: RunState, iteration: int, n: int):
+def _sample_iteration(state: RunState, iteration: int, alpha: float, n: int):
     """Draw the unit points and sub-domain indices for one iteration."""
     cfg = state.config
     rng = iteration_rng(cfg.seed, iteration)
@@ -323,7 +339,7 @@ def _sample_iteration(state: RunState, iteration: int, n: int):
     use_over = cfg.oversampling and iteration > 0 and len(state.store) > 0
     n_over = oversampling_width(n_dim) if use_over else 1
 
-    probs = state.tensor.softmax_probabilities(state.alpha)
+    probs = state.tensor.softmax_probabilities(alpha)
     mis = state.tensor.sample_subdomains(probs, n * n_over, rng)
     offsets = rng.random((n * n_over, n_dim))
     units = (mis + offsets) / n_sub
@@ -339,48 +355,36 @@ def run(
     evaluator,
     log_path=None,
     stop_after_iteration: int | None = None,
-    _initial: RunState | None = None,
-    _log_mode: str = "w",
+    _resumed: RunState | None = None,
 ) -> RunState:
     """Execute the sampling loop for ``config.n_total`` samples.
 
     ``stop_after_iteration`` ends the run early (the log stays resumable).
     """
     dims = sampled_dimensions(spec)
-    n_dim = len(dims)
-    if n_dim < 1:
+    if not dims:
         raise EngineError("problem has no sampled dimensions")
     schedule = parse_alpha_schedule(config.alpha_schedule)
     sizes = iteration_sizes(config.n_total)
+    state = RunState(spec, config) if _resumed is None else _resumed
 
-    if _initial is None:
-        state = RunState(
-            spec=spec,
-            config=config,
-            tensor=SubdomainTensor(n_dim, config.n_subdomain, config.n_pool),
-            store=NeighborStore(n_dim),
-        )
-    else:
-        state = _initial
-
-    with open_log(log_path, _log_mode) as emit:
-        if _initial is None:
+    with open_log(log_path, "w" if _resumed is None else "a") as emit:
+        if _resumed is None:
             emit([run_header("cars", config.seed, config.n_total, dims, config)])
         for iteration in range(state.iteration, len(sizes)):
             n = sizes[iteration]
-            state.alpha = schedule(iteration)
-            lines = [{"type": "iteration", "iteration": iteration, "alpha": state.alpha, "n_samples": n}]
+            alpha = schedule(iteration)
+            lines = [{"type": "iteration", "iteration": iteration, "alpha": alpha, "n_samples": n}]
 
-            mis, units = _sample_iteration(state, iteration, n)
+            mis, units = _sample_iteration(state, iteration, alpha, n)
             requests, results, bd = evaluate_units(spec, dims, evaluator, units, len(state.records))
             if state.consts is None:
                 state.consts = fit.NormalizationConstants.from_first_batch(spec, bd)
                 lines.append({"type": "normalization", **state.consts.to_dict()})
             fitnesses = bd.scalar(state.consts)
 
-            state.tensor.update_many(mis, fitnesses)
-            state.store.extend(units, fitnesses)
             records = sample_records(iteration, units, mis, requests, results, bd, fitnesses)
+            state._fold(records)
             state.records.extend(records)
             emit(lines + records)
             state.iteration = iteration + 1
@@ -394,7 +398,8 @@ def run(
 # ---------------------------------------------------------------------------
 
 def read_log(path) -> list[dict]:
-    """Parse a run log into its records; raises EngineError on corruption.
+    """Parse a run log into its records; raises EngineError on corruption,
+    a line that is not a JSON object with a ``type`` included.
 
     A last line without its newline that does not parse is what a crash
     mid-write leaves; it is dropped.
@@ -406,11 +411,14 @@ def read_log(path) -> list[dict]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 if not raw.endswith("\n"):
                     break
                 raise EngineError(f"corrupt log line {lineno}: {exc}")
+            if not (isinstance(obj, dict) and "type" in obj):
+                raise EngineError(f"corrupt log line {lineno}: not a JSON object with a type")
+            records.append(obj)
     if not records or records[0].get("type") != "run":
         raise EngineError("log does not start with a run header")
     return records
@@ -445,31 +453,10 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
     done = 0
     while done < len(sizes) and logged[done] == sizes[done]:
         done += 1
-
-    state = RunState(
-        spec=spec,
-        config=config,
-        tensor=SubdomainTensor(len(dims), config.n_subdomain, config.n_pool),
-        store=NeighborStore(len(dims)),
-        iteration=done,
-    )
-    for obj in entries[1:]:
-        kind = obj["type"]
-        if kind == "normalization" and done:
-            state.consts = fit.NormalizationConstants.from_dict(obj)
-        elif kind == "iteration" and obj["iteration"] < done:
-            state.alpha = obj["alpha"]
-        elif kind == "sample" and obj["iteration"] < done:
-            state.records.append(obj)
-    # One max-fold of all kept samples; reshape keeps the (0, n_dim) shape
-    # when there are none.
-    n = len(state.records)
-    fitnesses = [r["fitness"] for r in state.records]
-    subdomains = np.array([r["subdomain"] for r in state.records], dtype=np.intp).reshape(n, len(dims))
-    state.tensor.update_many(subdomains, fitnesses)
-    units = np.array([r["unit"] for r in state.records], dtype=float).reshape(n, len(dims))
-    state.store.extend(units, fitnesses)
-    return state
+    norm = next((obj for obj in entries if obj["type"] == "normalization"), None) if done else None
+    consts = fit.NormalizationConstants.from_dict(norm) if norm else None
+    kept = [obj for obj in entries if obj["type"] == "sample" and obj["iteration"] < done]
+    return RunState(spec, config, consts, done, kept)
 
 
 def resume(
@@ -499,15 +486,7 @@ def resume(
         fh.truncate(fh.tell())
         if not line.endswith(b"\n"):  # cut just before the last kept newline
             fh.write(b"\n")
-    return run(
-        spec,
-        config,
-        evaluator,
-        log_path=log_path,
-        stop_after_iteration=stop_after_iteration,
-        _initial=state,
-        _log_mode="a",
-    )
+    return run(spec, config, evaluator, log_path, stop_after_iteration, _resumed=state)
 
 
 # ---------------------------------------------------------------------------

@@ -304,26 +304,25 @@ class ExternalEvaluator:
             self._proc = subprocess.Popen(shlex.split(self.command), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as exc:
             raise EvaluatorTransportError(f"cannot spawn evaluator {self.command!r}: {exc}")
-        # Each child has its own buffers, so a killed child's late output
+        # Each child has its own buffer, so a killed child's late output
         # never reaches its successor.
-        self._lines: collections.deque[bytearray] = collections.deque()  # complete, unread
         self._partial = bytearray()  # the bytes after the last newline
 
-    def _read_line(self, deadline: float) -> bytearray | None:
-        """The child's next complete stdout line; None if ``deadline`` passes first."""
+    def _read_lines(self, deadline: float) -> list[bytearray]:
+        """Every complete stdout line of the child's next read that completes
+        one; empty if ``deadline`` passes first."""
         fd = self._proc.stdout.fileno()
-        while not self._lines:
+        while True:
             ready, _, _ = select.select([fd], [], [], max(0.0, deadline - time.monotonic()))
             if not ready:
-                return None
+                return []
             chunk = os.read(fd, 65536)
             if not chunk:
                 raise EvaluatorTransportError("evaluator process exited mid-batch")
             self._partial += chunk  # in place: a long line costs no copies
             if b"\n" in chunk:
                 *lines, self._partial = self._partial.split(b"\n")
-                self._lines.extend(lines)
-        return self._lines.popleft()
+                return lines
 
     def evaluate_batch(self, requests: list[EvaluationRequest]) -> list[EvaluationResult]:
         with self._lock:
@@ -348,8 +347,8 @@ class ExternalEvaluator:
                     self._proc.stdin.flush()
                 except OSError:
                     raise EvaluatorTransportError("evaluator process closed its stdin") from None
-            line = self._read_line(deadline)
-            if line is None:
+            lines = self._read_lines(deadline)
+            if not lines:
                 # The child spent a whole timeout on its oldest request: fail
                 # that one and hand the rest, uncharged, to a fresh child.
                 sid = next(iter(pending))
@@ -360,10 +359,11 @@ class ExternalEvaluator:
                 self._stop(grace=0)
                 self._spawn()
                 continue
-            res = _parse_response(line)
-            if res is not None and pending.pop(res.sample_id, None) is not None:
-                results[res.sample_id] = res
-                deadline = time.monotonic() + self.timeout
+            for line in lines:
+                res = _parse_response(line)
+                if res is not None and pending.pop(res.sample_id, None) is not None:
+                    results[res.sample_id] = res
+                    deadline = time.monotonic() + self.timeout
         return [results[req.sample_id] for req in requests]
 
     def _stop(self, grace: float):

@@ -19,6 +19,7 @@ observed cells, whatever ``n_sub ** n_dim`` is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -150,9 +151,13 @@ class SubdomainTensor:
         # One check covers non-finite cells, a non-finite alpha and overflow.
         if not np.all(np.isfinite(z)):
             raise TensorError(f"alpha {alpha} times the cell values is not finite")
+        # Each live entry's exponent by libm, whose result does not depend on
+        # the SIMD kernels numpy picks for this CPU; an empty entry has mass 0.
         live = entries.counts > 0
         z -= z[live].max()
-        return replace(entries, values=entries.counts * np.exp(np.where(live, z, -np.inf)))
+        weights = np.zeros(len(z))
+        weights[live] = list(map(math.exp, z[live].tolist()))
+        return replace(entries, values=entries.counts * weights)
 
     def sample_subdomains(self, probs: Entries, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` cells i.i.d. with replacement: an entry by its mass, then

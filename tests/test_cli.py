@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 import carsopt as c
 from carsopt import engine
-from carsopt.cli import EXIT_CONFIG, STUDY_VARIANTS, _cell, _RunSection, main
+from carsopt.cli import EXIT_CONFIG, EXIT_EVALUATOR, EXIT_INTERRUPTED, STUDY_VARIANTS, _cell, _RunSection, main
 from carsopt.engine import RunConfig
 from carsopt.problem import from_mapping, parse_problem
 from carsopt.tensor import SubdomainTensor
@@ -95,7 +95,7 @@ class TestRun:
         assert (tmp_path / "envout/run.log").exists()
 
     def test_missing_config(self, tmp_path, capsys):
-        rc = main(["run", "--config", str(tmp_path / "nope.yaml")])
+        rc = main(["run", "--config", str(tmp_path / "nope.yaml"), "--out-dir", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
@@ -350,6 +350,46 @@ class TestResume:
         assert main(["resume", "--config", str(config), "--log", str(log), "--out-dir", str(out)]) == EXIT_CONFIG
         assert "version" in capsys.readouterr().err
         assert log.read_bytes() == before
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command", ["run", "resume", "study"])
+    def test_out_dir_naming_a_file_is_config_error(self, config, tmp_path, capsys, monkeypatch, command):
+        # The output directory is made before the evaluator child is spawned.
+        spawned = []
+        monkeypatch.setattr("carsopt.evaluators.subprocess.Popen", lambda *a, **kw: spawned.append(a))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        extra = ["--log", str(tmp_path / "run.log")] if command == "resume" else []
+        args = ["--evaluator", f"cmd:{sys.executable} -c pass", "--out-dir", str(taken)]
+        assert main([command, "--config", str(config)] + args + extra) == EXIT_CONFIG
+        assert "--out-dir" in capsys.readouterr().err
+        assert spawned == []
+
+    def test_child_exit_is_evaluator_error_and_resumable(self, config, tmp_path, capsys):
+        # The child exits after reading its first request: iteration 0 never
+        # completes, so the log holds the header alone.
+        child = tmp_path / "quit_child.py"
+        child.write_text("import sys\nsys.stdin.readline()\n")
+        out = tmp_path / "out"
+        args = ["--evaluator", f"cmd:{sys.executable} {child}", "--out-dir", str(out)]
+        assert main(["run", "--config", str(config)] + args) == EXIT_EVALUATOR
+        assert "evaluator error" in capsys.readouterr().err
+        log = out / "run.log"
+        assert [e["type"] for e in engine.read_log(log)] == ["run"]
+        # Resuming with the config's built-in evaluator writes the
+        # uninterrupted built-in run.
+        assert main(["resume", "--config", str(config), "--log", str(log), "--out-dir", str(out)]) == 0
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "full")]) == 0
+        assert log.read_bytes() == (tmp_path / "full/run.log").read_bytes()
+
+    def test_interrupt_exits_4(self, config, tmp_path, capsys, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(engine, "run", interrupted)
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == EXIT_INTERRUPTED
+        assert "resumable" in capsys.readouterr().err
 
 
 class TestTimeout:

@@ -428,10 +428,20 @@ class TestLog:
         assert sum(e["type"] == "sample" for e in read_log(log)) == 280
 
     def test_corrupt_log_rejected(self, tmp_path):
+        spec, ev = c.builtin_problem("boost")
+        c.run(spec, RunConfig(n_total=60, seed=0), ev, log_path=tmp_path / "boost.log")
+        boost = (tmp_path / "boost.log").read_text().splitlines(keepends=True)
+        rows = [
+            ('{"type": "run", "oops\n', "line 1"),
+            # A line that parses but is not a JSON object with a type.
+            ("[1, 2]\n", "line 1"),
+            ("".join(boost[:2] + ['{"note": "x"}\n'] + boost[2:]), "line 3"),
+        ]
         path = tmp_path / "bad.log"
-        path.write_text('{"type": "run", "oops\n')
-        with pytest.raises(EngineError):
-            read_log(path)
+        for text, line in rows:
+            path.write_text(text)
+            with pytest.raises(EngineError, match=line):
+                read_log(path)
 
     def test_csv_exports(self, tmp_path):
         from carsopt.engine import export_summary_csv, export_valid_samples_csv

@@ -157,6 +157,18 @@ class TestSoftmax:
         with pytest.raises(TensorError, match="not finite"):
             t.softmax_probabilities(alpha)
 
+    def test_masses_are_libm_exponents(self):
+        # Each live entry's mass is its count times math.exp of its exponent,
+        # bit for bit, whatever SIMD kernels numpy picks for np.exp.
+        t = SubdomainTensor(3, 9, 3)
+        spread_cells(t, np.random.default_rng(3))
+        entries = t.effective_cells()
+        z = entries.values.astype(np.float64) * 2.5
+        z -= z[entries.counts > 0].max()
+        want = [n * math.exp(v) if n else 0.0 for n, v in zip(entries.counts.tolist(), z.tolist())]
+        got = t.softmax_probabilities(2.5).values.tolist()
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
     def test_large_values_stable(self):
         t = SubdomainTensor(1, 3)
         t.update_many(np.array([[0], [1], [2]]), np.array([1000.0, 999.0, 0.0]))
