@@ -165,15 +165,18 @@ class RunState:
         n_dim = len(sampled_dimensions(self.spec))
         self.tensor = SubdomainTensor(n_dim, self.config.n_subdomain, self.config.n_pool)
         self.store = NeighborStore(n_dim)
-        self._fold(self.records)
+        shape = (len(self.records), n_dim)  # reshape keeps (0, n_dim) when there are none
+        self._fold(
+            np.array([r["subdomain"] for r in self.records], dtype=np.intp).reshape(shape),
+            np.array([r["unit"] for r in self.records], dtype=float).reshape(shape),
+            np.array([r["fitness"] for r in self.records], dtype=float),
+        )
 
-    def _fold(self, records: list[dict]) -> None:
-        """Max-fold the records' fitnesses into the tensor and append their
-        points to the store; reshape keeps (0, n_dim) when there are none."""
-        shape = (len(records), self.tensor.n_dim)
-        fitnesses = np.array([r["fitness"] for r in records], dtype=float)
-        self.tensor.update_many(np.array([r["subdomain"] for r in records], dtype=np.intp).reshape(shape), fitnesses)
-        self.store.extend(np.array([r["unit"] for r in records], dtype=float).reshape(shape), fitnesses)
+    def _fold(self, subdomains: np.ndarray, units: np.ndarray, fitnesses: np.ndarray) -> None:
+        """Max-fold sample fitnesses into the tensor at their sub-domains and
+        append their unit points to the store, one row per sample."""
+        self.tensor.update_many(subdomains, fitnesses)
+        self.store.extend(units, fitnesses)
 
 
 def iteration_stats(records: list[dict]) -> list[dict]:
@@ -284,6 +287,12 @@ def sample_records(iteration: int, units, subdomains, requests, results, bd, fit
     ]
 
 
+# The keys of every record sample_records builds; a GA sample adds "island".
+_SAMPLE_KEYS = frozenset(
+    "type id iteration subdomain unit params meas error objective_raw penalty_raw fitness valid".split()
+)
+
+
 def run_header(method: str, seed: int, n_total: int, dims, config: RunConfig | None) -> dict:
     """A log's first line; without a CARS ``config`` the sampling fields are empty."""
     return {
@@ -384,7 +393,7 @@ def run(
             fitnesses = bd.scalar(state.consts)
 
             records = sample_records(iteration, units, mis, requests, results, bd, fitnesses)
-            state._fold(records)
+            state._fold(mis, units, fitnesses)
             state.records.extend(records)
             emit(lines + records)
             state.iteration = iteration + 1
@@ -399,7 +408,8 @@ def run(
 
 def read_log(path) -> list[dict]:
     """Parse a run log into its records; raises EngineError on corruption,
-    a line that is not a JSON object with a ``type`` included.
+    a line that is not a JSON object with a ``type`` and a sample line
+    without a key of ``sample_records`` included.
 
     A last line without its newline that does not parse is what a crash
     mid-write leaves; it is dropped.
@@ -418,6 +428,9 @@ def read_log(path) -> list[dict]:
                 raise EngineError(f"corrupt log line {lineno}: {exc}")
             if not (isinstance(obj, dict) and "type" in obj):
                 raise EngineError(f"corrupt log line {lineno}: not a JSON object with a type")
+            if obj["type"] == "sample" and not _SAMPLE_KEYS <= obj.keys():
+                missing = min(_SAMPLE_KEYS - obj.keys())
+                raise EngineError(f"corrupt log line {lineno}: sample without key {missing!r}")
             records.append(obj)
     if not records or records[0].get("type") != "run":
         raise EngineError("log does not start with a run header")

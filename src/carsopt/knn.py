@@ -15,24 +15,36 @@ Estimates are exact and reproducible bit for bit:
   halves summed recursively above 128 dimensions).
 - **Ties.** Neighbors are ranked by (squared distance, insertion index), so
   an earlier point wins a tie, and the chosen k are averaged in that order.
-- **Prefilter.** While k < m, one float64 GEMM per chunk gives the Gram-form
-  distances ``[q, ‖q‖², 1] @ [-2p; 1; ‖p‖²]`` and ``np.argpartition`` the k+1
-  nearest by them.  A row is *proven* when its (k+1)-th Gram distance
-  exceeds its k-th by more than 2δ, with δ = 3·(d+4)·eps·((‖q‖ + max‖p‖)² + 1)
-  at least twice the worst-case rounding gap between a Gram distance (in any
-  GEMM summation order, fused or not) and the exact one.  Its k columns are
-  then the exact k nearest with no tie across the boundary, so only their
-  exact distances are computed and ranked.  The BLAS build and its thread
-  count therefore cannot change a result.
+- **Prefilter.** While k < m, the rows ``[q, ‖q‖², 1]`` and each query's
+  margin δ = 3·(d+4)·eps·((‖q‖ + max‖p‖)² + 1) are built once per block of
+  queries (see Cost).  Per chunk, one float64 GEMM with ``[-2p; 1; ‖p‖²]``
+  gives the Gram-form distances, clamped at 0.  The low ``bits = (m-1).bit_length()``
+  (at least 1) mantissa bits of each are replaced by its column index, and
+  one values-only ``np.partition`` brings the k+1 smallest of these keys to
+  the front of the row.  Non-negative doubles order like their bit patterns,
+  so each key names its own column, and since no two keys are equal the
+  selected set does not depend on which partition kernel numpy dispatches.
+  A row is *proven* when its (k+1)-th key a exceeds its k-th by more than
+  2δ + a·2**(bits-51) + 2**(bits-1073).  δ is at least twice the
+  worst-case rounding gap between a Gram distance (in any GEMM summation
+  order, fused or not) and the exact one; the other two terms bound how far
+  packing moved the two keys, relatively and among subnormals.  Its k
+  columns are then the exact k nearest with no tie across the boundary, so
+  only their exact distances are computed and ranked.  The BLAS build and
+  its thread count therefore cannot change a result.
 - **Fallback.** Every other row (k >= m, a NaN or overflowing query, a
-  near-tie within the margin) gets exact distances to every point and is
+  near-tie within the slack) gets exact distances to every point and is
   ranked by a stable full sort, the reference's own rule.
 - **Cost.** A call with n queries against m stored points in d dimensions
-  does O(n·m·d) arithmetic in the GEMM plus an O(n·m) selection, and O(n·k·d)
-  exact arithmetic for the proven rows; a fallback row costs O(m·d) exact
-  arithmetic and an O(m log m) sort.  Queries go in chunks whose (chunk, m)
-  float64 arrays hold at most 65,536 elements (512 KiB), so they stay in a
-  core's L2 cache; a few such arrays are live at once.
+  does O(n·m·d) arithmetic in the GEMM plus an O(n·m) packing and selection,
+  and O(n·k·d) exact arithmetic for the proven rows; a fallback row costs
+  O(m·d) exact arithmetic and an O(m log m) sort.  Queries go in blocks whose
+  re-rank gathers at most 2**20 (query, neighbor, dimension) coordinates
+  (8 MiB; 13,443 queries at d = 6 and k = 13), and the proof, the re-rank and
+  the mean run once per block.  Within a block, the GEMM and the selection go
+  in chunks whose (chunk, m) float64 arrays hold at most 65,536 elements
+  (512 KiB), so they stay in a core's L2 cache; a few such arrays are live
+  at once.
 
 Points and fitnesses live in preallocated arrays whose capacity doubles, so
 appending a batch costs amortized O(batch) and estimates read them in place.
@@ -45,6 +57,7 @@ import numpy as np
 __all__ = ["NeighborStore"]
 
 _CHUNK_ELEMENTS = 65_536  # (queries, points) elements per array: 512 KiB, cache-resident
+_BLOCK_ELEMENTS = 1 << 20  # (queries, k, d) elements a block's re-rank gathers: 8 MiB
 _PAIRWISE_BLOCK = 128  # numpy's pairwise-summation block size
 # c in the prefilter margin δ = c·(d+4)·eps·((‖q‖ + max‖p‖)² + 1).  To first
 # order a Gram distance and the exact per-dimension sum differ by at most
@@ -102,10 +115,16 @@ def _gram(coords: np.ndarray) -> np.ndarray:
     return np.vstack([-2 * coords, np.ones_like(sq), sq])
 
 
-def _gram_distances(queries: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """‖q‖² + ‖p‖² - 2q·p for every (query, point) pair, by one GEMM."""
+def _lift(queries: np.ndarray) -> np.ndarray:
+    """[q, ‖q‖², 1] with one row per query: the prefilter's left factor."""
     sq = np.einsum("ij,ij->i", queries, queries)
-    return np.column_stack([queries, sq, np.ones_like(sq)]) @ gram
+    return np.column_stack([queries, sq, np.ones_like(sq)])
+
+
+def _gram_distances(lifted: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """‖q‖² + ‖p‖² - 2q·p for every (query, point) pair, by one GEMM of
+    ``_lift(queries)`` rows and ``_gram(coords)``."""
+    return lifted @ gram
 
 
 def _margin(queries: np.ndarray, max_norm: float) -> np.ndarray:
@@ -117,15 +136,30 @@ def _margin(queries: np.ndarray, max_norm: float) -> np.ndarray:
 
 def _prefilter(queries: np.ndarray, gram: np.ndarray, max_norm: float, k: int):
     """Per row, the k columns nearest by Gram distance (any order), and whether
-    they are proven to be the k exact nearest with no tie across slot k."""
+    they are proven to be the k exact nearest with no tie across slot k.
+    Gram distances are computed and selected from one chunk of rows at a time."""
+    n, m = len(queries), gram.shape[1]
+    bits = max(1, (m - 1).bit_length())  # width of the column index field
+    low = np.uint64((1 << bits) - 1)
+    index = np.arange(m, dtype=np.uint64)
+    near = np.empty((n, k + 1))  # per row, the k+1 smallest keys; the last is the (k+1)-th
+    chunk = max(1, _CHUNK_ELEMENTS // m)
     with np.errstate(over="ignore", invalid="ignore"):  # such rows fall back and warn there
-        approx = _gram_distances(queries, gram)
-        part = np.argpartition(approx, k, axis=1)[:, : k + 1]
-        near = np.take_along_axis(approx, part, axis=1)
+        lifted = _lift(queries)
+        for start in range(0, n, chunk):
+            keys = _gram_distances(lifted[start : start + chunk], gram)
+            np.maximum(keys, 0, out=keys)  # no true distance is negative; NaN stays NaN
+            packed = keys.view(np.uint64)
+            packed &= ~low
+            packed |= index
+            keys.partition(k, axis=1)
+            near[start : start + chunk] = keys[:, : k + 1]
         kth, after = near[:, :k].max(axis=1), near[:, k]
+        # Packing moved each of the two keys by under 2**bits of its ulp.
+        slack = 2 * _margin(queries, max_norm) + after * 2.0 ** (bits - 51) + 2.0 ** (bits - 1073)
         # NaN compares false, and the margin bounds only finite Gram distances.
-        proven = (after - kth > 2 * _margin(queries, max_norm)) & (after < np.inf)
-    return part[:, :k], proven
+        proven = (after - kth > slack) & (after < np.inf)
+    return (near[:, :k].view(np.uint64) & low).astype(np.intp), proven
 
 
 class NeighborStore:
@@ -186,11 +220,12 @@ class NeighborStore:
         coords, fit = self._coords[:, :m], self._fitness[:m]
         k = min(k, m)
         out = np.empty(len(queries))
+        block = max(1, _BLOCK_ELEMENTS // (k * self.n_dim))
         chunk = max(1, _CHUNK_ELEMENTS // m)
         gram = _gram(coords) if k < m else None
-        max_norm = np.sqrt(gram[-1].max()) if k < m else None  # max‖p‖: once per call, not per chunk
-        for start in range(0, len(queries), chunk):
-            q = queries[start : start + chunk]
+        max_norm = np.sqrt(gram[-1].max()) if k < m else None  # max‖p‖: once per call, not per block
+        for start in range(0, len(queries), block):
+            q = queries[start : start + block]
             order = np.empty((len(q), k), dtype=np.intp)
             proven = np.zeros(len(q), dtype=bool)
             if gram is not None:
@@ -199,11 +234,12 @@ class NeighborStore:
                     cols = np.sort(cols[proven], axis=1)  # insertion order breaks distance ties
                     d2 = _squared_distances(q[proven], coords[:, cols], 0, self.n_dim)
                     order[proven] = np.take_along_axis(cols, np.argsort(d2, axis=1, kind="stable"), axis=1)
-            rest = ~proven
-            if rest.any():
-                d2 = _squared_distances(q[rest], coords, 0, self.n_dim)
-                order[rest] = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            out[start : start + chunk] = fit[order].mean(axis=1)
+            rest = np.flatnonzero(~proven)
+            for lo in range(0, len(rest), chunk):
+                rows = rest[lo : lo + chunk]
+                d2 = _squared_distances(q[rows], coords, 0, self.n_dim)
+                order[rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+            out[start : start + block] = fit[order].mean(axis=1)
         return out
 
     def select_oversampled(self, candidates: np.ndarray, k: int) -> np.ndarray:

@@ -366,6 +366,17 @@ class TestExitCodes:
         assert "--out-dir" in capsys.readouterr().err
         assert spawned == []
 
+    @pytest.mark.parametrize("command", ["report", "resume"])
+    def test_sample_line_missing_a_key_is_config_error(self, config, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
+        lines = (out / "run.log").read_text().splitlines(keepends=True)
+        (out / "run.log").write_text("".join(lines[:3] + ['{"type": "sample", "id": 0}\n'] + lines[3:]))
+        capsys.readouterr()
+        extra = ["--config", str(config)] if command == "resume" else []
+        assert main([command, "--log", str(out / "run.log"), "--out-dir", str(out)] + extra) == EXIT_CONFIG
+        assert "line 4: sample without key 'error'" in capsys.readouterr().err
+
     def test_child_exit_is_evaluator_error_and_resumable(self, config, tmp_path, capsys):
         # The child exits after reading its first request: iteration 0 never
         # completes, so the log holds the header alone.

@@ -436,12 +436,22 @@ class TestLog:
             # A line that parses but is not a JSON object with a type.
             ("[1, 2]\n", "line 1"),
             ("".join(boost[:2] + ['{"note": "x"}\n'] + boost[2:]), "line 3"),
+            # A sample line without a key that sample_records writes.
+            ("".join(boost[:3] + ['{"type": "sample", "id": 0}\n'] + boost[3:]), "line 4: .*'error'"),
         ]
+        first = json.loads(boost[3])  # line 4 is the first sample
+        assert first["type"] == "sample"
+        for key in sorted(first.keys() - {"type"}):
+            line = json.dumps({k: v for k, v in first.items() if k != key}) + "\n"
+            rows.append(("".join(boost[:3] + [line] + boost[4:]), f"line 4: sample without key '{key}'"))
         path = tmp_path / "bad.log"
         for text, line in rows:
             path.write_text(text)
             with pytest.raises(EngineError, match=line):
                 read_log(path)
+        # A GA sample line's extra "island" key is no corruption.
+        path.write_text("".join(boost[:3] + [json.dumps({**first, "island": 0}) + "\n"] + boost[4:]))
+        assert read_log(path)[3]["island"] == 0
 
     def test_csv_exports(self, tmp_path):
         from carsopt.engine import export_summary_csv, export_valid_samples_csv

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +137,18 @@ class TestBitIdentity:
         s.extend(pts, fit)
         assert np.array_equal(s.estimate_many(queries, 7), reference_estimate_many(pts, fit, queries, 7))
 
+    def test_queries_split_into_blocks(self, monkeypatch):
+        # Blocks of 3 queries here (100 // (k * d)); lattice ties put
+        # fallback rows between the proven ones.
+        monkeypatch.setattr(knn, "_BLOCK_ELEMENTS", 100)
+        rng = np.random.default_rng(10)
+        pts = np.vstack([rng.random((150, 4)), rng.integers(0, 3, (50, 4)) / 2])
+        fit = rng.random(200)
+        queries = np.vstack([rng.random((40, 4)), rng.integers(0, 3, (20, 4)) / 2])[rng.permutation(60)]
+        s = NeighborStore(4)
+        s.extend(pts, fit)
+        assert np.array_equal(s.estimate_many(queries, 7), reference_estimate_many(pts, fit, queries, 7))
+
     def test_non_finite_query_matches_reference(self):
         pts = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]])
         fit = np.array([1.0, 2.0, 3.0, 4.0])
@@ -189,9 +203,9 @@ class TestBitIdentity:
         rng = np.random.default_rng(["random", "lattice", "near_duplicate"].index(layout))
         gram_distances, prefilter, proven_rows = knn._gram_distances, knn._prefilter, []
 
-        def perturbed(queries, gram):
-            approx = gram_distances(queries, gram)
-            half = knn._margin(queries, np.sqrt(gram[-1].max()))[:, None] / 2
+        def perturbed(lifted, gram):  # lifted rows are [q, ‖q‖², 1]
+            approx = gram_distances(lifted, gram)
+            half = knn._margin(lifted[:, :-2], np.sqrt(gram[-1].max()))[:, None] / 2
             return approx + rng.uniform(-1, 1, approx.shape) * half
 
         def counted(queries, gram, max_norm, k):
@@ -290,6 +304,63 @@ class TestPrefilter:
         assert np.array_equal(s.estimate_many(queries, 7), reference_estimate_many(pts, fit, queries, 7))
         assert sum(fallback) == int((~proven).sum())
 
+    @pytest.mark.parametrize("m", [2, 64, 65, 1024, 1025])
+    def test_packed_index_names_its_column(self, m, monkeypatch):
+        # The index field is (m - 1).bit_length() bits wide: it widens just
+        # past each power of two, and every proven row's columns must still be
+        # the reference's k nearest.
+        rng = np.random.default_rng(m)
+        pts, fit, queries = rng.random((m, 3)), rng.random(m), rng.random((200, 3))
+        k = min(5, m - 1)
+        gram = knn._gram(pts.T)
+        cols, proven = knn._prefilter(queries, gram, np.sqrt(gram[-1].max()), k)
+        assert proven.all()
+        d2 = ((queries[:, None, :] - pts[None]) ** 2).sum(axis=2)
+        want = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
+        assert np.array_equal(np.sort(cols, axis=1), want)
+        fallback = self.fallback_rows(monkeypatch)
+        s = NeighborStore(3)
+        s.extend(pts, fit)
+        assert np.array_equal(s.estimate_many(queries, k), reference_estimate_many(pts, fit, queries, k))
+        assert sum(fallback) == 0
+
+    def test_duplicates_and_stored_queries(self, monkeypatch):
+        # Queries equal to stored points have Gram distances of zero or a
+        # little below, clamped to 0; duplicated points tie exactly.
+        rng = np.random.default_rng(12)
+        pts = rng.random((300, 6))
+        pts[200:] = pts[:100]  # the first 100 points are stored twice
+        fit = rng.random(300)
+        queries = np.vstack([pts[100:200], pts[:20]])  # stored once, then stored twice
+        gram = knn._gram(pts.T)
+        assert (knn._gram_distances(knn._lift(queries), gram) < 0).any()
+        proven = prefilter_proves(pts, queries, 1)
+        assert proven[:100].all() and not proven[100:].any()
+        fallback = self.fallback_rows(monkeypatch)
+        s = NeighborStore(6)
+        s.extend(pts, fit)
+        for k in (1, 2, 13):
+            assert np.array_equal(s.estimate_many(queries, k), reference_estimate_many(pts, fit, queries, k))
+        assert fallback[0] == 20
+
+    def test_near_tie_inside_packing_slack_falls_back(self, monkeypatch):
+        # From the query 0, points 0 and 1 are 0.25 and about 0.25 + 1e-13
+        # away (squared): a gap wider than 2δ but narrower than what packing
+        # an 11-bit index may move two keys by, 0.25 * 2**(11 - 51).
+        far = np.linspace(0.6, 1.0, 1023)
+        pts = np.concatenate([[0.5, 0.5 + 1e-13], far])[:, None]
+        fit = np.arange(len(pts), dtype=float)
+        queries = np.array([[0.0], [far[100] + 1e-4]])
+        gap = pts[1, 0] ** 2 - pts[0, 0] ** 2
+        assert 2 * knn._margin(queries[:1], 1.0)[0] < gap < 0.25 * 2.0 ** (11 - 51)
+        assert prefilter_proves(pts, queries, 1).tolist() == [False, True]
+        fallback = self.fallback_rows(monkeypatch)
+        s = NeighborStore(1)
+        s.extend(pts, fit)
+        got = s.estimate_many(queries, 1)
+        assert np.array_equal(got, reference_estimate_many(pts, fit, queries, 1))
+        assert got[0] == 0.0 and sum(fallback) == 1
+
 
 class TestStore:
     def test_growth_keeps_every_point(self):
@@ -335,6 +406,22 @@ class TestStore:
         with pytest.raises(ValueError, match="finite"):
             s.append([0.5, 0.5], float("nan"))
         assert len(s) == 0
+
+    def test_estimate_memory_is_bounded_by_blocks(self):
+        # 4,000 queries x 41 neighbors x 20 dimensions would gather 26 MB at
+        # once; blocks of at most 2**20 gathered coordinates (8 MiB) keep the
+        # call's peak below 16 MiB.
+        rng = np.random.default_rng(11)
+        s = NeighborStore(20)
+        s.extend(rng.random((1000, 20)), rng.random(1000))
+        queries = rng.random((4000, 20))
+        tracemalloc.start()
+        try:
+            s.estimate_many(queries, 41)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_empty_batch(self):
         s = NeighborStore(2)
