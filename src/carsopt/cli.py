@@ -18,8 +18,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -242,23 +244,81 @@ def cmd_study(args) -> int:
 # report
 # ---------------------------------------------------------------------------
 
+# The reprs of ints, finite floats and lists of them, joined by commas: other
+# values' reprs hold other characters (quotes, braces, letters of nan, inf,
+# None, True and False).  Such a repr is also the value's json.dumps cell and
+# csv.writer field; only a list of several values holds a comma (as ", "),
+# and csv.writer quotes it.
+_NUMERIC = re.compile(r"[-+.e0-9\[\], ]*")
+
+
+def _scatter_line(row: list) -> str:
+    """The line ``csv.writer`` writes for a scatter row: its four scalars as
+    they are, then each value as its ``_cell``."""
+    cells = list(map(repr, row))
+    line = ",".join(cells)
+    if not _NUMERIC.fullmatch(line):
+        buf = io.StringIO()
+        csv.writer(buf).writerow(row[:4] + list(map(_cell, row[4:])))
+        return buf.getvalue()
+    if ", " in line:  # a list of several values: a quoted field
+        line = ",".join([f'"{c}"' if ", " in c else c for c in cells])
+    return line + "\r\n"
+
+
 def summarize_log(log_path) -> dict:
-    """Totals, valid counts, best fitness and per-parameter valid ranges."""
-    entries = engine.read_log(log_path)
-    samples = [e for e in entries if e.get("type") == "sample"]
-    valid = [s for s in samples if s["valid"]]
-    columns: dict[str, list] = {}  # each parameter's valid values, named in order of first value
-    for s in valid:
-        for name, vals in s["params"].items():
-            if vals:
-                columns.setdefault(name, []).extend(vals)
+    """Totals, valid counts, best fitness, per-parameter valid ranges and
+    the scatter rows, in one pass over the log that keeps no parsed line.
+
+    A sample's scatter row is kept as its CSV line under its own sorted
+    parameter and measurement names (``None`` for a sample without
+    measurements): ``shapes[row_shapes[i]]`` for ``rows[i]``."""
+    lines = engine.iter_log(log_path)
+    header = next(lines)
+    total = valid = 0
+    best = None
+    ranges: dict[str, list] = {}  # each parameter's valid [min, max], named in order of first value
+    rows = []
+    shapes: dict[tuple, tuple] = {}  # a sample's names, in log order -> (index, sorted names)
+    row_shapes = []
+    for obj in lines:
+        if obj["type"] != "sample":
+            continue
+        params, meas, fitness = obj["params"], obj["meas"], obj["fitness"]
+        if not total or fitness > best:  # what max() over the samples keeps
+            best = fitness
+        total += 1
+        if obj["valid"]:
+            valid += 1
+            for name, vals in params.items():
+                if not vals:
+                    continue
+                lohi = ranges.get(name)
+                if lohi is None:
+                    ranges[name] = [min(vals), max(vals)]
+                else:  # min() and max() over the values so far, in order
+                    lohi[0] = min(lohi[0], *vals)
+                    lohi[1] = max(lohi[1], *vals)
+        key = (tuple(params), tuple(meas) if meas else None)
+        shape = shapes.get(key)
+        if shape is None:
+            shape = shapes[key] = (len(shapes), sorted(params), sorted(meas) if meas else None)
+        index, param_names, meas_names = shape
+        row = [obj["id"], obj["iteration"], fitness, int(obj["valid"])]
+        row += [params[n] for n in param_names]
+        if meas_names:
+            row += [meas[n] for n in meas_names]
+        rows.append(_scatter_line(row))
+        row_shapes.append(index)
     return {
-        "header": entries[0],
-        "total": len(samples),
-        "valid": len(valid),
-        "best_fitness": max((s["fitness"] for s in samples), default=None),
-        "param_ranges": {name: (min(vals), max(vals)) for name, vals in columns.items()},
-        "samples": samples,
+        "header": header,
+        "total": total,
+        "valid": valid,
+        "best_fitness": best,
+        "param_ranges": {name: tuple(lohi) for name, lohi in ranges.items()},
+        "shapes": [names for _, *names in shapes.values()],
+        "row_shapes": row_shapes,
+        "rows": rows,
     }
 
 
@@ -272,6 +332,33 @@ def _cell(value) -> str:
     return json.dumps(value) if "n" in text else f"[{text}]"
 
 
+def _write_scatter(summary: dict, path) -> None:
+    """``scatter.csv``: one row per sample, with a column per parameter and
+    measurement name of any sample.  A cell a sample has no name for is
+    ``null``, and all its measurement cells are empty if it has none."""
+    param_names = sorted({n for names, _ in summary["shapes"] for n in names})
+    meas_names = sorted({n for _, names in summary["shapes"] for n in names or ()})
+    # Per shape: None if its rows already have every column, else its names.
+    widen = [None if p == param_names and (m or []) == meas_names else (p, m) for p, m in summary["shapes"]]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", "iteration", "fitness", "valid"] + param_names + meas_names)
+        for index, line in zip(summary["row_shapes"], summary["rows"]):
+            if widen[index] is None:
+                fh.write(line)
+                continue
+            own_params, own_meas = widen[index]
+            cells = next(csv.reader([line]))
+            own = dict(zip(own_params, cells[4:]))
+            row = cells[:4] + [own.get(n, "null") for n in param_names]
+            if own_meas is None:
+                row += [""] * len(meas_names)
+            else:
+                own = dict(zip(own_meas, cells[4 + len(own_params) :]))
+                row += [own.get(n, "null") for n in meas_names]
+            w.writerow(row)
+
+
 def cmd_report(args) -> int:
     summary = summarize_log(args.log)
     print(f"method: {summary['header'].get('method')}  seed: {summary['header'].get('seed')}")
@@ -280,18 +367,8 @@ def cmd_report(args) -> int:
         print(f"best fitness: {summary['best_fitness']:.6g}")
     for name, (lo, hi) in summary["param_ranges"].items():
         print(f"  {name}: valid range [{lo:.6g}, {hi:.6g}]")
-    out = _out_dir(args)
-    path = out / "scatter.csv"
-    param_names = sorted({n for s in summary["samples"] for n in s["params"]})
-    meas_names = sorted({n for s in summary["samples"] if s["meas"] for n in s["meas"]})
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "iteration", "fitness", "valid"] + param_names + meas_names)
-        for s in summary["samples"]:
-            row = [s["id"], s["iteration"], s["fitness"], int(s["valid"])]
-            row += [_cell(s["params"].get(n)) for n in param_names]
-            row += [_cell(s["meas"].get(n)) if s["meas"] else "" for n in meas_names]
-            w.writerow(row)
+    path = _out_dir(args) / "scatter.csv"
+    _write_scatter(summary, path)
     print(f"wrote {path}")
     return 0
 

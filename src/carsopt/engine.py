@@ -42,6 +42,7 @@ __all__ = [
     "parse_alpha_schedule",
     "run",
     "resume",
+    "iter_log",
     "read_log",
     "evaluate_units",
     "sample_records",
@@ -291,6 +292,7 @@ def sample_records(iteration: int, units, subdomains, requests, results, bd, fit
 _SAMPLE_KEYS = frozenset(
     "type id iteration subdomain unit params meas error objective_raw penalty_raw fitness valid".split()
 )
+_NUMBER_TYPES = {int, float}
 
 
 def run_header(method: str, seed: int, n_total: int, dims, config: RunConfig | None) -> dict:
@@ -406,15 +408,17 @@ def run(
 # Log reading and resume
 # ---------------------------------------------------------------------------
 
-def read_log(path) -> list[dict]:
-    """Parse a run log into its records; raises EngineError on corruption,
-    a line that is not a JSON object with a ``type`` and a sample line
-    without a key of ``sample_records`` included.
+def iter_log(path):
+    """Yield a run log's lines one at a time, parsed and checked; raises
+    EngineError on corruption: a line that is not a JSON object with a
+    ``type``, a first line that is not the run header, a sample line without
+    a key of ``sample_records``, and one whose ``params`` is not a mapping of
+    lists of numbers or whose ``meas`` is neither null nor a mapping.
 
     A last line without its newline that does not parse is what a crash
     mid-write leaves; it is dropped.
     """
-    records = []
+    header = False
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -428,13 +432,35 @@ def read_log(path) -> list[dict]:
                 raise EngineError(f"corrupt log line {lineno}: {exc}")
             if not (isinstance(obj, dict) and "type" in obj):
                 raise EngineError(f"corrupt log line {lineno}: not a JSON object with a type")
-            if obj["type"] == "sample" and not _SAMPLE_KEYS <= obj.keys():
-                missing = min(_SAMPLE_KEYS - obj.keys())
-                raise EngineError(f"corrupt log line {lineno}: sample without key {missing!r}")
-            records.append(obj)
-    if not records or records[0].get("type") != "run":
+            if not header:
+                if obj["type"] != "run":
+                    break
+                header = True
+            elif obj["type"] == "sample":
+                _check_sample(obj, lineno)
+            yield obj
+    if not header:
         raise EngineError("log does not start with a run header")
-    return records
+
+
+def _check_sample(obj: dict, lineno: int) -> None:
+    """Raise EngineError unless ``obj`` has the keys and value shapes of a
+    ``sample_records`` record."""
+    if not _SAMPLE_KEYS <= obj.keys():
+        raise EngineError(f"corrupt log line {lineno}: sample without key {min(_SAMPLE_KEYS - obj.keys())!r}")
+    params, meas = obj["params"], obj["meas"]
+    if type(params) is not dict:
+        raise EngineError(f"corrupt log line {lineno}: sample params is not a mapping")
+    for name, vals in params.items():
+        if type(vals) is not list or not {*map(type, vals)} <= _NUMBER_TYPES:
+            raise EngineError(f"corrupt log line {lineno}: sample param {name!r} is not a list of numbers")
+    if meas is not None and type(meas) is not dict:
+        raise EngineError(f"corrupt log line {lineno}: sample meas is neither null nor a mapping")
+
+
+def read_log(path) -> list[dict]:
+    """A run log's lines, parsed and checked by ``iter_log``."""
+    return list(iter_log(path))
 
 
 def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:

@@ -1,7 +1,9 @@
 import csv
 import hashlib
+import io
 import json
 import math
+import re
 import sys
 import textwrap
 import tracemalloc
@@ -14,11 +16,20 @@ from hypothesis import given, strategies as st
 
 import carsopt as c
 from carsopt import engine
-from carsopt.cli import EXIT_CONFIG, EXIT_EVALUATOR, EXIT_INTERRUPTED, STUDY_VARIANTS, _cell, _RunSection, main
+from carsopt.cli import (
+    EXIT_CONFIG,
+    EXIT_EVALUATOR,
+    EXIT_INTERRUPTED,
+    STUDY_VARIANTS,
+    _cell,
+    _RunSection,
+    _scatter_line,
+    main,
+)
 from carsopt.engine import RunConfig
 from carsopt.problem import from_mapping, parse_problem
 from carsopt.tensor import SubdomainTensor
-from test_engine import two_op_problem
+from test_engine import boost_log_lines, corrupt_logs, two_op_problem
 
 
 CONFIG = """\
@@ -45,6 +56,36 @@ def config(tmp_path):
     path = tmp_path / "problem.yaml"
     path.write_text(CONFIG)
     return path
+
+
+# report's stdout on the test_pinned_scatter_csv logs.
+PINNED_REPORT_STDOUT = {
+    "cars": "965f6a1ecfea54a08f8ffa18da9d4193b966d3bdd716d65738928438d206ce41",
+    "ga": "a9a422da10f4fc3b560deb4a2f738f79da32036a02ad884d6cf97cc2e3d97a55",
+}
+
+
+def mixed_log() -> str:
+    """A hand-built run log whose samples differ in their parameter and
+    measurement names, with a null and an empty meas, NaN and infinite
+    values, and int values."""
+    first = dict(type="sample", iteration=0, subdomain=[0], unit=[0.5], error=None)
+    first.update(objective_raw=[[1.0]], penalty_raw=[[0.0]])
+
+    def sample(i, params, meas, fitness, valid, **extra):
+        return {**first, "id": i, "params": params, "meas": meas, "fitness": fitness, "valid": valid, **extra}
+
+    nan, inf = math.nan, math.inf
+    lines = [
+        {"type": "run", "version": 2, "method": "cars", "seed": 7},
+        {"type": "iteration", "iteration": 0, "alpha": 0.0, "n_samples": 5},
+        sample(0, {"b": [2.0, -0.0], "a": [1.5, 0.5]}, {"m": [1.0, nan]}, 0.5, True),
+        sample(1, {"a": [3]}, None, -1.0, False, error="timeout"),
+        sample(2, {"a": [nan, 0.25], "c": [7]}, {"n": [2], "m": [inf]}, nan, True),
+        sample(3, {"b": [1e-300], "a": []}, {}, 2, True, island=1),
+        sample(4, {"c": [-5, 2.5], "b": [-inf]}, {"n": [None, 1e308]}, 1.25, False),
+    ]
+    return "".join(json.dumps(line) + "\n" for line in lines)
 
 
 def read_csv(path):
@@ -570,16 +611,79 @@ class TestReport:
             ("ga", "18accc9072220cbf11cd603dbbdf4efe9e9669aba3acb8802f2ee90c920d7b6b"),
         ],
     )
-    def test_pinned_scatter_csv(self, tmp_path, method, digest):
+    def test_pinned_scatter_csv(self, tmp_path, capsys, monkeypatch, method, digest):
         # Failed samples, NaN measurements and grid parameters: every cell
-        # keeps the bytes json.dumps gave it.
+        # keeps the bytes json.dumps gave it, and the summary its text.
         spec, ev = two_op_problem()
         if method == "cars":
             c.run(spec, RunConfig(n_total=200, seed=4), ev, log_path=tmp_path / "run.log")
         else:
             c.run_islands(spec, c.IslandConfig(3, 8, 4), ev, seed=4, log_path=tmp_path / "run.log")
-        assert main(["report", "--log", str(tmp_path / "run.log"), "--out-dir", str(tmp_path)]) == 0
-        assert hashlib.sha256((tmp_path / "scatter.csv").read_bytes()).hexdigest() == digest
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "--log", "run.log", "--out-dir", "out"]) == 0
+        assert hashlib.sha256((tmp_path / "out/scatter.csv").read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_REPORT_STDOUT[method]
+
+    def test_pinned_report_of_mixed_samples(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "run.log").write_text(mixed_log())
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "--log", "run.log", "--out-dir", "out"]) == 0
+        stdout = capsys.readouterr().out
+        assert "a: valid range [0.25, 1.5]" in stdout  # min() goes on past a NaN
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "030d73b5bdb75a152be1d12a5375bb1c03c2c0ca1cf43a78a4285f44194fb91c"
+        )
+        assert hashlib.sha256((tmp_path / "out/scatter.csv").read_bytes()).hexdigest() == (
+            "1450a11ef2dbb34b9435680fde1298db390c579bf171b324303b7a51115c1f7d"
+        )
+
+    def test_corrupt_log_is_config_error(self, tmp_path, capsys):
+        # Nothing is printed, and --out-dir is not made, for a log rejected
+        # anywhere in it.
+        out = tmp_path / "out"
+        for text, message in corrupt_logs(boost_log_lines(tmp_path)):
+            (tmp_path / "bad.log").write_text(text)
+            assert main(["report", "--log", str(tmp_path / "bad.log"), "--out-dir", str(out)]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert re.search(message, captured.err), (message, captured.err)
+            assert not out.exists()
+
+    def test_report_peak_memory_is_a_fraction_of_the_parsed_log(self, tmp_path, capsys):
+        spec, ev = c.builtin_problem("boost")
+        log = tmp_path / "run.log"
+        c.run(spec, RunConfig(n_total=3000, seed=0, oversampling=False), ev, log_path=log)
+        peaks = []
+        for read in (
+            lambda: engine.read_log(log),
+            lambda: main(["report", "--log", str(log), "--out-dir", str(tmp_path)]),
+        ):
+            tracemalloc.start()
+            try:
+                read()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] / 4, peaks
+
+    @given(
+        st.lists(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.lists(st.floats(), max_size=3),
+            min_size=4,
+            max_size=4,
+        ),
+        st.lists(
+            st.none()
+            | st.lists(st.floats() | st.integers() | st.booleans() | st.none() | st.text(), max_size=3)
+            | st.lists(st.lists(st.floats(), max_size=2), max_size=2)
+            | st.text()
+            | st.dictionaries(st.text(), st.floats())
+        ),
+    )
+    def test_scatter_line_equals_csv_writer(self, scalars, values):
+        buf = io.StringIO()
+        csv.writer(buf).writerow(scalars + [json.dumps(v) for v in values])
+        assert _scatter_line(scalars + values) == buf.getvalue()
 
     @given(
         st.none()

@@ -17,6 +17,7 @@ from carsopt.engine import (
     RunConfig,
     _physical_params,
     heuristic_schedule,
+    iter_log,
     iteration_sizes,
     neighbor_count,
     oversampling_width,
@@ -32,6 +33,46 @@ from dense_view import cells
 def sample_lines(path) -> list[str]:
     """The sample lines of a run log, as written."""
     return [line for line in path.read_text().splitlines() if line.startswith('{"type": "sample"')]
+
+
+def boost_log_lines(tmp_path) -> list[str]:
+    """The lines of a seeded 60-sample boost run log; line 4 is its first sample."""
+    spec, ev = c.builtin_problem("boost")
+    c.run(spec, RunConfig(n_total=60, seed=0), ev, log_path=tmp_path / "boost.log")
+    return (tmp_path / "boost.log").read_text().splitlines(keepends=True)
+
+
+def corrupt_logs(boost: list[str]) -> list[tuple[str, str]]:
+    """(log text, pattern of its EngineError) for corrupt versions of the
+    ``boost_log_lines`` log."""
+    rows = [
+        ('{"type": "run", "oops\n', "line 1"),
+        # A line that parses but is not a JSON object with a type.
+        ("[1, 2]\n", "line 1"),
+        ("".join(boost[:2] + ['{"note": "x"}\n'] + boost[2:]), "line 3"),
+        # A sample line without a key that sample_records writes.
+        ("".join(boost[:3] + ['{"type": "sample", "id": 0}\n'] + boost[3:]), "line 4: .*'error'"),
+    ]
+    first = json.loads(boost[3])
+    assert first["type"] == "sample" and first["valid"]
+    for key in sorted(first.keys() - {"type"}):
+        line = json.dumps({k: v for k, v in first.items() if k != key}) + "\n"
+        rows.append(("".join(boost[:3] + [line] + boost[4:]), f"line 4: sample without key '{key}'"))
+    # Values report and resume cannot read: params not a mapping of lists of
+    # numbers, meas neither null nor a mapping.
+    malformed = [
+        ({"params": ["C1"]}, "params is not a mapping"),
+        ({"params": {**first["params"], "C1": "abc"}}, "param 'C1' is not a list of numbers"),
+        ({"params": {**first["params"], "C1": 1e-6}}, "param 'C1' is not a list of numbers"),
+        ({"params": {**first["params"], "C1": [1e-6, None]}}, "param 'C1' is not a list of numbers"),
+        ({"params": {**first["params"], "C1": [True]}}, "param 'C1' is not a list of numbers"),
+        ({"meas": [1.0]}, "meas is neither null nor a mapping"),
+        ({"meas": "x"}, "meas is neither null nor a mapping"),
+    ]
+    for edit, message in malformed:
+        line = json.dumps({**first, **edit}) + "\n"
+        rows.append(("".join(boost[:3] + [line] + boost[4:]), f"line 4: sample {message}"))
+    return rows
 
 
 def two_op_problem():
@@ -428,30 +469,30 @@ class TestLog:
         assert sum(e["type"] == "sample" for e in read_log(log)) == 280
 
     def test_corrupt_log_rejected(self, tmp_path):
-        spec, ev = c.builtin_problem("boost")
-        c.run(spec, RunConfig(n_total=60, seed=0), ev, log_path=tmp_path / "boost.log")
-        boost = (tmp_path / "boost.log").read_text().splitlines(keepends=True)
-        rows = [
-            ('{"type": "run", "oops\n', "line 1"),
-            # A line that parses but is not a JSON object with a type.
-            ("[1, 2]\n", "line 1"),
-            ("".join(boost[:2] + ['{"note": "x"}\n'] + boost[2:]), "line 3"),
-            # A sample line without a key that sample_records writes.
-            ("".join(boost[:3] + ['{"type": "sample", "id": 0}\n'] + boost[3:]), "line 4: .*'error'"),
-        ]
-        first = json.loads(boost[3])  # line 4 is the first sample
-        assert first["type"] == "sample"
-        for key in sorted(first.keys() - {"type"}):
-            line = json.dumps({k: v for k, v in first.items() if k != key}) + "\n"
-            rows.append(("".join(boost[:3] + [line] + boost[4:]), f"line 4: sample without key '{key}'"))
+        boost = boost_log_lines(tmp_path)
         path = tmp_path / "bad.log"
-        for text, line in rows:
+        for text, line in corrupt_logs(boost):
             path.write_text(text)
             with pytest.raises(EngineError, match=line):
                 read_log(path)
         # A GA sample line's extra "island" key is no corruption.
+        first = json.loads(boost[3])
         path.write_text("".join(boost[:3] + [json.dumps({**first, "island": 0}) + "\n"] + boost[4:]))
         assert read_log(path)[3]["island"] == 0
+
+    def test_iter_log_reads_as_it_yields(self, tmp_path):
+        # A fault past the lines already yielded is raised when it is reached.
+        boost = boost_log_lines(tmp_path)
+        path = tmp_path / "bad.log"
+        path.write_text("".join(boost[:5] + ["[1, 2]\n"] + boost[5:]))
+        lines = iter_log(path)
+        assert [next(lines)["type"] for _ in range(5)] == ["run", "iteration", "normalization", "sample", "sample"]
+        with pytest.raises(EngineError, match="line 6"):
+            next(lines)
+        # A log cut inside its first line has no run header.
+        path.write_text(boost[0][:10])
+        with pytest.raises(EngineError, match="run header"):
+            list(iter_log(path))
 
     def test_csv_exports(self, tmp_path):
         from carsopt.engine import export_summary_csv, export_valid_samples_csv
