@@ -100,11 +100,7 @@ def cmd_run(args) -> int:
             print(f"evaluations: {result.total_evaluations}")
     finally:
         evaluator.close()
-    engine.export_summary_csv(records, out / "summary.csv")
-    engine.export_valid_samples_csv(spec, records, out / "valid_samples.csv")
-    valid = sum(r["valid"] for r in records)
-    print(f"samples: {len(records)}  valid: {valid}  log: {log_path}")
-    return 0
+    return _export(spec, records, out, log_path)
 
 
 def cmd_resume(args) -> int:
@@ -114,10 +110,14 @@ def cmd_resume(args) -> int:
         state = engine.resume(args.log, spec, cfg, evaluator)
     finally:
         evaluator.close()
-    engine.export_summary_csv(state.records, out / "summary.csv")
-    engine.export_valid_samples_csv(spec, state.records, out / "valid_samples.csv")
-    valid = sum(r["valid"] for r in state.records)
-    print(f"samples: {len(state.records)}  valid: {valid}  log: {args.log}")
+    return _export(spec, state.records, out, args.log)
+
+
+def _export(spec, records: list[dict], out: Path, log_path) -> int:
+    """Write a run's CSV exports to ``out`` and print its sample counts."""
+    engine.export_summary_csv(records, out / "summary.csv")
+    engine.export_valid_samples_csv(spec, records, out / "valid_samples.csv")
+    print(f"samples: {len(records)}  valid: {sum(r['valid'] for r in records)}  log: {log_path}")
     return 0
 
 
@@ -210,17 +210,7 @@ def run_study(spec, evaluator, config: RunConfig, seeds: list[int]) -> list[dict
     for variant, overrides in STUDY_VARIANTS.items():
         for seed in seeds:
             state = engine.run(spec, dataclasses.replace(config, seed=seed, **overrides), evaluator)
-            for s in engine.iteration_stats(state.records):
-                rows.append(
-                    {
-                        "variant": variant,
-                        "seed": seed,
-                        "iteration": s["iteration"],
-                        "fit_min": s["fit_min"],
-                        "fit_mean": s["fit_mean"],
-                        "fit_max": s["fit_max"],
-                    }
-                )
+            rows += ({"variant": variant, "seed": seed, **s} for s in engine.iteration_stats(state.records))
     return rows
 
 
@@ -233,7 +223,8 @@ def cmd_study(args) -> int:
         evaluator.close()
     path = out / "study.csv"
     with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=["variant", "seed", "iteration", "fit_min", "fit_mean", "fit_max"])
+        fields = ["variant", "seed", "iteration", "fit_min", "fit_mean", "fit_max"]
+        w = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
         w.writeheader()
         w.writerows(rows)
     print(f"wrote {path} ({len(rows)} rows)")

@@ -17,7 +17,7 @@ an uninterrupted one.
 
 from __future__ import annotations
 
-import collections
+import csv
 import json
 import math
 from contextlib import contextmanager
@@ -152,13 +152,13 @@ class RunConfig:
 @dataclass
 class RunState:
     """A CARS run after ``iteration`` iterations; its tensor and kNN store
-    are the fold of ``records``."""
+    are the fold of ``records``, committed one iteration at a time."""
 
     spec: ProblemSpec
     config: RunConfig
     consts: fit.NormalizationConstants | None = None
-    iteration: int = 0  # next iteration to execute
-    records: list[dict] = field(default_factory=list)  # the log's sample lines
+    iteration: int = field(default=0, init=False)  # next iteration to execute
+    records: list[dict] = field(default_factory=list, init=False)  # the log's sample lines
     tensor: SubdomainTensor = field(init=False)
     store: NeighborStore = field(init=False)
 
@@ -166,18 +166,15 @@ class RunState:
         n_dim = len(sampled_dimensions(self.spec))
         self.tensor = SubdomainTensor(n_dim, self.config.n_subdomain, self.config.n_pool)
         self.store = NeighborStore(n_dim)
-        shape = (len(self.records), n_dim)  # reshape keeps (0, n_dim) when there are none
-        self._fold(
-            np.array([r["subdomain"] for r in self.records], dtype=np.intp).reshape(shape),
-            np.array([r["unit"] for r in self.records], dtype=float).reshape(shape),
-            np.array([r["fitness"] for r in self.records], dtype=float),
-        )
 
-    def _fold(self, subdomains: np.ndarray, units: np.ndarray, fitnesses: np.ndarray) -> None:
-        """Max-fold sample fitnesses into the tensor at their sub-domains and
-        append their unit points to the store, one row per sample."""
+    def _commit(self, records: list[dict], subdomains, units, fitnesses: np.ndarray) -> None:
+        """Close the open iteration on its samples: max-fold their fitnesses
+        into the tensor at their sub-domains, append their unit points to
+        the store and their records to ``records``, one row per sample."""
         self.tensor.update_many(subdomains, fitnesses)
         self.store.extend(units, fitnesses)
+        self.records.extend(records)
+        self.iteration += 1
 
 
 def iteration_stats(records: list[dict]) -> list[dict]:
@@ -293,6 +290,7 @@ _SAMPLE_KEYS = frozenset(
     "type id iteration subdomain unit params meas error objective_raw penalty_raw fitness valid".split()
 )
 _NUMBER_TYPES = {int, float}
+_SCALAR_TYPES = {"id": {int}, "iteration": {int}, "fitness": _NUMBER_TYPES, "valid": {bool}}
 
 
 def run_header(method: str, seed: int, n_total: int, dims, config: RunConfig | None) -> dict:
@@ -395,10 +393,8 @@ def run(
             fitnesses = bd.scalar(state.consts)
 
             records = sample_records(iteration, units, mis, requests, results, bd, fitnesses)
-            state._fold(mis, units, fitnesses)
-            state.records.extend(records)
+            state._commit(records, mis, units, fitnesses)
             emit(lines + records)
-            state.iteration = iteration + 1
             if stop_after_iteration is not None and iteration >= stop_after_iteration:
                 break
     return state
@@ -411,13 +407,17 @@ def run(
 def iter_log(path):
     """Yield a run log's lines one at a time, parsed and checked; raises
     EngineError on corruption: a line that is not a JSON object with a
-    ``type``, a first line that is not the run header, a sample line without
-    a key of ``sample_records``, and one whose ``params`` is not a mapping of
-    lists of numbers or whose ``meas`` is neither null nor a mapping.
+    ``type``, a first line that is not the run header, or a sample line that
+    ``_check_sample`` rejects.
 
     A last line without its newline that does not parse is what a crash
     mid-write leaves; it is dropped.
     """
+    return (obj for _, obj in _numbered_log(path))
+
+
+def _numbered_log(path):
+    """``iter_log``'s lines, each with its line number."""
     header = False
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -438,16 +438,21 @@ def iter_log(path):
                 header = True
             elif obj["type"] == "sample":
                 _check_sample(obj, lineno)
-            yield obj
+            yield lineno, obj
     if not header:
         raise EngineError("log does not start with a run header")
 
 
 def _check_sample(obj: dict, lineno: int) -> None:
-    """Raise EngineError unless ``obj`` has the keys and value shapes of a
-    ``sample_records`` record."""
+    """Raise EngineError unless ``obj`` has every key of a ``sample_records``
+    record, an int ``id`` and ``iteration``, a numeric ``fitness``, a bool
+    ``valid``, ``params`` that map names to lists of numbers, and ``meas``
+    that is null or a mapping."""
     if not _SAMPLE_KEYS <= obj.keys():
         raise EngineError(f"corrupt log line {lineno}: sample without key {min(_SAMPLE_KEYS - obj.keys())!r}")
+    for key, types in _SCALAR_TYPES.items():
+        if type(obj[key]) not in types:
+            raise EngineError(f"corrupt log line {lineno}: sample {key} has type {type(obj[key]).__name__}")
     params, meas = obj["params"], obj["meas"]
     if type(params) is not dict:
         raise EngineError(f"corrupt log line {lineno}: sample params is not a mapping")
@@ -464,38 +469,53 @@ def read_log(path) -> list[dict]:
 
 
 def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
-    """Rebuild engine state from a run log (no new samples).
+    """Rebuild engine state from a run log (no new samples) in one pass.
 
     Raises EngineError unless the log header equals this run's ``run_header``
-    but for the alpha schedule, and the first sample's parameters match.
-    An iteration counts as done once all of its ``iteration_sizes`` samples
-    are logged.  A trailing incomplete one (what a run killed mid-iteration
-    leaves) is left out, and so are the normalization constants if that is
-    iteration 0; resuming redoes it.
+    but for the alpha schedule, the first sample's parameters match, and each
+    sample it folds has ``n_dim`` sub-domain ints and unit numbers.  It folds
+    whole iterations up to the first sample that is not the open iteration's
+    next (by id); a trailing incomplete iteration is left out, and so are the
+    normalization constants if that is iteration 0; resuming redoes it.
     """
-    entries = read_log(log_path)
     dims = sampled_dimensions(spec)
+    sizes = iteration_sizes(config.n_total)
+    state = RunState(spec, config)
+    lines = _numbered_log(log_path)
+    _, header = next(lines)
     for key, want in run_header("cars", config.seed, config.n_total, dims, config).items():
-        if key != "alpha_schedule" and entries[0].get(key) != want:
+        if key != "alpha_schedule" and header.get(key) != want:
             raise EngineError(
                 "log geometry or settings mismatch: log was written with "
-                f"{key}={entries[0].get(key)!r}, this run has {want!r}"
+                f"{key}={header.get(key)!r}, this run has {want!r}"
             )
-    # Dimension labels do not pin bounds or scales; the parameter values
-    # logged for the first sample's unit point do.
-    first = next((obj for obj in entries if obj["type"] == "sample"), None)
-    unit = first["unit"] if first else []
-    if first and (len(unit) != len(dims) or [first["params"]] != _physical_params(spec, dims, [unit])):
-        raise EngineError(f"log dimensions mismatch: this problem maps sample {first['id']}'s unit point elsewhere")
-    sizes = iteration_sizes(config.n_total)
-    logged = collections.Counter(obj["iteration"] for obj in entries if obj["type"] == "sample")
-    done = 0
-    while done < len(sizes) and logged[done] == sizes[done]:
-        done += 1
-    norm = next((obj for obj in entries if obj["type"] == "normalization"), None) if done else None
-    consts = fit.NormalizationConstants.from_dict(norm) if norm else None
-    kept = [obj for obj in entries if obj["type"] == "sample" and obj["iteration"] < done]
-    return RunState(spec, config, consts, done, kept)
+    norm = None
+    batch: list[dict] = []  # the open iteration's samples
+    for lineno, obj in lines:
+        if obj["type"] == "normalization":
+            norm = norm or obj
+        if obj["type"] != "sample":
+            continue
+        sub, unit = obj["subdomain"], obj["unit"]
+        if type(sub) is not list or len(sub) != len(dims) or not {*map(type, sub)} <= {int}:
+            raise EngineError(f"corrupt log line {lineno}: sample subdomain is not {len(dims)} ints")
+        if type(unit) is not list or len(unit) != len(dims) or not {*map(type, unit)} <= _NUMBER_TYPES:
+            raise EngineError(f"corrupt log line {lineno}: sample unit is not {len(dims)} numbers")
+        # Dimension labels do not pin bounds or scales; the parameter values
+        # logged for the first sample's unit point do.
+        if not (state.records or batch) and [obj["params"]] != _physical_params(spec, dims, [unit]):
+            raise EngineError(f"log dimensions mismatch: this problem maps sample {obj['id']}'s unit point elsewhere")
+        if not (obj["iteration"] == state.iteration < len(sizes) and obj["id"] == len(state.records) + len(batch)):
+            break  # the kept prefix ends here
+        batch.append(obj)
+        if len(batch) == sizes[state.iteration]:
+            state._commit(batch, *(np.array([r[key] for r in batch]) for key in ("subdomain", "unit", "fitness")))
+            batch = []
+    for _ in lines:  # past the kept prefix, lines are checked, not folded
+        pass
+    if state.iteration and norm:
+        state.consts = fit.NormalizationConstants.from_dict(norm)
+    return state
 
 
 def resume(
@@ -507,12 +527,10 @@ def resume(
 ) -> RunState:
     """Continue a logged run up to ``config.n_total`` samples.
 
-    The tensor is re-established as the max-fold of logged (sub-domain,
-    fitness) pairs; normalization constants and the iteration counter are
-    restored, and per-iteration RNG streams make the continuation identical
-    to an uninterrupted one.  The log must match ``config`` except for the
-    alpha schedule, which may change.  Lines past the last complete
-    iteration are cut off before new ones are appended.
+    The state is ``restore_state``'s, and per-iteration RNG streams make the
+    continuation identical to an uninterrupted one.  The log must match
+    ``config`` except for the alpha schedule, which may change.  Lines past
+    the restored iterations are cut off before new ones are appended.
     """
     state = restore_state(log_path, spec, config)
     sizes = iteration_sizes(config.n_total)
@@ -534,19 +552,14 @@ def resume(
 
 def export_summary_csv(records: list[dict], path) -> None:
     """Per-iteration min/mean/max fitness and valid count."""
-    import csv
-
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["iteration", "fit_min", "fit_mean", "fit_max", "valid", "n"])
-        for s in iteration_stats(records):
-            w.writerow([s["iteration"], s["fit_min"], s["fit_mean"], s["fit_max"], s["valid"], s["n"]])
+        w.writerows(s.values() for s in iteration_stats(records))
 
 
 def export_valid_samples_csv(spec: ProblemSpec, records: list[dict], path) -> None:
     """Parameter and measurement table of boundary-valid samples."""
-    import csv
-
     param_cols = []
     for p in spec.parameters:
         param_cols.extend((p.name, op) for op in range(p.op_count))

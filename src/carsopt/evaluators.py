@@ -19,7 +19,6 @@ import select
 import shlex
 import subprocess
 import sys
-import threading
 import time
 from dataclasses import dataclass
 
@@ -141,8 +140,8 @@ def _boost_problem() -> tuple[ProblemSpec, BuiltinEvaluator]:
 def _coordinates(params: dict) -> list[float]:
     """x0, x1, ... in order: the request, not the model, fixes the dimension."""
     x = []
-    while f"x{len(x)}" in params:
-        x.append(params[f"x{len(x)}"][0])
+    while (name := f"x{len(x)}") in params:
+        x.append(params[name][0])
     return x
 
 
@@ -277,9 +276,9 @@ class ExternalEvaluator:
     """Drives a child process speaking the line-delimited JSON protocol.
 
     Up to 16 requests are outstanding at once; responses may arrive in any
-    order and are matched by id.  The child's stdout is read in the calling
-    thread, by ``select`` on its pipe (POSIX only), and a response counts
-    once its newline arrives.  A line that is not UTF-8 JSON naming an
+    order and are matched by id.  Batches must not overlap: the child's
+    stdout is read in the calling thread, by ``select`` on its pipe (POSIX
+    only), and a response counts once its newline arrives.  A line that is not UTF-8 JSON naming an
     integer id is ignored as noise.  The child has one clock of ``timeout``
     seconds, restarted at each response and at a write into an idle child.
     When it runs out, the oldest outstanding request fails with
@@ -296,7 +295,6 @@ class ExternalEvaluator:
             raise ValueError(f"timeout must be a finite number of seconds > 0, not {timeout!r}")
         self.command = command
         self.timeout = timeout
-        self._lock = threading.Lock()
         self._spawn()
 
     def _spawn(self):
@@ -325,10 +323,6 @@ class ExternalEvaluator:
                 return lines
 
     def evaluate_batch(self, requests: list[EvaluationRequest]) -> list[EvaluationResult]:
-        with self._lock:
-            return self._evaluate_batch(requests)
-
-    def _evaluate_batch(self, requests):
         results: dict[int, EvaluationResult] = {}
         unsent = collections.deque(requests)
         pending: dict[int, EvaluationRequest] = {}  # sent and unanswered, oldest first

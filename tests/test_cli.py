@@ -649,6 +649,18 @@ class TestReport:
             assert re.search(message, captured.err), (message, captured.err)
             assert not out.exists()
 
+    def test_corrupt_log_is_config_error_for_resume(self, tmp_path, capsys):
+        # Also a sub-domain or unit point restore_state cannot fold; the log
+        # is left as it was.
+        config = Path(__file__).parents[1] / "configs" / "boost.yaml"
+        args = ["--config", str(config), "--n-total", "60", "--log", str(tmp_path / "bad.log")]
+        for text, message in corrupt_logs(boost_log_lines(tmp_path), restore=True):
+            (tmp_path / "bad.log").write_text(text)
+            assert main(["resume", *args, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert re.search(message, captured.err), (message, captured.err)
+            assert (tmp_path / "bad.log").read_text() == text
+
     def test_report_peak_memory_is_a_fraction_of_the_parsed_log(self, tmp_path, capsys):
         spec, ev = c.builtin_problem("boost")
         log = tmp_path / "run.log"

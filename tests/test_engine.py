@@ -42,9 +42,10 @@ def boost_log_lines(tmp_path) -> list[str]:
     return (tmp_path / "boost.log").read_text().splitlines(keepends=True)
 
 
-def corrupt_logs(boost: list[str]) -> list[tuple[str, str]]:
+def corrupt_logs(boost: list[str], restore: bool = False) -> list[tuple[str, str]]:
     """(log text, pattern of its EngineError) for corrupt versions of the
-    ``boost_log_lines`` log."""
+    ``boost_log_lines`` log; with ``restore``, also those only
+    ``restore_state`` rejects."""
     rows = [
         ('{"type": "run", "oops\n', "line 1"),
         # A line that parses but is not a JSON object with a type.
@@ -68,7 +69,25 @@ def corrupt_logs(boost: list[str]) -> list[tuple[str, str]]:
         ({"params": {**first["params"], "C1": [True]}}, "param 'C1' is not a list of numbers"),
         ({"meas": [1.0]}, "meas is neither null nor a mapping"),
         ({"meas": "x"}, "meas is neither null nor a mapping"),
+        # Scalars report and resume cannot read.
+        ({"id": "0"}, "id has type str"),
+        ({"iteration": "1"}, "iteration has type str"),
+        ({"iteration": 0.0}, "iteration has type float"),
+        ({"fitness": "x"}, "fitness has type str"),
+        ({"fitness": None}, "fitness has type NoneType"),
+        ({"valid": "yes"}, "valid has type str"),
+        ({"valid": 1}, "valid has type int"),
     ]
+    if restore:  # a point restore_state cannot fold: not n_dim (3) ints or numbers
+        malformed += [
+            ({"subdomain": "ab"}, "subdomain is not 3 ints"),
+            ({"subdomain": first["subdomain"][:2]}, "subdomain is not 3 ints"),
+            ({"subdomain": [0, 1, 2.0]}, "subdomain is not 3 ints"),
+            ({"subdomain": [0, True, 2]}, "subdomain is not 3 ints"),
+            ({"unit": None}, "unit is not 3 numbers"),
+            ({"unit": first["unit"] + [0.5]}, "unit is not 3 numbers"),
+            ({"unit": [0.5, 0.5, "x"]}, "unit is not 3 numbers"),
+        ]
     for edit, message in malformed:
         line = json.dumps({**first, **edit}) + "\n"
         rows.append(("".join(boost[:3] + [line] + boost[4:]), f"line 4: sample {message}"))
@@ -351,6 +370,42 @@ class TestDeterminismAndResume:
         (tmp_path / "cut.log").write_bytes(cut[: len(cut) - torn])
         c.resume(tmp_path / "cut.log", spec, cfg, ev)
         assert (tmp_path / "cut.log").read_bytes() == full
+
+    @pytest.mark.parametrize(
+        "after,done", [(44, 2), (107, 5), (30, 1)], ids=["end-of-iteration-1", "end-of-log", "mid-iteration-1"]
+    )
+    def test_resume_log_with_stray_sample_copy(self, tmp_path, after, done):
+        # 5 iterations of 20: line 44 is iteration 1's last sample, line 107
+        # iteration 4's and line 30 one in between.  A stray copy of line
+        # ``after`` ends the kept prefix; the restored records are the sample
+        # lines of the iterations complete before it.
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        cfg = RunConfig(n_total=100, seed=0)
+        c.run(spec, cfg, ev, log_path=tmp_path / "full.log")
+        full = (tmp_path / "full.log").read_bytes()
+        lines = full.splitlines(keepends=True)
+        (tmp_path / "r.log").write_bytes(b"".join(lines[:after] + [lines[after - 1]] + lines[after:]))
+        rs = restore_state(tmp_path / "r.log", spec, cfg)
+        assert rs.iteration == done
+        assert [json.dumps(r) for r in rs.records] == sample_lines(tmp_path / "full.log")[: 20 * rs.iteration]
+        assert len(rs.store) == len(rs.records)
+        c.resume(tmp_path / "r.log", spec, cfg, ev)
+        assert (tmp_path / "r.log").read_bytes() == full
+
+    def test_restore_checks_lines_past_the_kept_prefix(self, tmp_path, monkeypatch):
+        # One pass: the log is not read into a list, and a corrupt line past
+        # the incomplete iteration 2 is still rejected.
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        cfg = RunConfig(n_total=100, seed=0)
+        c.run(spec, cfg, ev, log_path=tmp_path / "full.log")
+        lines = (tmp_path / "full.log").read_text().splitlines(keepends=True)
+        monkeypatch.setattr(c.engine, "read_log", None)
+        (tmp_path / "r.log").write_text("".join(lines[:49]))
+        assert restore_state(tmp_path / "r.log", spec, cfg).iteration == 2
+        (tmp_path / "r.log").write_text("".join(lines[:49] + ["[1, 2]\n"]))
+        with pytest.raises(EngineError, match="line 50"):
+            c.resume(tmp_path / "r.log", spec, cfg, ev)
+        assert (tmp_path / "r.log").read_text() == "".join(lines[:49] + ["[1, 2]\n"])
 
     def test_restore_drops_incomplete_iteration(self, tmp_path):
         spec, ev = c.builtin_problem("sphere_ring", 2)
