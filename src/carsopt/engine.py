@@ -475,8 +475,10 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
     but for the alpha schedule, the first sample's parameters match, and each
     sample it folds has ``n_dim`` sub-domain ints and unit numbers.  It folds
     whole iterations up to the first sample that is not the open iteration's
-    next (by id); a trailing incomplete iteration is left out, and so are the
-    normalization constants if that is iteration 0; resuming redoes it.
+    next (by id), and rejects a folded sample whose unit point leaves [0, 1]
+    or whose fitness is not finite; a trailing incomplete iteration is left
+    out, and so are the normalization constants if that is iteration 0;
+    resuming redoes it.
     """
     dims = sampled_dimensions(spec)
     sizes = iteration_sizes(config.n_total)
@@ -491,6 +493,7 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
             )
     norm = None
     batch: list[dict] = []  # the open iteration's samples
+    linenos: list[int] = []  # and their line numbers
     for lineno, obj in lines:
         if obj["type"] == "normalization":
             norm = norm or obj
@@ -508,9 +511,16 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
         if not (obj["iteration"] == state.iteration < len(sizes) and obj["id"] == len(state.records) + len(batch)):
             break  # the kept prefix ends here
         batch.append(obj)
+        linenos.append(lineno)
         if len(batch) == sizes[state.iteration]:
-            state._commit(batch, *(np.array([r[key] for r in batch]) for key in ("subdomain", "unit", "fitness")))
-            batch = []
+            subdomains = np.array([r["subdomain"] for r in batch])
+            units, fitnesses = (np.array([r[key] for r in batch], dtype=float) for key in ("unit", "fitness"))
+            outside = ~((units >= 0) & (units <= 1)).all(axis=1)  # also true for NaN
+            for bad, what in ((outside, "unit is outside [0, 1]"), (~np.isfinite(fitnesses), "fitness is not finite")):
+                if bad.any():
+                    raise EngineError(f"corrupt log line {linenos[bad.argmax()]}: sample {what}")
+            state._commit(batch, subdomains, units, fitnesses)
+            batch, linenos = [], []
     for _ in lines:  # past the kept prefix, lines are checked, not folded
         pass
     if state.iteration and norm:

@@ -18,33 +18,38 @@ Estimates are exact and reproducible bit for bit:
 - **Prefilter.** While k < m, the rows ``[q, ‖q‖², 1]`` and each query's
   margin δ = 3·(d+4)·eps·((‖q‖ + max‖p‖)² + 1) are built once per block of
   queries (see Cost).  Per chunk, one float64 GEMM with ``[-2p; 1; ‖p‖²]``
-  gives the Gram-form distances, clamped at 0.  The low ``bits = (m-1).bit_length()``
-  (at least 1) mantissa bits of each are replaced by its column index, and
-  one values-only ``np.partition`` brings the k+1 smallest of these keys to
-  the front of the row.  Non-negative doubles order like their bit patterns,
-  so each key names its own column, and since no two keys are equal the
-  selected set does not depend on which partition kernel numpy dispatches.
-  A row is *proven* when its (k+1)-th key a exceeds its k-th by more than
-  2δ + a·2**(bits-51) + 2**(bits-1073).  δ is at least twice the
-  worst-case rounding gap between a Gram distance (in any GEMM summation
-  order, fused or not) and the exact one; the other two terms bound how far
-  packing moved the two keys, relatively and among subnormals.  Its k
-  columns are then the exact k nearest with no tie across the boundary, so
-  only their exact distances are computed and ranked.  The BLAS build and
-  its thread count therefore cannot change a result.
+  gives the Gram-form distances.  Read as int64 keys, they get their column
+  index in their low w bits by one strided store (w = 16 while m <= 2**16,
+  else 32: a key's first uint16 or uint32 in little-endian memory, its last
+  in big-endian), and one ``np.partition`` of these distinct integers (alike
+  under any partition kernel) brings the k+1 smallest to the front of the
+  row, to be sorted.  A row is *proven* when every adjacent gap among them,
+  as doubles, exceeds 2δ + |a|·2**(w-51) + 2**(w-1073), a the (k+1)-th.
+  δ is at least twice the worst-case rounding gap between a finite Gram
+  distance (in any GEMM summation order, fused or not) and the exact one.
+  Non-negative doubles order like their bits, so packing moved a key x by
+  under 2**w ulps, |x|·2**(w-52) + 2**(w-1074), and a key past a came from
+  a distance no smaller than a's with its index cleared; the other two terms
+  cover that for two keys up to |a|.  Each gap then orders its two exact
+  distances strictly, the last also the k-th before every column past a, so
+  a proven row's first k keys are its exact k nearest in (distance, index)
+  order, averaged as they stand; the BLAS build and its thread count cannot
+  change a result.  Nothing is clamped: a negative Gram distance (from a
+  distance within δ of 0, so under δ/2 in size; the spare δ covers its
+  packing) sorts before every non-negative key, and two negative keys sort
+  in reverse, so a row that depends on their order has a negative gap.  A
+  NaN key (a NaN distance, or an infinite one whose mantissa took an index)
+  makes a gap NaN, an infinite a the slack, and a NaN or infinite query δ.
 - **Fallback.** Every other row (k >= m, a NaN or overflowing query, a
-  near-tie within the slack) gets exact distances to every point and is
-  ranked by a stable full sort, the reference's own rule.
-- **Cost.** A call with n queries against m stored points in d dimensions
-  does O(n·m·d) arithmetic in the GEMM plus an O(n·m) packing and selection,
-  and O(n·k·d) exact arithmetic for the proven rows; a fallback row costs
-  O(m·d) exact arithmetic and an O(m log m) sort.  Queries go in blocks whose
-  re-rank gathers at most 2**20 (query, neighbor, dimension) coordinates
-  (8 MiB; 13,443 queries at d = 6 and k = 13), and the proof, the re-rank and
-  the mean run once per block.  Within a block, the GEMM and the selection go
-  in chunks whose (chunk, m) float64 arrays hold at most 65,536 elements
-  (512 KiB), so they stay in a core's L2 cache; a few such arrays are live
-  at once.
+  near-tie within the slack among its k+1 nearest) gets exact distances to
+  every point and is ranked by a stable full sort, the reference's own rule.
+- **Cost.** n queries against m stored points in d dimensions cost O(n·m·d)
+  in the GEMM plus an O(n·m) index store and selection; a fallback row adds
+  O(m·d) exact arithmetic and an O(m log m) sort.  Queries go in blocks of
+  at most 2**18 selected keys (2 MiB; 18,724 queries at k = 13), proven and
+  averaged once per block, and each block in chunks of (chunk, m) arrays of
+  at most 65,536 elements (512 KiB, L2-resident), but of at least 4 rows,
+  since past 16,384 stored points a call per row costs more than the cache.
 
 Points and fitnesses live in preallocated arrays whose capacity doubles, so
 appending a batch costs amortized O(batch) and estimates read them in place.
@@ -57,7 +62,8 @@ import numpy as np
 __all__ = ["NeighborStore"]
 
 _CHUNK_ELEMENTS = 65_536  # (queries, points) elements per array: 512 KiB, cache-resident
-_BLOCK_ELEMENTS = 1 << 20  # (queries, k, d) elements a block's re-rank gathers: 8 MiB
+_CHUNK_ROWS = 4  # but never fewer rows than this per chunk
+_BLOCK_ELEMENTS = 1 << 18  # (queries, k+1) keys a block selects: 2 MiB
 _PAIRWISE_BLOCK = 128  # numpy's pairwise-summation block size
 # c in the prefilter margin δ = c·(d+4)·eps·((‖q‖ + max‖p‖)² + 1).  To first
 # order a Gram distance and the exact per-dimension sum differ by at most
@@ -135,31 +141,28 @@ def _margin(queries: np.ndarray, max_norm: float) -> np.ndarray:
 
 
 def _prefilter(queries: np.ndarray, gram: np.ndarray, max_norm: float, k: int):
-    """Per row, the k columns nearest by Gram distance (any order), and whether
-    they are proven to be the k exact nearest with no tie across slot k.
-    Gram distances are computed and selected from one chunk of rows at a time."""
+    """Per row, the k columns nearest by Gram distance in key order, and whether
+    that is proven their exact (distance, index) order with no tie among them
+    or across slot k.  Keys are computed and selected one chunk of rows at a time."""
     n, m = len(queries), gram.shape[1]
-    bits = max(1, (m - 1).bit_length())  # width of the column index field
-    low = np.uint64((1 << bits) - 1)
-    index = np.arange(m, dtype=np.uint64)
-    near = np.empty((n, k + 1))  # per row, the k+1 smallest keys; the last is the (k+1)-th
-    chunk = max(1, _CHUNK_ELEMENTS // m)
+    width = 16 if m <= 1 << 16 else 32  # bits of the column index field
+    field = np.dtype(f"u{width // 8}")
+    low = 0 if np.little_endian else 64 // width - 1  # the field's slot within a key
+    index = np.arange(m, dtype=field)
+    near = np.empty((n, k + 1), dtype=np.int64)  # per row, the k+1 smallest keys
+    chunk = max(_CHUNK_ROWS, _CHUNK_ELEMENTS // m)
     with np.errstate(over="ignore", invalid="ignore"):  # such rows fall back and warn there
         lifted = _lift(queries)
         for start in range(0, n, chunk):
-            keys = _gram_distances(lifted[start : start + chunk], gram)
-            np.maximum(keys, 0, out=keys)  # no true distance is negative; NaN stays NaN
-            packed = keys.view(np.uint64)
-            packed &= ~low
-            packed |= index
+            keys = _gram_distances(lifted[start : start + chunk], gram).view(np.int64)
+            keys.view(field)[:, low :: 64 // width] = index
             keys.partition(k, axis=1)
             near[start : start + chunk] = keys[:, : k + 1]
-        kth, after = near[:, :k].max(axis=1), near[:, k]
-        # Packing moved each of the two keys by under 2**bits of its ulp.
-        slack = 2 * _margin(queries, max_norm) + after * 2.0 ** (bits - 51) + 2.0 ** (bits - 1073)
-        # NaN compares false, and the margin bounds only finite Gram distances.
-        proven = (after - kth > slack) & (after < np.inf)
-    return (near[:, :k].view(np.uint64) & low).astype(np.intp), proven
+        near.sort(axis=1)
+        dist = near.view(float)
+        slack = 2 * _margin(queries, max_norm) + abs(dist[:, k]) * 2.0 ** (width - 51) + 2.0 ** (width - 1073)
+        proven = (np.diff(dist, axis=1) > slack[:, None]).all(axis=1)  # NaN compares false
+    return near[:, :k] & ((1 << width) - 1), proven
 
 
 class NeighborStore:
@@ -220,20 +223,15 @@ class NeighborStore:
         coords, fit = self._coords[:, :m], self._fitness[:m]
         k = min(k, m)
         out = np.empty(len(queries))
-        block = max(1, _BLOCK_ELEMENTS // (k * self.n_dim))
-        chunk = max(1, _CHUNK_ELEMENTS // m)
+        block = max(1, _BLOCK_ELEMENTS // (k + 1))
+        chunk = max(_CHUNK_ROWS, _CHUNK_ELEMENTS // m)
         gram = _gram(coords) if k < m else None
         max_norm = np.sqrt(gram[-1].max()) if k < m else None  # max‖p‖: once per call, not per block
         for start in range(0, len(queries), block):
             q = queries[start : start + block]
-            order = np.empty((len(q), k), dtype=np.intp)
-            proven = np.zeros(len(q), dtype=bool)
-            if gram is not None:
-                cols, proven = _prefilter(q, gram, max_norm, k)
-                if proven.any():
-                    cols = np.sort(cols[proven], axis=1)  # insertion order breaks distance ties
-                    d2 = _squared_distances(q[proven], coords[:, cols], 0, self.n_dim)
-                    order[proven] = np.take_along_axis(cols, np.argsort(d2, axis=1, kind="stable"), axis=1)
+            order, proven = (
+                _prefilter(q, gram, max_norm, k) if k < m else (np.empty((len(q), k), np.intp), np.zeros(len(q), bool))
+            )
             rest = np.flatnonzero(~proven)
             for lo in range(0, len(rest), chunk):
                 rows = rest[lo : lo + chunk]

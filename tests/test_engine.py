@@ -91,6 +91,17 @@ def corrupt_logs(boost: list[str], restore: bool = False) -> list[tuple[str, str
     for edit, message in malformed:
         line = json.dumps({**first, **edit}) + "\n"
         rows.append(("".join(boost[:3] + [line] + boost[4:]), f"line 4: sample {message}"))
+    if restore:  # a folded sample's unit point outside [0, 1] or fitness not finite
+        second = json.loads(boost[4])
+        assert second["type"] == "sample" and second["iteration"] == 0
+        for edit, message in [
+            ({"unit": [1.5, *second["unit"][1:]]}, r"unit is outside \[0, 1\]"),
+            ({"unit": [*second["unit"][:2], math.nan]}, r"unit is outside \[0, 1\]"),
+            ({"fitness": math.inf}, "fitness is not finite"),
+            ({"fitness": math.nan}, "fitness is not finite"),
+        ]:
+            line = json.dumps({**second, **edit}) + "\n"
+            rows.append(("".join(boost[:4] + [line] + boost[5:]), f"line 5: sample {message}"))
     return rows
 
 

@@ -138,7 +138,7 @@ class TestBitIdentity:
         assert np.array_equal(s.estimate_many(queries, 7), reference_estimate_many(pts, fit, queries, 7))
 
     def test_queries_split_into_blocks(self, monkeypatch):
-        # Blocks of 3 queries here (100 // (k * d)); lattice ties put
+        # Blocks of 12 queries here (100 // (k + 1)); lattice ties put
         # fallback rows between the proven ones.
         monkeypatch.setattr(knn, "_BLOCK_ELEMENTS", 100)
         rng = np.random.default_rng(10)
@@ -253,13 +253,12 @@ def prefilter_proves(pts, queries, k):
 
 class TestPrefilter:
     def fallback_rows(self, monkeypatch):
-        # A fallback row's exact distances go to every point, so its call
-        # gets the 2-D coords; a proven row's gets 3-D per-row columns.
+        # Only fallback rows get exact distances, to every point; a proven
+        # row is averaged in key order and calls _squared_distances never.
         rows, squared_distances = [], knn._squared_distances
 
         def counted(queries, coords, lo, hi):
-            if coords.ndim == 2:
-                rows.append(len(queries))
+            rows.append(len(queries))
             return squared_distances(queries, coords, lo, hi)
 
         monkeypatch.setattr(knn, "_squared_distances", counted)
@@ -304,20 +303,21 @@ class TestPrefilter:
         assert np.array_equal(s.estimate_many(queries, 7), reference_estimate_many(pts, fit, queries, 7))
         assert sum(fallback) == int((~proven).sum())
 
-    @pytest.mark.parametrize("m", [2, 64, 65, 1024, 1025])
+    @pytest.mark.parametrize("m", [2, 64, 65, 1024, 1025, 2**16, 2**16 + 1])
     def test_packed_index_names_its_column(self, m, monkeypatch):
-        # The index field is (m - 1).bit_length() bits wide: it widens just
-        # past each power of two, and every proven row's columns must still be
-        # the reference's k nearest.
+        # The index field is 16 bits wide up to 2**16 stored points and 32
+        # bits past that; whatever the store's size, every proven row's
+        # columns must be the reference's k nearest, in the reference's order.
+        # The two large sizes take fewer queries to keep the dense d2 small.
         rng = np.random.default_rng(m)
-        pts, fit, queries = rng.random((m, 3)), rng.random(m), rng.random((200, 3))
+        n_q = 200 if m <= 1025 else 20
+        pts, fit, queries = rng.random((m, 3)), rng.random(m), rng.random((n_q, 3))
         k = min(5, m - 1)
         gram = knn._gram(pts.T)
         cols, proven = knn._prefilter(queries, gram, np.sqrt(gram[-1].max()), k)
         assert proven.all()
         d2 = ((queries[:, None, :] - pts[None]) ** 2).sum(axis=2)
-        want = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
-        assert np.array_equal(np.sort(cols, axis=1), want)
+        assert np.array_equal(cols, np.argsort(d2, axis=1, kind="stable")[:, :k])
         fallback = self.fallback_rows(monkeypatch)
         s = NeighborStore(3)
         s.extend(pts, fit)
@@ -326,7 +326,7 @@ class TestPrefilter:
 
     def test_duplicates_and_stored_queries(self, monkeypatch):
         # Queries equal to stored points have Gram distances of zero or a
-        # little below, clamped to 0; duplicated points tie exactly.
+        # little below, whose keys sort first; duplicated points tie exactly.
         rng = np.random.default_rng(12)
         pts = rng.random((300, 6))
         pts[200:] = pts[:100]  # the first 100 points are stored twice
@@ -346,13 +346,13 @@ class TestPrefilter:
     def test_near_tie_inside_packing_slack_falls_back(self, monkeypatch):
         # From the query 0, points 0 and 1 are 0.25 and about 0.25 + 1e-13
         # away (squared): a gap wider than 2δ but narrower than what packing
-        # an 11-bit index may move two keys by, 0.25 * 2**(11 - 51).
+        # a 16-bit index may move two keys by, 0.25 * 2**(16 - 51).
         far = np.linspace(0.6, 1.0, 1023)
         pts = np.concatenate([[0.5, 0.5 + 1e-13], far])[:, None]
         fit = np.arange(len(pts), dtype=float)
         queries = np.array([[0.0], [far[100] + 1e-4]])
         gap = pts[1, 0] ** 2 - pts[0, 0] ** 2
-        assert 2 * knn._margin(queries[:1], 1.0)[0] < gap < 0.25 * 2.0 ** (11 - 51)
+        assert 2 * knn._margin(queries[:1], 1.0)[0] < gap < 0.25 * 2.0 ** (16 - 51)
         assert prefilter_proves(pts, queries, 1).tolist() == [False, True]
         fallback = self.fallback_rows(monkeypatch)
         s = NeighborStore(1)
@@ -360,6 +360,58 @@ class TestPrefilter:
         got = s.estimate_many(queries, 1)
         assert np.array_equal(got, reference_estimate_many(pts, fit, queries, 1))
         assert got[0] == 0.0 and sum(fallback) == 1
+
+    def test_inner_near_tie_falls_back(self, monkeypatch):
+        # From the query 0, points 1 and 0 are 0.25 and about 0.25 + 1e-13
+        # away (squared): a near-tie inside the packing slack among the k = 3
+        # nearest, whose boundary with point 5 (0.5625) is clear.  Their keys
+        # share their high bits, so key order puts point 0 first, against
+        # the exact order; the fitnesses make the two orders' means differ.
+        pts = np.array([[0.5 + 1e-13], [0.5], [0.25], [0.9], [1.0], [0.75]])
+        fit = np.array([-1e16, 0.5, 1e16, 7.0, 9.0, 3.0])
+        queries = np.array([[0.0], [0.92]])
+        assert prefilter_proves(pts, queries, 3).tolist() == [False, True]
+        fallback = self.fallback_rows(monkeypatch)
+        s = NeighborStore(1)
+        s.extend(pts, fit)
+        got = s.estimate_many(queries, 3)
+        assert np.array_equal(got, reference_estimate_many(pts, fit, queries, 3))
+        assert got[0] == 0.0 and sum(fallback) == 1
+
+    def test_wide_index_field_matches_reference(self, monkeypatch):
+        # 2**16 + 1 points are the fewest with a 32-bit index field; lattice
+        # points, duplicates and stored queries put fallback rows among the
+        # proven ones.
+        rng = np.random.default_rng(16)
+        m = 2**16 + 1
+        pts = np.vstack([rng.random((m - 2000, 3)), rng.integers(0, 5, (1000, 3)) / 4, rng.random((1000, 3))])
+        pts[-500:] = pts[:500]
+        fit = rng.random(m)
+        queries = np.vstack([rng.random((12, 3)), rng.integers(0, 5, (6, 3)) / 4, pts[rng.integers(0, m, 6)]])
+        fallback = self.fallback_rows(monkeypatch)
+        s = NeighborStore(3)
+        s.extend(pts, fit)
+        assert np.array_equal(s.estimate_many(queries, 7), reference_estimate_many(pts, fit, queries, 7))
+        assert 0 < sum(fallback) < len(queries)
+
+    def test_chunks_keep_a_floor_of_rows(self, monkeypatch):
+        # Past 65,536 / _CHUNK_ROWS stored points the cache-sized chunk would
+        # be under _CHUNK_ROWS rows; one GEMM and one partition per row is the
+        # slowest way to run the prefilter.
+        rows, gram_distances = [], knn._gram_distances
+
+        def counted(lifted, gram):
+            rows.append(len(lifted))
+            return gram_distances(lifted, gram)
+
+        monkeypatch.setattr(knn, "_gram_distances", counted)
+        rng = np.random.default_rng(40)
+        pts, fit = rng.random((40_000, 6)), rng.random(40_000)
+        queries = rng.random((3 * knn._CHUNK_ROWS, 6))
+        s = NeighborStore(6)
+        s.extend(pts, fit)
+        assert np.array_equal(s.estimate_many(queries, 13), reference_estimate_many(pts, fit, queries, 13))
+        assert len(rows) == 3 and min(rows) >= knn._CHUNK_ROWS > 1
 
 
 class TestStore:
@@ -408,13 +460,13 @@ class TestStore:
         assert len(s) == 0
 
     def test_estimate_memory_is_bounded_by_blocks(self):
-        # 4,000 queries x 41 neighbors x 20 dimensions would gather 26 MB at
-        # once; blocks of at most 2**20 gathered coordinates (8 MiB) keep the
-        # call's peak below 16 MiB.
+        # 40,000 queries would hold 13 MiB of (query, k+1) keys at k = 41, and
+        # as much again in their order, gaps and fitnesses; blocks of at most
+        # 2**18 keys (2 MiB) keep the call's peak below 16 MiB.
         rng = np.random.default_rng(11)
         s = NeighborStore(20)
         s.extend(rng.random((1000, 20)), rng.random(1000))
-        queries = rng.random((4000, 20))
+        queries = rng.random((40_000, 20))
         tracemalloc.start()
         try:
             s.estimate_many(queries, 41)
