@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fitness as fit
-from .evaluators import EvaluationRequest
+from .evaluators import _FLOAT_MAX, EvaluationRequest
 from .knn import NeighborStore
 from .problem import ProblemError, ProblemSpec, sampled_dimensions
 from .tensor import SubdomainTensor
@@ -159,6 +159,7 @@ class RunState:
     consts: fit.NormalizationConstants | None = None
     iteration: int = field(default=0, init=False)  # next iteration to execute
     records: list[dict] = field(default_factory=list, init=False)  # the log's sample lines
+    kept_bytes: int = field(default=0, init=False)  # log bytes restore_state folded, kept by resume
     tensor: SubdomainTensor = field(init=False)
     store: NeighborStore = field(init=False)
 
@@ -413,21 +414,22 @@ def iter_log(path):
     A last line without its newline that does not parse is what a crash
     mid-write leaves; it is dropped.
     """
-    return (obj for _, obj in _numbered_log(path))
+    return (obj for _, _, obj in _numbered_log(path))
 
 
 def _numbered_log(path):
-    """``iter_log``'s lines, each with its line number."""
-    header = False
-    with open(path) as fh:
+    """``iter_log``'s lines, each with its line number and end offset."""
+    header, end = False, 0
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
+            end += len(raw)
             try:
+                line = raw.decode().strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if not raw.endswith("\n"):
+            except ValueError as exc:  # undecodable bytes or JSON
+                if not raw.endswith(b"\n"):
                     break
                 raise EngineError(f"corrupt log line {lineno}: {exc}")
             if not (isinstance(obj, dict) and "type" in obj):
@@ -438,7 +440,7 @@ def _numbered_log(path):
                 header = True
             elif obj["type"] == "sample":
                 _check_sample(obj, lineno)
-            yield lineno, obj
+            yield lineno, end, obj
     if not header:
         raise EngineError("log does not start with a run header")
 
@@ -447,18 +449,23 @@ def _check_sample(obj: dict, lineno: int) -> None:
     """Raise EngineError unless ``obj`` has every key of a ``sample_records``
     record, an int ``id`` and ``iteration``, a numeric ``fitness``, a bool
     ``valid``, ``params`` that map names to lists of numbers, and ``meas``
-    that is null or a mapping."""
+    that is null or a mapping; an int ``fitness`` or parameter value must
+    have a float."""
     if not _SAMPLE_KEYS <= obj.keys():
         raise EngineError(f"corrupt log line {lineno}: sample without key {min(_SAMPLE_KEYS - obj.keys())!r}")
     for key, types in _SCALAR_TYPES.items():
         if type(obj[key]) not in types:
             raise EngineError(f"corrupt log line {lineno}: sample {key} has type {type(obj[key]).__name__}")
+    if type(obj["fitness"]) is int and not -_FLOAT_MAX <= obj["fitness"] <= _FLOAT_MAX:
+        raise EngineError(f"corrupt log line {lineno}: sample fitness is too large for a float")
     params, meas = obj["params"], obj["meas"]
     if type(params) is not dict:
         raise EngineError(f"corrupt log line {lineno}: sample params is not a mapping")
     for name, vals in params.items():
-        if type(vals) is not list or not {*map(type, vals)} <= _NUMBER_TYPES:
+        if type(vals) is not list or not (types := {*map(type, vals)}) <= _NUMBER_TYPES:
             raise EngineError(f"corrupt log line {lineno}: sample param {name!r} is not a list of numbers")
+        if int in types and not all(-_FLOAT_MAX <= v <= _FLOAT_MAX for v in vals if type(v) is int):
+            raise EngineError(f"corrupt log line {lineno}: sample param {name!r} is too large for a float")
     if meas is not None and type(meas) is not dict:
         raise EngineError(f"corrupt log line {lineno}: sample meas is neither null nor a mapping")
 
@@ -478,13 +485,14 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
     next (by id), and rejects a folded sample whose unit point leaves [0, 1]
     or whose fitness is not finite; a trailing incomplete iteration is left
     out, and so are the normalization constants if that is iteration 0;
-    resuming redoes it.
+    resuming redoes it.  ``kept_bytes`` ends the last folded sample line (or
+    the run header).
     """
     dims = sampled_dimensions(spec)
     sizes = iteration_sizes(config.n_total)
     state = RunState(spec, config)
     lines = _numbered_log(log_path)
-    _, header = next(lines)
+    _, state.kept_bytes, header = next(lines)
     for key, want in run_header("cars", config.seed, config.n_total, dims, config).items():
         if key != "alpha_schedule" and header.get(key) != want:
             raise EngineError(
@@ -494,7 +502,7 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
     norm = None
     batch: list[dict] = []  # the open iteration's samples
     linenos: list[int] = []  # and their line numbers
-    for lineno, obj in lines:
+    for lineno, end, obj in lines:
         if obj["type"] == "normalization":
             norm = norm or obj
         if obj["type"] != "sample":
@@ -502,11 +510,16 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
         sub, unit = obj["subdomain"], obj["unit"]
         if type(sub) is not list or len(sub) != len(dims) or not {*map(type, sub)} <= {int}:
             raise EngineError(f"corrupt log line {lineno}: sample subdomain is not {len(dims)} ints")
-        if type(unit) is not list or len(unit) != len(dims) or not {*map(type, unit)} <= _NUMBER_TYPES:
+        if type(unit) is not list or len(unit) != len(dims) or not (types := {*map(type, unit)}) <= _NUMBER_TYPES:
             raise EngineError(f"corrupt log line {lineno}: sample unit is not {len(dims)} numbers")
+        # The batch check below comes too late for the first sample's point,
+        # mapped here, and for an int coordinate, which may have no float.
+        first = not (state.records or batch)
+        if (first or int in types) and not all(0 <= u <= 1 for u in unit):  # also true for NaN
+            raise EngineError(f"corrupt log line {lineno}: sample unit is outside [0, 1]")
         # Dimension labels do not pin bounds or scales; the parameter values
         # logged for the first sample's unit point do.
-        if not (state.records or batch) and [obj["params"]] != _physical_params(spec, dims, [unit]):
+        if first and [obj["params"]] != _physical_params(spec, dims, [unit]):
             raise EngineError(f"log dimensions mismatch: this problem maps sample {obj['id']}'s unit point elsewhere")
         if not (obj["iteration"] == state.iteration < len(sizes) and obj["id"] == len(state.records) + len(batch)):
             break  # the kept prefix ends here
@@ -520,6 +533,7 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
                 if bad.any():
                     raise EngineError(f"corrupt log line {linenos[bad.argmax()]}: sample {what}")
             state._commit(batch, subdomains, units, fitnesses)
+            state.kept_bytes = end
             batch, linenos = [], []
     for _ in lines:  # past the kept prefix, lines are checked, not folded
         pass
@@ -539,19 +553,14 @@ def resume(
 
     The state is ``restore_state``'s, and per-iteration RNG streams make the
     continuation identical to an uninterrupted one.  The log must match
-    ``config`` except for the alpha schedule, which may change.  Lines past
-    the restored iterations are cut off before new ones are appended.
+    ``config`` except for the alpha schedule, which may change.  The log is
+    cut at its ``kept_bytes`` before new iterations are appended.
     """
     state = restore_state(log_path, spec, config)
-    sizes = iteration_sizes(config.n_total)
-    # Kept lines: the run header, then each complete iteration's header and
-    # samples, plus the normalization line that follows iteration 0's header.
-    keep = 1 + sum(1 + n for n in sizes[: state.iteration]) + (state.consts is not None)
     with open(log_path, "r+b") as fh:
-        for _ in range(keep):
-            line = fh.readline()
-        fh.truncate(fh.tell())
-        if not line.endswith(b"\n"):  # cut just before the last kept newline
+        fh.truncate(state.kept_bytes)
+        fh.seek(state.kept_bytes - 1)
+        if fh.read(1) != b"\n":  # the last kept line lost only its newline
             fh.write(b"\n")
     return run(spec, config, evaluator, log_path, stop_after_iteration, _resumed=state)
 

@@ -642,7 +642,7 @@ class TestReport:
         # anywhere in it.
         out = tmp_path / "out"
         for text, message in corrupt_logs(boost_log_lines(tmp_path)):
-            (tmp_path / "bad.log").write_text(text)
+            (tmp_path / "bad.log").write_bytes(text)
             assert main(["report", "--log", str(tmp_path / "bad.log"), "--out-dir", str(out)]) == EXIT_CONFIG
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -655,11 +655,11 @@ class TestReport:
         config = Path(__file__).parents[1] / "configs" / "boost.yaml"
         args = ["--config", str(config), "--n-total", "60", "--log", str(tmp_path / "bad.log")]
         for text, message in corrupt_logs(boost_log_lines(tmp_path), restore=True):
-            (tmp_path / "bad.log").write_text(text)
+            (tmp_path / "bad.log").write_bytes(text)
             assert main(["resume", *args, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
             captured = capsys.readouterr()
             assert re.search(message, captured.err), (message, captured.err)
-            assert (tmp_path / "bad.log").read_text() == text
+            assert (tmp_path / "bad.log").read_bytes() == text
 
     def test_report_peak_memory_is_a_fraction_of_the_parsed_log(self, tmp_path, capsys):
         spec, ev = c.builtin_problem("boost")

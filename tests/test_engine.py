@@ -42,8 +42,8 @@ def boost_log_lines(tmp_path) -> list[str]:
     return (tmp_path / "boost.log").read_text().splitlines(keepends=True)
 
 
-def corrupt_logs(boost: list[str], restore: bool = False) -> list[tuple[str, str]]:
-    """(log text, pattern of its EngineError) for corrupt versions of the
+def corrupt_logs(boost: list[str], restore: bool = False) -> list[tuple[bytes, str]]:
+    """(log bytes, pattern of its EngineError) for corrupt versions of the
     ``boost_log_lines`` log; with ``restore``, also those only
     ``restore_state`` rejects."""
     rows = [
@@ -77,6 +77,9 @@ def corrupt_logs(boost: list[str], restore: bool = False) -> list[tuple[str, str
         ({"fitness": None}, "fitness has type NoneType"),
         ({"valid": "yes"}, "valid has type str"),
         ({"valid": 1}, "valid has type int"),
+        # Ints that have no float.
+        ({"fitness": 10**400}, "fitness is too large for a float"),
+        ({"params": {**first["params"], "C1": [-(10**400)]}}, "param 'C1' is too large for a float"),
     ]
     if restore:  # a point restore_state cannot fold: not n_dim (3) ints or numbers
         malformed += [
@@ -87,6 +90,9 @@ def corrupt_logs(boost: list[str], restore: bool = False) -> list[tuple[str, str
             ({"unit": None}, "unit is not 3 numbers"),
             ({"unit": first["unit"] + [0.5]}, "unit is not 3 numbers"),
             ({"unit": [0.5, 0.5, "x"]}, "unit is not 3 numbers"),
+            # The first sample's point is checked before it is mapped.
+            ({"unit": [1.5, *first["unit"][1:]]}, r"unit is outside \[0, 1\]"),
+            ({"unit": [10**400, *first["unit"][1:]]}, r"unit is outside \[0, 1\]"),
         ]
     for edit, message in malformed:
         line = json.dumps({**first, **edit}) + "\n"
@@ -99,9 +105,15 @@ def corrupt_logs(boost: list[str], restore: bool = False) -> list[tuple[str, str
             ({"unit": [*second["unit"][:2], math.nan]}, r"unit is outside \[0, 1\]"),
             ({"fitness": math.inf}, "fitness is not finite"),
             ({"fitness": math.nan}, "fitness is not finite"),
+            ({"unit": [*second["unit"][:2], 10**400]}, r"unit is outside \[0, 1\]"),
         ]:
             line = json.dumps({**second, **edit}) + "\n"
             rows.append(("".join(boost[:4] + [line] + boost[5:]), f"line 5: sample {message}"))
+    rows = [(text.encode(), message) for text, message in rows]
+    # A line that is not UTF-8: a byte 0xff as the second sample's "error".
+    line = boost[4].encode().replace(b'"error": null', b'"error": "\xff"')
+    assert b"\xff" in line
+    rows.append(("".join(boost[:4]).encode() + line + "".join(boost[5:]).encode(), "line 5: .*0xff"))
     return rows
 
 
@@ -403,6 +415,27 @@ class TestDeterminismAndResume:
         c.resume(tmp_path / "r.log", spec, cfg, ev)
         assert (tmp_path / "r.log").read_bytes() == full
 
+    @pytest.mark.parametrize("at", [1, 10, 55], ids=["after-header", "iteration-0", "last-kept-iteration"])
+    @pytest.mark.parametrize(
+        "extra", [b"\n", b" \t \n", b'{"type": "note"}\n', None], ids=["blank", "whitespace", "note", "normalization"]
+    )
+    def test_resume_keeps_non_sample_lines(self, tmp_path, at, extra):
+        # 5 iterations of 20, stopped after iteration 2: line 3 is the
+        # normalization line and lines 46-65 are iteration 2's samples.  A
+        # line that is not a sample inside the kept prefix stays where it is,
+        # and no kept sample is cut.
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        cfg = RunConfig(n_total=100, seed=0)
+        c.run(spec, cfg, ev, log_path=tmp_path / "full.log")
+        c.run(spec, cfg, ev, log_path=tmp_path / "r.log", stop_after_iteration=2)
+        full = (tmp_path / "full.log").read_bytes().splitlines(keepends=True)
+        part = (tmp_path / "r.log").read_bytes().splitlines(keepends=True)
+        assert len(part) == 65 and part == full[:65]
+        extra = extra or full[2]
+        (tmp_path / "r.log").write_bytes(b"".join(part[:at] + [extra] + part[at:]))
+        c.resume(tmp_path / "r.log", spec, cfg, ev)
+        assert (tmp_path / "r.log").read_bytes() == b"".join(full[:at] + [extra] + full[at:])
+
     def test_restore_checks_lines_past_the_kept_prefix(self, tmp_path, monkeypatch):
         # One pass: the log is not read into a list, and a corrupt line past
         # the incomplete iteration 2 is still rejected.
@@ -538,7 +571,7 @@ class TestLog:
         boost = boost_log_lines(tmp_path)
         path = tmp_path / "bad.log"
         for text, line in corrupt_logs(boost):
-            path.write_text(text)
+            path.write_bytes(text)
             with pytest.raises(EngineError, match=line):
                 read_log(path)
         # A GA sample line's extra "island" key is no corruption.
@@ -559,6 +592,13 @@ class TestLog:
         path.write_text(boost[0][:10])
         with pytest.raises(EngineError, match="run header"):
             list(iter_log(path))
+
+    def test_torn_undecodable_last_line_dropped(self, tmp_path):
+        # A crash mid-write may tear a line inside a multi-byte character.
+        boost = boost_log_lines(tmp_path)
+        path = tmp_path / "torn.log"
+        path.write_bytes("".join(boost).encode() + b'{"type": "sample", "error": "\xff')
+        assert read_log(path) == read_log(tmp_path / "boost.log")
 
     def test_csv_exports(self, tmp_path):
         from carsopt.engine import export_summary_csv, export_valid_samples_csv
