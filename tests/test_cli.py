@@ -65,6 +65,40 @@ PINNED_REPORT_STDOUT = {
 }
 
 
+# test_pinned_exports: the digests of summary.csv and valid_samples.csv, and
+# the printed counts, per configs/<name>.yaml and method.
+PINNED_EXPORTS = {
+    ("boost", "cars"): [
+        [
+            "702771444853c62473d0870e1c0eeb48c7cc33f61e0f75d176ba7051fdace507",
+            "6ae16e87f1b17b6c90d612dcdc8d41ee1b10769f4456dcaaff2441d953a236d3",
+        ],
+        "samples: 400  valid: 320  log: out/run.log\n",
+    ],
+    ("boost", "ga"): [
+        [
+            "cd2edc595b8782aeb6d4cbac0c63a21184c0ca3d8a6c9e97651bb0bb36c51792",
+            "d0c68df409a5a47e95f5ecd79446bb7be36a2e90ceb78f1b0a6baff8349b5549",
+        ],
+        "evaluations: 100\nsamples: 100  valid: 62  log: out/run.log\n",
+    ],
+    ("sphere_ring4", "cars"): [
+        [
+            "25fa2573560a0e8f889fd17fa873a343d06656a0282b0df3abfe6f78593b7bd1",
+            "a50bdd0c95b30f1e3fedc9f7f8da8832107dbf527facc61d2068d972d9f11294",
+        ],
+        "samples: 400  valid: 303  log: out/run.log\n",
+    ],
+    ("sphere_ring4", "ga"): [
+        [
+            "c67e7df99563c7e7a829b181941f10414127345c256dfdbe23cd727fae90eb03",
+            "f31db5700b49a7486f9904cd23494420fa58af5ffb5ca99c2a2769990c90460c",
+        ],
+        "evaluations: 100\nsamples: 100  valid: 54  log: out/run.log\n",
+    ],
+}
+
+
 def mixed_log() -> str:
     """A hand-built run log whose samples differ in their parameter and
     measurement names, with a null and an empty meas, NaN and infinite
@@ -362,6 +396,30 @@ class TestResume:
         assert rc == 0
         assert (out_part / "run.log").read_bytes() == (out_full / "run.log").read_bytes()
         assert (out_part / "summary.csv").read_bytes() == (out_full / "summary.csv").read_bytes()
+
+    @pytest.mark.parametrize("method", ["cars", "ga", "resume"])
+    @pytest.mark.parametrize("name", ["boost", "sphere_ring4"])
+    def test_pinned_exports(self, tmp_path, capsys, monkeypatch, name, method):
+        # summary.csv, valid_samples.csv and the printed counts of a CARS run,
+        # a GA run and a resume of the CARS log cut mid-iteration; a resumed
+        # run exports what the uninterrupted one did.
+        problem = yaml.safe_load((Path(__file__).parents[1] / "configs" / f"{name}.yaml").read_text())
+        problem["run"]["ga"] = {"n_islands": 2, "population_size": 10, "generations": 4}
+        (tmp_path / "problem.yaml").write_text(yaml.safe_dump(problem))
+        monkeypatch.chdir(tmp_path)
+        args = ["--config", "problem.yaml", "--out-dir", "out"]
+        if method == "ga":
+            assert main(["run", "--method", "ga", *args]) == 0
+        else:
+            assert main(["run", "--n-total", "400", *args]) == 0
+        if method == "resume":
+            log = Path("out/run.log")
+            log.write_bytes(log.read_bytes()[: log.stat().st_size // 2])
+            capsys.readouterr()
+            assert main(["resume", "--n-total", "400", "--log", str(log), *args]) == 0
+        digests = [hashlib.sha256(Path("out", f).read_bytes()).hexdigest() for f in ("summary.csv", "valid_samples.csv")]
+        stdout = capsys.readouterr().out
+        assert [digests, stdout] == PINNED_EXPORTS[name, "cars" if method == "resume" else method]
 
     def test_geometry_mismatch_is_config_error(self, config, tmp_path):
         out = tmp_path / "out"
