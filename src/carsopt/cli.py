@@ -93,31 +93,50 @@ def cmd_run(args) -> int:
     log_path = out / "run.log"
     try:
         if args.method == "cars":
-            records = engine.run(spec, cfg, evaluator, log_path=log_path).records
+            engine.run(spec, cfg, evaluator, log_path=log_path)
         else:
             result = run_islands(spec, ga_cfg, evaluator, seed=cfg.seed, log_path=log_path)
-            records = result.records
             print(f"evaluations: {result.total_evaluations}")
     finally:
         evaluator.close()
-    return _export(spec, records, out, log_path)
+    return _export(spec, out, log_path)
 
 
 def cmd_resume(args) -> int:
     out = _out_dir(args)
     spec, cfg, _, evaluator = _load(args)
     try:
-        state = engine.resume(args.log, spec, cfg, evaluator)
+        engine.resume(args.log, spec, cfg, evaluator)
     finally:
         evaluator.close()
-    return _export(spec, state.records, out, args.log)
+    return _export(spec, out, args.log)
 
 
-def _export(spec, records: list[dict], out: Path, log_path) -> int:
-    """Write a run's CSV exports to ``out`` and print its sample counts."""
-    engine.export_summary_csv(records, out / "summary.csv")
-    engine.export_valid_samples_csv(spec, records, out / "valid_samples.csv")
-    print(f"samples: {len(records)}  valid: {sum(r['valid'] for r in records)}  log: {log_path}")
+def _export(spec, out: Path, log_path) -> int:
+    """Write a run's ``valid_samples.csv`` (each valid sample's parameters
+    and measurements) and ``summary.csv`` (its ``iteration_stats``) to
+    ``out`` and print its sample counts, in one pass over its log."""
+    params = [(p.name, op) for p in spec.parameters for op in range(p.op_count)]
+    meas = [(name, op) for name in spec.measurement_names() for op in range(spec.n_operating_points)]
+
+    def samples(valid):
+        """The log's samples; each valid one is written to ``valid`` on its way."""
+        for s in engine.iter_log(log_path):
+            if s["type"] == "sample":
+                if s["valid"]:
+                    row = [s["id"], s["iteration"], s["fitness"]] + [s["params"][n][op] for n, op in params]
+                    valid.writerow(row + [s["meas"][n][op] for n, op in meas])
+                yield s
+
+    with open(out / "valid_samples.csv", "w", newline="") as fh:
+        valid = csv.writer(fh)
+        valid.writerow(["id", "iteration", "fitness"] + [f"{n}[{op}]" for n, op in params + meas])
+        stats = engine.iteration_stats(samples(valid))
+    with open(out / "summary.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["iteration", "fit_min", "fit_mean", "fit_max", "valid", "n"])
+        w.writerows(s.values() for s in stats)
+    print(f"samples: {sum(s['n'] for s in stats)}  valid: {sum(s['valid'] for s in stats)}  log: {log_path}")
     return 0
 
 

@@ -17,7 +17,6 @@ an uninterrupted one.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from contextlib import contextmanager
@@ -49,8 +48,6 @@ __all__ = [
     "run_header",
     "open_log",
     "iteration_stats",
-    "export_summary_csv",
-    "export_valid_samples_csv",
 ]
 
 # Version 2 draws sub-domains from the sparse tensor's entries; a version-1
@@ -152,13 +149,15 @@ class RunConfig:
 @dataclass
 class RunState:
     """A CARS run after ``iteration`` iterations; its tensor and kNN store
-    are the fold of ``records``, committed one iteration at a time."""
+    are the fold of its samples, committed one iteration at a time.  The
+    samples are the run log's sample lines; only a run without a log also
+    keeps them, parsed, as ``records``."""
 
     spec: ProblemSpec
     config: RunConfig
     consts: fit.NormalizationConstants | None = None
     iteration: int = field(default=0, init=False)  # next iteration to execute
-    records: list[dict] = field(default_factory=list, init=False)  # the log's sample lines
+    records: list[dict] | None = field(default=None, init=False)  # an unlogged run's samples
     kept_bytes: int = field(default=0, init=False)  # log bytes restore_state folded, kept by resume
     tensor: SubdomainTensor = field(init=False)
     store: NeighborStore = field(init=False)
@@ -171,32 +170,28 @@ class RunState:
     def _commit(self, records: list[dict], subdomains, units, fitnesses: np.ndarray) -> None:
         """Close the open iteration on its samples: max-fold their fitnesses
         into the tensor at their sub-domains, append their unit points to
-        the store and their records to ``records``, one row per sample."""
+        the store (one row per sample, so ``len(store)`` counts the samples)
+        and their records to ``records`` when it is kept."""
         self.tensor.update_many(subdomains, fitnesses)
         self.store.extend(units, fitnesses)
-        self.records.extend(records)
+        if self.records is not None:
+            self.records.extend(records)
         self.iteration += 1
 
 
-def iteration_stats(records: list[dict]) -> list[dict]:
-    """Per-iteration (min, mean, max) fitness and valid count."""
-    by_iter: dict[int, list[dict]] = {}
-    for r in records:
-        by_iter.setdefault(r["iteration"], []).append(r)
-    stats = []
-    for i in sorted(by_iter):
-        fs = [r["fitness"] for r in by_iter[i]]
-        stats.append(
-            {
-                "iteration": i,
-                "fit_min": min(fs),
-                "fit_mean": sum(fs) / len(fs),
-                "fit_max": max(fs),
-                "valid": sum(r["valid"] for r in by_iter[i]),
-                "n": len(fs),
-            }
-        )
-    return stats
+def iteration_stats(samples) -> list[dict]:
+    """Per-iteration (min, mean, max) fitness and valid count of the sample
+    dicts ``samples`` yields, read once; only the fitnesses are kept."""
+    fitnesses: dict[int, list] = {}
+    valid: dict[int, int] = {}
+    for s in samples:
+        i = s["iteration"]
+        fitnesses.setdefault(i, []).append(s["fitness"])
+        valid[i] = valid.get(i, 0) + s["valid"]
+    return [
+        dict(iteration=i, fit_min=min(fs), fit_mean=sum(fs) / len(fs), fit_max=max(fs), valid=valid[i], n=len(fs))
+        for i, fs in sorted(fitnesses.items())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +372,8 @@ def run(
     schedule = parse_alpha_schedule(config.alpha_schedule)
     sizes = iteration_sizes(config.n_total)
     state = RunState(spec, config) if _resumed is None else _resumed
+    if log_path is None:
+        state.records = []
 
     with open_log(log_path, "w" if _resumed is None else "a") as emit:
         if _resumed is None:
@@ -387,7 +384,7 @@ def run(
             lines = [{"type": "iteration", "iteration": iteration, "alpha": alpha, "n_samples": n}]
 
             mis, units = _sample_iteration(state, iteration, alpha, n)
-            requests, results, bd = evaluate_units(spec, dims, evaluator, units, len(state.records))
+            requests, results, bd = evaluate_units(spec, dims, evaluator, units, len(state.store))
             if state.consts is None:
                 state.consts = fit.NormalizationConstants.from_first_batch(spec, bd)
                 lines.append({"type": "normalization", **state.consts.to_dict()})
@@ -428,7 +425,7 @@ def _numbered_log(path):
                 if not line:
                     continue
                 obj = json.loads(line)
-            except ValueError as exc:  # undecodable bytes or JSON
+            except (ValueError, RecursionError) as exc:  # undecodable bytes or JSON, or too deeply nested
                 if not raw.endswith(b"\n"):
                     break
                 raise EngineError(f"corrupt log line {lineno}: {exc}")
@@ -479,17 +476,31 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
     """Rebuild engine state from a run log (no new samples) in one pass.
 
     Raises EngineError unless the log header equals this run's ``run_header``
-    but for the alpha schedule, the first sample's parameters match, and each
-    sample it folds has ``n_dim`` sub-domain ints and unit numbers.  It folds
-    whole iterations up to the first sample that is not the open iteration's
-    next (by id), and rejects a folded sample whose unit point leaves [0, 1]
-    or whose fitness is not finite; a trailing incomplete iteration is left
-    out, and so are the normalization constants if that is iteration 0;
-    resuming redoes it.  ``kept_bytes`` ends the last folded sample line (or
-    the run header).
+    but for the alpha schedule, and each sample it folds has ``n_dim``
+    sub-domain ints and unit numbers and, if it is valid, at least
+    ``n_operating_points`` numbers for each measurement the spec reads.  It
+    folds whole iterations up to the first sample that is not the open
+    iteration's next (by id), and rejects a folded sample whose sub-domain
+    leaves [0, n_subdomain), whose unit point leaves [0, 1], whose fitness is
+    not finite or whose parameters are not this problem's at its unit point;
+    a trailing incomplete iteration is left out, and so are the normalization
+    constants if that is iteration 0; resuming redoes it.  ``kept_bytes``
+    ends the last folded sample line (or the run header).
     """
     dims = sampled_dimensions(spec)
     sizes = iteration_sizes(config.n_total)
+    names, n_ops, n_sub = spec.measurement_names(), spec.n_operating_points, config.n_subdomain
+
+    def measured(meas: dict) -> bool:
+        """Whether ``meas`` has ``n_ops`` or more numbers per measurement the spec reads."""
+        vals = map(meas.get, names)
+        return all(type(v) is list and len(v) >= n_ops and {*map(type, v)} <= _NUMBER_TYPES for v in vals)
+
+    def reject(bad, what):
+        """Raise EngineError naming the first of the open iteration's samples that ``bad`` flags."""
+        if np.any(bad):
+            raise EngineError(f"corrupt log line {linenos[np.argmax(bad)]}: sample {what}")
+
     state = RunState(spec, config)
     lines = _numbered_log(log_path)
     _, state.kept_bytes, header = next(lines)
@@ -512,26 +523,26 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
             raise EngineError(f"corrupt log line {lineno}: sample subdomain is not {len(dims)} ints")
         if type(unit) is not list or len(unit) != len(dims) or not (types := {*map(type, unit)}) <= _NUMBER_TYPES:
             raise EngineError(f"corrupt log line {lineno}: sample unit is not {len(dims)} numbers")
-        # The batch check below comes too late for the first sample's point,
-        # mapped here, and for an int coordinate, which may have no float.
-        first = not (state.records or batch)
-        if (first or int in types) and not all(0 <= u <= 1 for u in unit):  # also true for NaN
+        # The batch check below comes too late for an int coordinate, which
+        # may have no float.
+        if int in types and not all(0 <= u <= 1 for u in unit):
             raise EngineError(f"corrupt log line {lineno}: sample unit is outside [0, 1]")
-        # Dimension labels do not pin bounds or scales; the parameter values
-        # logged for the first sample's unit point do.
-        if first and [obj["params"]] != _physical_params(spec, dims, [unit]):
-            raise EngineError(f"log dimensions mismatch: this problem maps sample {obj['id']}'s unit point elsewhere")
-        if not (obj["iteration"] == state.iteration < len(sizes) and obj["id"] == len(state.records) + len(batch)):
+        if not (obj["iteration"] == state.iteration < len(sizes) and obj["id"] == len(state.store) + len(batch)):
             break  # the kept prefix ends here
         batch.append(obj)
         linenos.append(lineno)
         if len(batch) == sizes[state.iteration]:
             subdomains = np.array([r["subdomain"] for r in batch])
             units, fitnesses = (np.array([r[key] for r in batch], dtype=float) for key in ("unit", "fitness"))
-            outside = ~((units >= 0) & (units <= 1)).all(axis=1)  # also true for NaN
-            for bad, what in ((outside, "unit is outside [0, 1]"), (~np.isfinite(fitnesses), "fitness is not finite")):
-                if bad.any():
-                    raise EngineError(f"corrupt log line {linenos[bad.argmax()]}: sample {what}")
+            reject(~((subdomains >= 0) & (subdomains < n_sub)).all(axis=1), f"subdomain is outside [0, {n_sub})")
+            reject(~((units >= 0) & (units <= 1)).all(axis=1), "unit is outside [0, 1]")  # also true for NaN
+            reject(~np.isfinite(fitnesses), "fitness is not finite")
+            # Dimension labels do not pin bounds or scales; the parameters
+            # logged for each unit point do.
+            moved = [p != r["params"] for p, r in zip(_physical_params(spec, dims, units), batch)]
+            reject(moved, "params are not this problem's (dimensions mismatch)")
+            unread = [r["valid"] and not measured(r["meas"] or {}) for r in batch]  # by the valid samples' export
+            reject(unread, f"is valid without {n_ops}+ numbers per measurement")
             state._commit(batch, subdomains, units, fitnesses)
             state.kept_bytes = end
             batch, linenos = [], []
@@ -563,41 +574,3 @@ def resume(
         if fh.read(1) != b"\n":  # the last kept line lost only its newline
             fh.write(b"\n")
     return run(spec, config, evaluator, log_path, stop_after_iteration, _resumed=state)
-
-
-# ---------------------------------------------------------------------------
-# CSV exports
-# ---------------------------------------------------------------------------
-
-def export_summary_csv(records: list[dict], path) -> None:
-    """Per-iteration min/mean/max fitness and valid count."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "fit_min", "fit_mean", "fit_max", "valid", "n"])
-        w.writerows(s.values() for s in iteration_stats(records))
-
-
-def export_valid_samples_csv(spec: ProblemSpec, records: list[dict], path) -> None:
-    """Parameter and measurement table of boundary-valid samples."""
-    param_cols = []
-    for p in spec.parameters:
-        param_cols.extend((p.name, op) for op in range(p.op_count))
-    meas_cols = []
-    for name in spec.measurement_names():
-        meas_cols.extend((name, op) for op in range(spec.n_operating_points))
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["id", "iteration", "fitness"]
-            + [f"{n}[{op}]" for n, op in param_cols]
-            + [f"{n}[{op}]" for n, op in meas_cols]
-        )
-        for rec in records:
-            if not rec["valid"]:
-                continue
-            meas = rec["meas"]
-            row = [rec["id"], rec["iteration"], rec["fitness"]]
-            row += [rec["params"][n][op] for n, op in param_cols]
-            row += [meas[n][op] if meas and n in meas else "" for n, op in meas_cols]
-            w.writerow(row)

@@ -260,8 +260,8 @@ def _parse_response(line: bytearray) -> EvaluationResult | None:
     try:
         obj = json.loads(line.decode())  # UnicodeDecodeError is a ValueError
         sid = obj["id"]
-    except (ValueError, TypeError, KeyError):
-        return None  # unattributable noise
+    except (ValueError, TypeError, KeyError, RecursionError):
+        return None  # unattributable noise, or nested too deep to parse
     if type(sid) is not int:
         return None  # an id of 2.5, "2" or true names no sample
     meas = obj.get("meas")

@@ -24,7 +24,8 @@ by the same engine functions as a CARS iteration (``evaluate_units``,
 ``sample_records``), so both methods write the same log format: a run
 header, then per generation a ``generation`` line and its sample lines,
 island by island.  A record is its log line: the engine's sample dict with
-an ``island`` key last.  Its ``iteration`` is its generation.
+an ``island`` key last.  Its ``iteration`` is its generation.  As in CARS, a
+logged run keeps no records: its log holds them.
 
 Objectives follow the maximization convention; boundary penalties (weighted
 by rho = 10,000) are subtracted from every objective of an individual.  A
@@ -95,7 +96,7 @@ class Individual:
 
 @dataclass
 class GAResult:
-    records: list[dict]  # the log's sample lines
+    records: list[dict] | None  # an unlogged run's samples; None for a logged run
     front0: list[Individual]
     total_evaluations: int
 
@@ -262,7 +263,7 @@ def run_islands(
     dims = sampled_dimensions(spec)
     size, n_dim = cfg.population_size, len(dims)
     rngs = [iteration_rng(seed, 1_000_000 + island) for island in range(cfg.n_islands)]
-    records: list[dict] = []
+    records: list[dict] | None = None if log_path else []
 
     with open_log(log_path, "w") as emit:
 
@@ -275,7 +276,8 @@ def run_islands(
             for k, rec in enumerate(batch):
                 rec["island"] = k // size
             emit([{"type": "generation", "generation": generation}, *batch])
-            records.extend(batch)
+            if records is not None:
+                records.extend(batch)
             return vecs.reshape(cfg.n_islands, size, -1)
 
         header = run_header("ga", seed, cfg.total_evaluations, dims, None)

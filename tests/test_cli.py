@@ -417,9 +417,39 @@ class TestResume:
             log.write_bytes(log.read_bytes()[: log.stat().st_size // 2])
             capsys.readouterr()
             assert main(["resume", "--n-total", "400", "--log", str(log), *args]) == 0
-        digests = [hashlib.sha256(Path("out", f).read_bytes()).hexdigest() for f in ("summary.csv", "valid_samples.csv")]
+        exports = ("summary.csv", "valid_samples.csv")
+        digests = [hashlib.sha256(Path("out", f).read_bytes()).hexdigest() for f in exports]
         stdout = capsys.readouterr().out
         assert [digests, stdout] == PINNED_EXPORTS[name, "cars" if method == "resume" else method]
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ('"x0": ', '"y0": '),
+            (r'"x1": \[[^]]*\]', '"x1": []'),
+            (r'"radius": \[[^]]*\]', '"radius": []'),
+            (r'"radius": \[[^]]*\]', '"radius": 5'),
+        ],
+        ids=["renamed-param", "empty-param", "empty-meas", "scalar-meas"],
+    )
+    def test_sample_the_export_cannot_read_is_config_error(self, tmp_path, capsys, old, new):
+        # Line 11 is the first valid sample of a 120-sample sphere_ring4 log;
+        # report reads it, resume rejects it before it cuts the log.
+        config = Path(__file__).parents[1] / "configs" / "sphere_ring4.yaml"
+        args = ["--config", str(config), "--n-total", "120", "--out-dir", str(tmp_path)]
+        assert main(["run", *args]) == 0
+        log = tmp_path / "run.log"
+        lines = log.read_text().splitlines(keepends=True)
+        assert json.loads(lines[10])["valid"] and not any(json.loads(line)["valid"] for line in lines[3:10])
+        lines[10], edits = re.subn(old, new, lines[10])
+        assert edits == 1
+        log.write_text("".join(lines))
+        before = log.read_bytes()
+        assert main(["report", "--log", str(log), "--out-dir", str(tmp_path / "report")]) == 0
+        capsys.readouterr()
+        assert main(["resume", "--log", str(log), *args]) == EXIT_CONFIG
+        assert "corrupt log line 11: " in capsys.readouterr().err
+        assert log.read_bytes() == before
 
     def test_geometry_mismatch_is_config_error(self, config, tmp_path):
         out = tmp_path / "out"

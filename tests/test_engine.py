@@ -30,9 +30,10 @@ from carsopt.tensor import OPTIMISTIC_INIT, SubdomainTensor
 from dense_view import cells
 
 
-def sample_lines(path) -> list[str]:
-    """The sample lines of a run log, as written."""
-    return [line for line in path.read_text().splitlines() if line.startswith('{"type": "sample"')]
+def sample_lines(path, size: int | None = None) -> list[str]:
+    """The sample lines of a run log (of its first ``size`` bytes), as written."""
+    text = path.read_bytes()[:size].decode()
+    return [line for line in text.splitlines() if line.startswith('{"type": "sample"')]
 
 
 def boost_log_lines(tmp_path) -> list[str]:
@@ -53,6 +54,8 @@ def corrupt_logs(boost: list[str], restore: bool = False) -> list[tuple[bytes, s
         ("".join(boost[:2] + ['{"note": "x"}\n'] + boost[2:]), "line 3"),
         # A sample line without a key that sample_records writes.
         ("".join(boost[:3] + ['{"type": "sample", "id": 0}\n'] + boost[3:]), "line 4: .*'error'"),
+        # JSON nested deeper than the interpreter's recursion limit.
+        ("".join(boost[:4] + ["[" * 100_000 + "]" * 100_000 + "\n"] + boost[4:]), "line 5: maximum recursion depth"),
     ]
     first = json.loads(boost[3])
     assert first["type"] == "sample" and first["valid"]
@@ -93,6 +96,14 @@ def corrupt_logs(boost: list[str], restore: bool = False) -> list[tuple[bytes, s
             # The first sample's point is checked before it is mapped.
             ({"unit": [1.5, *first["unit"][1:]]}, r"unit is outside \[0, 1\]"),
             ({"unit": [10**400, *first["unit"][1:]]}, r"unit is outside \[0, 1\]"),
+            # Parameters that are not the unit point's, and measurements of a
+            # valid sample that the valid samples' export cannot read.
+            ({"params": {k.replace("C1", "C9"): v for k, v in first["params"].items()}}, "params are not this"),
+            ({"params": {**first["params"], "C1": []}}, "params are not this"),
+            ({"meas": {**first["meas"], "vmean": []}}, r"is valid without 1\+ numbers per measurement"),
+            ({"meas": {**first["meas"], "vrip": 5}}, r"is valid without 1\+ numbers per measurement"),
+            ({"meas": {**first["meas"], "eff_tot": ["0.5"]}}, r"is valid without 1\+ numbers per measurement"),
+            ({"meas": None}, r"is valid without 1\+ numbers per measurement"),
         ]
     for edit, message in malformed:
         line = json.dumps({**first, **edit}) + "\n"
@@ -106,6 +117,9 @@ def corrupt_logs(boost: list[str], restore: bool = False) -> list[tuple[bytes, s
             ({"fitness": math.inf}, "fitness is not finite"),
             ({"fitness": math.nan}, "fitness is not finite"),
             ({"unit": [*second["unit"][:2], 10**400]}, r"unit is outside \[0, 1\]"),
+            ({"subdomain": [99, *second["subdomain"][1:]]}, r"subdomain is outside \[0, 9\)"),
+            ({"subdomain": [*second["subdomain"][:2], -1]}, r"subdomain is outside \[0, 9\)"),
+            ({"subdomain": [10**31, *second["subdomain"][1:]]}, r"subdomain is outside \[0, 9\)"),
         ]:
             line = json.dumps({**second, **edit}) + "\n"
             rows.append(("".join(boost[:4] + [line] + boost[5:]), f"line 5: sample {message}"))
@@ -274,9 +288,9 @@ class TestDeterminismAndResume:
 
     def test_resumed_records_equal_uninterrupted(self, tmp_path):
         # A NaN radius makes a failed sample whose measurements are logged:
-        # its restored record must be the one the uninterrupted run made.
-        # Records are the log's sample lines, both for the uninterrupted run
-        # and for the run resumed from its middle.
+        # its resumed sample line must be the one the uninterrupted run wrote.
+        # A logged run, uninterrupted or resumed, keeps no records; a run
+        # without a log keeps its log's sample lines as records.
         spec, inner = c.builtin_problem("sphere_ring", 2)
 
         def model(params):
@@ -288,12 +302,13 @@ class TestDeterminismAndResume:
         full = c.run(spec, cfg, ev, log_path=tmp_path / "full.log")
         c.run(spec, cfg, ev, log_path=tmp_path / "part.log", stop_after_iteration=1)
         resumed = c.resume(tmp_path / "part.log", spec, cfg, ev)
+        assert full.records is None and resumed.records is None
         assert (tmp_path / "full.log").read_bytes() == (tmp_path / "part.log").read_bytes()
-        assert any(r["meas"] and math.isnan(r["meas"]["radius"][0]) and r["iteration"] <= 1 for r in full.records)
+        samples = [e for e in read_log(tmp_path / "part.log") if e["type"] == "sample"]
+        assert any(s["meas"] and math.isnan(s["meas"]["radius"][0]) and s["iteration"] <= 1 for s in samples)
         lines = sample_lines(tmp_path / "full.log")
         assert len(lines) == 100
-        assert [json.dumps(r) for r in full.records] == lines
-        assert [json.dumps(r) for r in resumed.records] == lines
+        assert [json.dumps(r) for r in c.run(spec, cfg, ev).records] == lines
 
     def test_pinned_log_with_oversampling(self, tmp_path):
         # sphere_ring 6-D with pooling and oversampling: 10 iterations of 60,
@@ -330,9 +345,10 @@ class TestDeterminismAndResume:
         spec, ev = c.builtin_problem("sphere_ring", 2)
         cfg = RunConfig(n_total=100, seed=1)
         st = c.run(spec, cfg, ev, log_path=tmp_path / "r.log")
+        before = (tmp_path / "r.log").read_bytes()
         st2 = c.resume(tmp_path / "r.log", spec, cfg, ev)
-        assert len(st2.records) == len(st.records)
-        assert [r["fitness"] for r in st2.records] == [r["fitness"] for r in st.records]
+        assert (tmp_path / "r.log").read_bytes() == before
+        assert st2.iteration == st.iteration and len(st2.store) == len(st.store) == 100
         assert np.array_equal(cells(st2.tensor), cells(st.tensor))
 
     def test_tensor_reconstruction(self, tmp_path):
@@ -371,7 +387,7 @@ class TestDeterminismAndResume:
         header, iteration = (tmp_path / "full.log").read_text().splitlines()[:2]
         (tmp_path / "r.log").write_text(header + "\n" + iteration + "\n")
         rs = restore_state(tmp_path / "r.log", spec, cfg)
-        assert rs.records == [] and rs.iteration == 0 and len(rs.store) == 0
+        assert rs.records is None and rs.iteration == 0 and len(rs.store) == 0
         values, touched = cells(rs.tensor)
         assert np.all(values == OPTIMISTIC_INIT) and not touched.any()
 
@@ -400,8 +416,8 @@ class TestDeterminismAndResume:
     def test_resume_log_with_stray_sample_copy(self, tmp_path, after, done):
         # 5 iterations of 20: line 44 is iteration 1's last sample, line 107
         # iteration 4's and line 30 one in between.  A stray copy of line
-        # ``after`` ends the kept prefix; the restored records are the sample
-        # lines of the iterations complete before it.
+        # ``after`` ends the kept prefix; the restored store holds, and the
+        # kept bytes end, the sample lines of the iterations complete before it.
         spec, ev = c.builtin_problem("sphere_ring", 2)
         cfg = RunConfig(n_total=100, seed=0)
         c.run(spec, cfg, ev, log_path=tmp_path / "full.log")
@@ -410,8 +426,9 @@ class TestDeterminismAndResume:
         (tmp_path / "r.log").write_bytes(b"".join(lines[:after] + [lines[after - 1]] + lines[after:]))
         rs = restore_state(tmp_path / "r.log", spec, cfg)
         assert rs.iteration == done
-        assert [json.dumps(r) for r in rs.records] == sample_lines(tmp_path / "full.log")[: 20 * rs.iteration]
-        assert len(rs.store) == len(rs.records)
+        kept = sample_lines(tmp_path / "r.log", rs.kept_bytes)
+        assert kept == sample_lines(tmp_path / "full.log")[: 20 * rs.iteration]
+        assert rs.records is None and len(rs.store) == len(kept)
         c.resume(tmp_path / "r.log", spec, cfg, ev)
         assert (tmp_path / "r.log").read_bytes() == full
 
@@ -458,10 +475,10 @@ class TestDeterminismAndResume:
         lines = (tmp_path / "full.log").read_text().splitlines(keepends=True)
         (tmp_path / "r.log").write_text("".join(lines[:49]))
         rs = restore_state(tmp_path / "r.log", spec, cfg)
-        assert rs.iteration == 2 and len(rs.records) == 40 and len(rs.store) == 40
+        assert rs.iteration == 2 and len(rs.store) == 40
         (tmp_path / "r.log").write_text("".join(lines[:13]))  # normalization + 10 samples
         rs = restore_state(tmp_path / "r.log", spec, cfg)
-        assert rs.iteration == 0 and rs.records == [] and rs.consts is None
+        assert rs.iteration == 0 and len(rs.store) == 0 and rs.consts is None
 
     @pytest.mark.parametrize(
         "field,value", [("n_total", 3000), ("n_pool", 0), ("oversampling", False)]
@@ -540,8 +557,8 @@ class TestDeterminismAndResume:
         cfg = RunConfig(n_total=2000, seed=3, n_pool=0, oversampling=False)
         c.run(spec, cfg, ev, log_path=tmp_path / "h.log", stop_after_iteration=5)
         greedy = RunConfig(n_total=2000, seed=3, n_pool=0, oversampling=False, alpha_schedule="const:20")
-        st = c.resume(tmp_path / "h.log", spec, greedy, ev)
-        post = [r for r in st.records if r["iteration"] >= 6]
+        c.resume(tmp_path / "h.log", spec, greedy, ev)
+        post = [e for e in read_log(tmp_path / "h.log") if e["type"] == "sample" and e["iteration"] >= 6]
         counts = collections.Counter(tuple(r["subdomain"]) for r in post)
         top, n = counts.most_common(1)[0]
         assert top == (0, 0)
@@ -552,12 +569,12 @@ class TestLog:
     def test_read_log_round_trip(self, tmp_path):
         spec, ev = c.builtin_problem("sphere_ring", 2)
         cfg = RunConfig(n_total=60, seed=4)
-        st = c.run(spec, cfg, ev, log_path=tmp_path / "r.log")
+        assert c.run(spec, cfg, ev, log_path=tmp_path / "r.log").records is None
         entries = read_log(tmp_path / "r.log")
         assert entries[0]["type"] == "run"
         samples = [e for e in entries if e["type"] == "sample"]
         assert len(samples) == 60
-        assert [s["fitness"] for s in samples] == [r["fitness"] for r in st.records]
+        assert samples == c.run(spec, cfg, ev).records
 
     def test_killed_run_keeps_complete_iterations(self, tmp_path, killed_run):
         # 10 iterations of 40 samples; the 300th evaluation is in iteration 7.
@@ -600,17 +617,17 @@ class TestLog:
         path.write_bytes("".join(boost).encode() + b'{"type": "sample", "error": "\xff')
         assert read_log(path) == read_log(tmp_path / "boost.log")
 
-    def test_csv_exports(self, tmp_path):
-        from carsopt.engine import export_summary_csv, export_valid_samples_csv
+    def test_csv_exports(self, tmp_path, capsys):
+        from carsopt.cli import _export
 
         spec, ev = c.builtin_problem("boost")
-        st = c.run(spec, RunConfig(n_total=100, seed=0), ev)
-        export_summary_csv(st.records, tmp_path / "s.csv")
-        export_valid_samples_csv(spec, st.records, tmp_path / "v.csv")
-        header = (tmp_path / "s.csv").read_text().splitlines()[0]
+        c.run(spec, RunConfig(n_total=100, seed=0), ev, log_path=tmp_path / "r.log")
+        assert _export(spec, tmp_path, tmp_path / "r.log") == 0
+        header = (tmp_path / "summary.csv").read_text().splitlines()[0]
         assert header == "iteration,fit_min,fit_mean,fit_max,valid,n"
-        n_valid = sum(r["valid"] for r in st.records)
-        assert len((tmp_path / "v.csv").read_text().splitlines()) == n_valid + 1
+        n_valid = sum(e["valid"] for e in read_log(tmp_path / "r.log") if e["type"] == "sample")
+        assert len((tmp_path / "valid_samples.csv").read_text().splitlines()) == n_valid + 1
+        assert f"samples: 100  valid: {n_valid}  " in capsys.readouterr().out
 
 
 def per_value_params(spec, dims, unit):

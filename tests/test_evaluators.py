@@ -356,6 +356,24 @@ class TestExternalEvaluator:
             ev.close()
         assert [r.error for r in res] == [None] * 4
 
+    def test_deeply_nested_line_ignored(self, tmp_path):
+        # Nesting deeper than the recursion limit is noise, not a crash.
+        deep = "[" * 100_000 + "]" * 100_000
+        assert _parse_response(bytearray(deep.encode())) is None
+        body = f"""\
+            import sys, json
+            for line in sys.stdin:
+                req = json.loads(line)
+                print("{deep}", flush=True)
+                print(json.dumps({{"id": req["id"], "meas": {{"y": [7.0]}}}}), flush=True)
+        """
+        ev = ExternalEvaluator(child_script(tmp_path, body), timeout=10.0)
+        try:
+            res = ev.evaluate_batch(self.requests(3))
+        finally:
+            ev.close()
+        assert all(r.ok and r.meas["y"] == [7.0] for r in res)
+
     def test_response_split_across_writes(self, tmp_path):
         body = """\
             import sys, json, time
