@@ -9,6 +9,7 @@ fitness back into the tensor by per-cell maximum.
 Normalization constants are captured from iteration 0 (which is effectively
 uniform random sampling) and frozen; iteration-0 fitnesses are computed under
 the frozen constants before tensor insertion so all cells share one scale.
+A restored run recomputes them, and every fitness, from the logged measurements.
 
 Per-iteration RNG streams are derived from (seed, iteration) with a
 counter-based generator, so a resumed run replays the exact sample sequence of
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fitness as fit
-from .evaluators import _FLOAT_MAX, EvaluationRequest
+from .evaluators import _FLOAT_MAX, EvaluationRequest, _is_number_lists
 from .knn import NeighborStore
 from .problem import ProblemError, ProblemSpec, sampled_dimensions
 from .tensor import SubdomainTensor
@@ -148,10 +149,9 @@ class RunConfig:
 
 @dataclass
 class RunState:
-    """A CARS run after ``iteration`` iterations; its tensor and kNN store
-    are the fold of its samples, committed one iteration at a time.  The
-    samples are the run log's sample lines; only a run without a log also
-    keeps them, parsed, as ``records``."""
+    """A CARS run after ``iteration`` iterations; its tensor and kNN store fold
+    its samples, scored under iteration 0's normalization constants, one
+    iteration at a time.  Its samples are its log's lines; an unlogged run keeps them as ``records``."""
 
     spec: ProblemSpec
     config: RunConfig
@@ -166,6 +166,11 @@ class RunState:
         n_dim = len(sampled_dimensions(self.spec))
         self.tensor = SubdomainTensor(n_dim, self.config.n_subdomain, self.config.n_pool)
         self.store = NeighborStore(n_dim)
+
+    def _score(self, bd: fit.FitnessBreakdown) -> np.ndarray:
+        """The batch's scalar fitnesses; the first batch sets the normalization constants."""
+        self.consts = self.consts or fit.NormalizationConstants.from_first_batch(self.spec, bd)
+        return bd.scalar(self.consts)
 
     def _commit(self, records: list[dict], subdomains, units, fitnesses: np.ndarray) -> None:
         """Close the open iteration on its samples: max-fold their fitnesses
@@ -209,6 +214,13 @@ def iteration_rng(seed: int, iteration: int) -> np.random.Generator:
 # The sample pipeline shared with the GA: unit points -> requests -> results
 # -> one batch breakdown -> records, each the dict its log line encodes
 # ---------------------------------------------------------------------------
+
+def _sampled_dims(spec: ProblemSpec) -> list:
+    """The problem's sampled dimensions; EngineError when it has none."""
+    if dims := sampled_dimensions(spec):
+        return dims
+    raise EngineError("problem has no sampled dimensions")
+
 
 def _physical_params(spec: ProblemSpec, dims, units) -> list[dict]:
     """Physical per-operating-point values for each row of ``units``, mapped
@@ -366,9 +378,7 @@ def run(
 
     ``stop_after_iteration`` ends the run early (the log stays resumable).
     """
-    dims = sampled_dimensions(spec)
-    if not dims:
-        raise EngineError("problem has no sampled dimensions")
+    dims = _sampled_dims(spec)
     schedule = parse_alpha_schedule(config.alpha_schedule)
     sizes = iteration_sizes(config.n_total)
     state = RunState(spec, config) if _resumed is None else _resumed
@@ -385,10 +395,9 @@ def run(
 
             mis, units = _sample_iteration(state, iteration, alpha, n)
             requests, results, bd = evaluate_units(spec, dims, evaluator, units, len(state.store))
-            if state.consts is None:
-                state.consts = fit.NormalizationConstants.from_first_batch(spec, bd)
+            fitnesses = state._score(bd)
+            if iteration == 0:
                 lines.append({"type": "normalization", **state.consts.to_dict()})
-            fitnesses = bd.scalar(state.consts)
 
             records = sample_records(iteration, units, mis, requests, results, bd, fitnesses)
             state._commit(records, mis, units, fitnesses)
@@ -473,28 +482,26 @@ def read_log(path) -> list[dict]:
 
 
 def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
-    """Rebuild engine state from a run log (no new samples) in one pass.
+    """Rebuild engine state from a run log (no new samples) in one pass,
+    scoring each folded iteration's logged measurements as ``run`` does; the
+    log's normalization line is not read.
 
     Raises EngineError unless the log header equals this run's ``run_header``
     but for the alpha schedule, and each sample it folds has ``n_dim``
-    sub-domain ints and unit numbers and, if it is valid, at least
-    ``n_operating_points`` numbers for each measurement the spec reads.  It
-    folds whole iterations up to the first sample that is not the open
-    iteration's next (by id), and rejects a folded sample whose sub-domain
-    leaves [0, n_subdomain), whose unit point leaves [0, 1], whose fitness is
-    not finite or whose parameters are not this problem's at its unit point;
-    a trailing incomplete iteration is left out, and so are the normalization
-    constants if that is iteration 0; resuming redoes it.  ``kept_bytes``
-    ends the last folded sample line (or the run header).
+    sub-domain ints and unit numbers and ``meas`` that is null or maps names
+    to lists of numbers.  It folds whole iterations up to the first sample
+    that is not the open iteration's next (by id), and rejects a folded
+    sample whose sub-domain leaves [0, n_subdomain), whose unit point leaves
+    [0, 1] or its sub-domain's cell, whose fitness is not finite, whose
+    parameters are not this problem's at its unit point, or whose fitness or
+    validity is not what its measurements score; a trailing incomplete
+    iteration is left out, and so are the normalization constants if that is
+    iteration 0; resuming redoes it.  ``kept_bytes`` ends the last folded
+    sample line (or the run header).
     """
-    dims = sampled_dimensions(spec)
+    dims = _sampled_dims(spec)
     sizes = iteration_sizes(config.n_total)
-    names, n_ops, n_sub = spec.measurement_names(), spec.n_operating_points, config.n_subdomain
-
-    def measured(meas: dict) -> bool:
-        """Whether ``meas`` has ``n_ops`` or more numbers per measurement the spec reads."""
-        vals = map(meas.get, names)
-        return all(type(v) is list and len(v) >= n_ops and {*map(type, v)} <= _NUMBER_TYPES for v in vals)
+    n_sub = config.n_subdomain
 
     def reject(bad, what):
         """Raise EngineError naming the first of the open iteration's samples that ``bad`` flags."""
@@ -507,15 +514,12 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
     for key, want in run_header("cars", config.seed, config.n_total, dims, config).items():
         if key != "alpha_schedule" and header.get(key) != want:
             raise EngineError(
-                "log geometry or settings mismatch: log was written with "
+                "log geometry or settings mismatch: log header has "
                 f"{key}={header.get(key)!r}, this run has {want!r}"
             )
-    norm = None
     batch: list[dict] = []  # the open iteration's samples
     linenos: list[int] = []  # and their line numbers
     for lineno, end, obj in lines:
-        if obj["type"] == "normalization":
-            norm = norm or obj
         if obj["type"] != "sample":
             continue
         sub, unit = obj["subdomain"], obj["unit"]
@@ -529,27 +533,31 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
             raise EngineError(f"corrupt log line {lineno}: sample unit is outside [0, 1]")
         if not (obj["iteration"] == state.iteration < len(sizes) and obj["id"] == len(state.store) + len(batch)):
             break  # the kept prefix ends here
+        if obj["meas"] is not None and not _is_number_lists(obj["meas"]):  # what the evaluators pass on
+            raise EngineError(f"corrupt log line {lineno}: sample meas does not map names to lists of numbers")
         batch.append(obj)
         linenos.append(lineno)
         if len(batch) == sizes[state.iteration]:
             subdomains = np.array([r["subdomain"] for r in batch])
-            units, fitnesses = (np.array([r[key] for r in batch], dtype=float) for key in ("unit", "fitness"))
+            units, logged = (np.array([r[key] for r in batch], dtype=float) for key in ("unit", "fitness"))
             reject(~((subdomains >= 0) & (subdomains < n_sub)).all(axis=1), f"subdomain is outside [0, {n_sub})")
             reject(~((units >= 0) & (units <= 1)).all(axis=1), "unit is outside [0, 1]")  # also true for NaN
-            reject(~np.isfinite(fitnesses), "fitness is not finite")
+            off_centre = np.abs(units * n_sub - subdomains - 0.5).max(axis=1)  # 0.5 on the cell's edge
+            reject(off_centre > 0.5 + 1e-9, "unit is outside its subdomain's cell")
+            reject(~np.isfinite(logged), "fitness is not finite")
             # Dimension labels do not pin bounds or scales; the parameters
             # logged for each unit point do.
             moved = [p != r["params"] for p, r in zip(_physical_params(spec, dims, units), batch)]
             reject(moved, "params are not this problem's (dimensions mismatch)")
-            unread = [r["valid"] and not measured(r["meas"] or {}) for r in batch]  # by the valid samples' export
-            reject(unread, f"is valid without {n_ops}+ numbers per measurement")
+            bd = fit.evaluate_breakdown(spec, [r["meas"] for r in batch])
+            fitnesses = state._score(bd)
+            reject(fitnesses.view(np.int64) != logged.view(np.int64), "fitness is not what its measurements score")
+            reject(bd.valid != [r["valid"] for r in batch], "valid is not what its measurements score")
             state._commit(batch, subdomains, units, fitnesses)
             state.kept_bytes = end
             batch, linenos = [], []
     for _ in lines:  # past the kept prefix, lines are checked, not folded
         pass
-    if state.iteration and norm:
-        state.consts = fit.NormalizationConstants.from_dict(norm)
     return state
 
 

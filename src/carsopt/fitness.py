@@ -75,15 +75,16 @@ def _measurements(spec: ProblemSpec, metas: list) -> tuple[dict[str, np.ndarray]
     failed = np.array([meas is None for meas in metas], dtype=bool)
     arrays = {}
     for name in spec.measurement_names():
-        rows = []
-        for i, meas in enumerate(metas):
-            vals = None if meas is None else meas.get(name)
-            if vals is None or len(vals) < n_ops or not all(map(math.isfinite, vals)):
-                failed[i] = True
-                rows.append(nan_row)
-            else:
-                rows.append(vals[:n_ops])
-        arrays[name] = np.array(rows, dtype=float).reshape(len(metas), n_ops)
+        column = [None if meas is None else meas.get(name) for meas in metas]
+        try:  # one array for the whole column ...
+            x = np.array(column, dtype=float)
+        except ValueError:  # ... unless it is ragged or holds a None beside a list
+            x = None
+        if x is None or x.ndim != 2 or x.shape[1] < n_ops:  # row by row; a row that fails is NaN
+            ok = [v is not None and len(v) >= n_ops and all(map(math.isfinite, v)) for v in column]
+            x = np.array([v[:n_ops] if k else nan_row for v, k in zip(column, ok)], dtype=float).reshape(-1, n_ops)
+        failed |= ~np.isfinite(x).all(axis=1)
+        arrays[name] = x[:, :n_ops]
     return arrays, failed
 
 
@@ -150,22 +151,14 @@ class NormalizationConstants:
         consts = cls()
         ok = ~bd.failed
         for i, o in enumerate(spec.objectives):
-            consts.objective[_obj_key(o, i)] = _min_max(bd.objective_raw[ok, i])
+            consts.objective[f"obj{i}:{o.name}"] = _min_max(bd.objective_raw[ok, i])
         for i, b in enumerate(spec.boundaries):
-            consts.boundary[_bnd_key(b, i)] = _min_max(bd.penalty_raw[ok, i])
+            consts.boundary[f"bnd{i}:{b.name}"] = _min_max(bd.penalty_raw[ok, i])
         consts.scalar = _min_max(bd.pre_scalar(consts)[ok])
         return consts
 
     def to_dict(self) -> dict:
         return {"objective": self.objective, "boundary": self.boundary, "scalar": self.scalar}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormalizationConstants":
-        return cls(
-            objective={k: tuple(v) for k, v in d["objective"].items()},
-            boundary={k: tuple(v) for k, v in d["boundary"].items()},
-            scalar=tuple(d["scalar"]) if d.get("scalar") else None,
-        )
 
 
 def _min_max(vals: np.ndarray) -> tuple[float, float]:
@@ -175,14 +168,6 @@ def _min_max(vals: np.ndarray) -> tuple[float, float]:
     if not finite:
         return (0.0, 0.0)
     return (min(finite), max(finite))
-
-
-def _obj_key(o: ObjectiveDef, i: int) -> str:
-    return f"obj{i}:{o.name}"
-
-
-def _bnd_key(b: BoundaryDef, i: int) -> str:
-    return f"bnd{i}:{b.name}"
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +200,6 @@ class FitnessBreakdown:
         """The batch's scalar fitness: each pre-scalar passed through its own
         first-batch normalization; 0 for a failed sample."""
         pre = self.pre_scalar(consts)
-        if consts.scalar is None:
-            return pre
         with _quiet():
             return np.where(self.failed, 0.0, consts.normalize(pre, consts.scalar))
 

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fitness as fit
-from .engine import evaluate_units, iteration_rng, open_log, run_header, sample_records
-from .problem import ProblemError, ProblemSpec, sampled_dimensions
+from .engine import _sampled_dims, evaluate_units, iteration_rng, open_log, run_header, sample_records
+from .problem import ProblemError, ProblemSpec
 
 __all__ = [
     "IslandConfig",
@@ -260,7 +260,7 @@ def run_islands(
     ``integers`` call), the crossover flags, ``u``, ``gamma``, the mutation
     flags, the gene masks and the normals.
     """
-    dims = sampled_dimensions(spec)
+    dims = _sampled_dims(spec)
     size, n_dim = cfg.population_size, len(dims)
     rngs = [iteration_rng(seed, 1_000_000 + island) for island in range(cfg.n_islands)]
     records: list[dict] | None = None if log_path else []

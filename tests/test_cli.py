@@ -5,14 +5,17 @@ import json
 import math
 import re
 import sys
+import tempfile
 import textwrap
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import carsopt as c
 from carsopt import engine
@@ -222,6 +225,8 @@ class TestRun:
             ("population_size: 5", "population_size: 5, sigma_mutate: .nan", "sigma_mutate must be finite"),
             ("population_size: 5", "population_size: 5, alpha_crossover: .nan", "alpha_crossover must be finite"),
             ("population_size: 5", "population_size: 5, eta_crossover: .inf", "eta_crossover must be finite"),
+            # Every parameter a grid: neither method has a point to sample.
+            ("scale: linear, bounds: [-1.0, 1.0]", "scale: grid, grid_values: [0.5]", "no sampled dimensions"),
         ],
         ids=[
             "unknown",
@@ -244,6 +249,7 @@ class TestRun:
             "ga-nan-sigma",
             "ga-nan-alpha",
             "ga-inf-eta",
+            "no-sampled-dimension",
         ],
     )
     def test_bad_run_key_is_config_error(self, tmp_path, capsys, old, new, named):
@@ -799,3 +805,58 @@ class TestReport:
     def test_report_missing_log(self, tmp_path, capsys):
         rc = main(["report", "--log", str(tmp_path / "none.log"), "--out-dir", str(tmp_path)])
         assert rc == EXIT_CONFIG
+
+
+@cache
+def seeded_log(method: str) -> bytes:
+    """The run log of ``CONFIG`` with 40 CARS samples (4 iterations of 10) or
+    its GA (2 islands of 5 over 3 generations)."""
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
+        (Path(tmp) / "problem.yaml").write_text(CONFIG)
+        args = ["run", "--config", f"{tmp}/problem.yaml", "--method", method, "--out-dir", tmp]
+        assert main(args + (["--n-total", "40"] if method == "cars" else [])) == 0
+        return (Path(tmp) / "run.log").read_bytes()
+
+
+# What a number in a log may become.
+REPLACEMENTS = [b"-1", b"0", b"99", b"1e400", b"NaN", b"null", b"true", b'"x"', b"[]", b"{}"]
+
+
+@st.composite
+def mutated(draw, log: bytes) -> bytes:
+    """``log`` with one byte replaced, one span deleted or copied elsewhere,
+    or one number replaced."""
+    kind = draw(st.sampled_from(["byte", "delete", "copy", "number"]))
+    i = draw(st.integers(0, len(log) - 1))
+    j = draw(st.integers(i, min(len(log), i + 300)))
+    if kind == "byte":
+        return log[:i] + bytes([draw(st.integers(0, 255))]) + log[i + 1 :]
+    if kind == "delete":
+        return log[:i] + log[j:]
+    if kind == "copy":
+        k = draw(st.integers(0, len(log)))
+        return log[:k] + log[i:j] + log[k:]
+    number = draw(st.sampled_from(list(re.finditer(rb"-?\d+(\.\d+)?([eE][-+]?\d+)?", log))))
+    return log[: number.start()] + draw(st.sampled_from(REPLACEMENTS)) + log[number.end() :]
+
+
+class TestMutatedLog:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["cars", "ga"]).flatmap(lambda method: mutated(seeded_log(method))))
+    def test_report_and_resume_exit_0_or_2(self, log):
+        # On exit 2 the message names a line or the header and the log keeps
+        # its bytes; a resumed log holds samples 0 ... 39 in order.
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "problem.yaml").write_text(CONFIG)
+            path = Path(tmp) / "run.log"
+            for cmd in (["report"], ["resume", "--config", f"{tmp}/problem.yaml", "--n-total", "40"]):
+                path.write_bytes(log)
+                err = io.StringIO()
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                    rc = main([*cmd, "--log", str(path), "--out-dir", f"{tmp}/out"])
+                assert rc in (0, EXIT_CONFIG)
+                if rc == EXIT_CONFIG:
+                    assert re.search(r"line \d+: |header", err.getvalue()), err.getvalue()
+                    assert path.read_bytes() == log
+                elif cmd[0] == "resume":
+                    assert [s["id"] for s in engine.iter_log(path) if s["type"] == "sample"] == list(range(40))

@@ -96,21 +96,23 @@ def corrupt_logs(boost: list[str], restore: bool = False) -> list[tuple[bytes, s
             # The first sample's point is checked before it is mapped.
             ({"unit": [1.5, *first["unit"][1:]]}, r"unit is outside \[0, 1\]"),
             ({"unit": [10**400, *first["unit"][1:]]}, r"unit is outside \[0, 1\]"),
-            # Parameters that are not the unit point's, and measurements of a
-            # valid sample that the valid samples' export cannot read.
+            # Parameters that are not the unit point's, measurements that are
+            # not lists of numbers, and measurements that do not score the
+            # logged fitness of a valid sample.
             ({"params": {k.replace("C1", "C9"): v for k, v in first["params"].items()}}, "params are not this"),
             ({"params": {**first["params"], "C1": []}}, "params are not this"),
-            ({"meas": {**first["meas"], "vmean": []}}, r"is valid without 1\+ numbers per measurement"),
-            ({"meas": {**first["meas"], "vrip": 5}}, r"is valid without 1\+ numbers per measurement"),
-            ({"meas": {**first["meas"], "eff_tot": ["0.5"]}}, r"is valid without 1\+ numbers per measurement"),
-            ({"meas": None}, r"is valid without 1\+ numbers per measurement"),
+            ({"meas": {**first["meas"], "vmean": []}}, "fitness is not what its measurements score"),
+            ({"meas": {**first["meas"], "vrip": 5}}, "meas does not map names to lists of numbers"),
+            ({"meas": {**first["meas"], "eff_tot": ["0.5"]}}, "meas does not map names to lists of numbers"),
+            ({"meas": None}, "fitness is not what its measurements score"),
         ]
     for edit, message in malformed:
         line = json.dumps({**first, **edit}) + "\n"
         rows.append(("".join(boost[:3] + [line] + boost[4:]), f"line 4: sample {message}"))
-    if restore:  # a folded sample's unit point outside [0, 1] or fitness not finite
+    if restore:  # a folded sample's point, or fitness, that restore_state does not fold
         second = json.loads(boost[4])
         assert second["type"] == "sample" and second["iteration"] == 0
+        neighbour = second["subdomain"][0] + (1 if second["subdomain"][0] < 8 else -1)
         for edit, message in [
             ({"unit": [1.5, *second["unit"][1:]]}, r"unit is outside \[0, 1\]"),
             ({"unit": [*second["unit"][:2], math.nan]}, r"unit is outside \[0, 1\]"),
@@ -120,6 +122,10 @@ def corrupt_logs(boost: list[str], restore: bool = False) -> list[tuple[bytes, s
             ({"subdomain": [99, *second["subdomain"][1:]]}, r"subdomain is outside \[0, 9\)"),
             ({"subdomain": [*second["subdomain"][:2], -1]}, r"subdomain is outside \[0, 9\)"),
             ({"subdomain": [10**31, *second["subdomain"][1:]]}, r"subdomain is outside \[0, 9\)"),
+            # Values the log states and restore_state recomputes.
+            ({"subdomain": [neighbour, *second["subdomain"][1:]]}, "unit is outside its subdomain's cell"),
+            ({"fitness": math.nextafter(second["fitness"], math.inf)}, "fitness is not what its measurements score"),
+            ({"valid": not second["valid"]}, "valid is not what its measurements score"),
         ]:
             line = json.dumps({**second, **edit}) + "\n"
             rows.append(("".join(boost[:4] + [line] + boost[5:]), f"line 5: sample {message}"))
@@ -452,6 +458,27 @@ class TestDeterminismAndResume:
         (tmp_path / "r.log").write_bytes(b"".join(part[:at] + [extra] + part[at:]))
         c.resume(tmp_path / "r.log", spec, cfg, ev)
         assert (tmp_path / "r.log").read_bytes() == b"".join(full[:at] + [extra] + full[at:])
+
+    @pytest.mark.parametrize("edit", ["deleted", "edited"])
+    def test_resume_does_not_read_the_normalization_line(self, tmp_path, edit):
+        # 300 samples stopped after iteration 2; line 3 is the normalization
+        # line.  Resume scores iteration 0 again for its constants, so a cut
+        # log whose line 3 is deleted or edited resumes to the samples of the
+        # uninterrupted run.
+        spec, ev = c.builtin_problem("boost")
+        cfg = RunConfig(n_total=300, seed=3)
+        c.run(spec, cfg, ev, log_path=tmp_path / "full.log")
+        c.run(spec, cfg, ev, log_path=tmp_path / "r.log", stop_after_iteration=2)
+        lines = (tmp_path / "r.log").read_text().splitlines(keepends=True)
+        norm = json.loads(lines[2])
+        assert norm["type"] == "normalization"
+        if edit == "deleted":
+            del lines[2]
+        else:
+            lines[2] = json.dumps({**norm, "scalar": [norm["scalar"][0], 2 * norm["scalar"][1]]}) + "\n"
+        (tmp_path / "r.log").write_text("".join(lines))
+        c.resume(tmp_path / "r.log", spec, cfg, ev)
+        assert sample_lines(tmp_path / "r.log") == sample_lines(tmp_path / "full.log")
 
     def test_restore_checks_lines_past_the_kept_prefix(self, tmp_path, monkeypatch):
         # One pass: the log is not read into a list, and a corrupt line past
