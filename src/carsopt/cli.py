@@ -225,11 +225,15 @@ def run_study(spec, evaluator, config: RunConfig, seeds: list[int]) -> list[dict
     per-iteration stats rows."""
     if not config.n_pool:
         raise ProblemError("study compares pooling on and off, so n_pool must not be 0")
+    runs = [  # every config is checked before the first run
+        (variant, seed, dataclasses.replace(config, seed=seed, **overrides))
+        for variant, overrides in STUDY_VARIANTS.items()
+        for seed in seeds
+    ]
     rows = []
-    for variant, overrides in STUDY_VARIANTS.items():
-        for seed in seeds:
-            state = engine.run(spec, dataclasses.replace(config, seed=seed, **overrides), evaluator)
-            rows += ({"variant": variant, "seed": seed, **s} for s in engine.iteration_stats(state.records))
+    for variant, seed, cfg in runs:
+        state = engine.run(spec, cfg, evaluator)
+        rows += ({"variant": variant, "seed": seed, **s} for s in engine.iteration_stats(state.records))
     return rows
 
 
@@ -264,12 +268,12 @@ _NUMERIC = re.compile(r"[-+.e0-9\[\], ]*")
 
 def _scatter_line(row: list) -> str:
     """The line ``csv.writer`` writes for a scatter row: its four scalars as
-    they are, then each value as its ``_cell``."""
+    they are, then each value as its ``json.dumps``."""
     cells = list(map(repr, row))
     line = ",".join(cells)
     if not _NUMERIC.fullmatch(line):
         buf = io.StringIO()
-        csv.writer(buf).writerow(row[:4] + list(map(_cell, row[4:])))
+        csv.writer(buf).writerow(row[:4] + list(map(json.dumps, row[4:])))
         return buf.getvalue()
     if ", " in line:  # a list of several values: a quoted field
         line = ",".join([f'"{c}"' if ", " in c else c for c in cells])
@@ -330,16 +334,6 @@ def summarize_log(log_path) -> dict:
         "row_shapes": row_shapes,
         "rows": rows,
     }
-
-
-def _cell(value) -> str:
-    """``json.dumps(value)``, written directly for a list of finite floats
-    (the repr of nan or inf holds an "n"; json spells them NaN and Infinity)."""
-    try:
-        text = ", ".join(map(float.__repr__, value)) if type(value) is list else "n"
-    except TypeError:  # an element that is not a float
-        text = "n"
-    return json.dumps(value) if "n" in text else f"[{text}]"
 
 
 def _write_scatter(summary: dict, path) -> None:

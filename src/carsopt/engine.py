@@ -145,6 +145,7 @@ class RunConfig:
             raise EngineError(f"n_pool must be >= 0, got {self.n_pool}")
         if self.n_pool and self.n_subdomain % self.n_pool != 0:
             raise EngineError("n_pool must divide n_subdomain")
+        parse_alpha_schedule(self.alpha_schedule)
 
 
 @dataclass

@@ -7,12 +7,6 @@ only the most promising candidate per row gets an actual evaluation.
 
 Estimates are exact and reproducible bit for bit:
 
-- **Distances.** Squared distances are accumulated one dimension at a time
-  into (queries, points) arrays, in numpy's own summation order for
-  ``((q[:, None] - p[None]) ** 2).sum(axis=2)``: sequential below 8
-  dimensions; from 8 on, eight strided accumulators combined as
-  ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder in sequence (and
-  halves summed recursively above 128 dimensions).
 - **Ties.** Neighbors are ranked by (squared distance, insertion index), so
   an earlier point wins a tie, and the chosen k are averaged in that order.
 - **Prefilter.** While k < m, the rows ``[q, ‖q‖², 1]`` and each query's
@@ -41,8 +35,9 @@ Estimates are exact and reproducible bit for bit:
   NaN key (a NaN distance, or an infinite one whose mantissa took an index)
   makes a gap NaN, an infinite a the slack, and a NaN or infinite query δ.
 - **Fallback.** Every other row (k >= m, a NaN or overflowing query, a
-  near-tie within the slack among its k+1 nearest) gets exact distances to
-  every point and is ranked by a stable full sort, the reference's own rule.
+  near-tie within the slack among its k+1 nearest) is scored by the reference
+  itself: ``((q[:, None] - p[None]) ** 2).sum(axis=2)`` over a contiguous
+  (m, d) copy of the points, then a stable full sort.
 - **Cost.** n queries against m stored points in d dimensions cost O(n·m·d)
   in the GEMM plus an O(n·m) index store and selection; a fallback row adds
   O(m·d) exact arithmetic and an O(m log m) sort.  Queries go in blocks of
@@ -50,6 +45,9 @@ Estimates are exact and reproducible bit for bit:
   averaged once per block, and each block in chunks of (chunk, m) arrays of
   at most 65,536 elements (512 KiB, L2-resident), but of at least 4 rows,
   since past 16,384 stored points a call per row costs more than the cache.
+  Fallback rows go in chunks of (rows, m, d) arrays of at most 65,536
+  elements, but of at least 1 row; only degenerate inputs (a lattice, k >= m)
+  make such rows, and seeded runs of the built-in problems none.
 
 Points and fitnesses live in preallocated arrays whose capacity doubles, so
 appending a batch costs amortized O(batch) and estimates read them in place.
@@ -64,55 +62,19 @@ __all__ = ["NeighborStore"]
 _CHUNK_ELEMENTS = 65_536  # (queries, points) elements per array: 512 KiB, cache-resident
 _CHUNK_ROWS = 4  # but never fewer rows than this per chunk
 _BLOCK_ELEMENTS = 1 << 18  # (queries, k+1) keys a block selects: 2 MiB
-_PAIRWISE_BLOCK = 128  # numpy's pairwise-summation block size
 # c in the prefilter margin δ = c·(d+4)·eps·((‖q‖ + max‖p‖)² + 1).  To first
-# order a Gram distance and the exact per-dimension sum differ by at most
+# order a Gram distance and the exact sum differ by at most
 # (3d+4)·(eps/2)·(‖q‖ + ‖p‖)²: (d+2)·eps/2 relative for the exact sum, and
 # (2d+2)·eps/2 for the norms and a length-(d+2) dot product in any summation
 # order.  c = 3 keeps that gap below δ/2; the "+ 1" covers underflow.
 _MARGIN_FACTOR = 3.0
 
 
-def _squared_term(queries: np.ndarray, coords: np.ndarray, j: int, out=None) -> np.ndarray:
-    """(q_j - p_j)**2 for every (query, point) pair."""
-    out = np.subtract(queries[:, j, None], coords[j], out=out)
-    return np.multiply(out, out, out=out)
-
-
-def _squared_distances(queries: np.ndarray, coords: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Sum of squared terms over dimensions lo..hi-1 in numpy's pairwise order."""
-    n = hi - lo
-    if n < 8:
-        acc = _squared_term(queries, coords, lo)
-        tmp = np.empty_like(acc)
-        for j in range(lo + 1, hi):
-            acc += _squared_term(queries, coords, j, tmp)
-        return acc
-    if n > _PAIRWISE_BLOCK:
-        half = n // 2
-        half -= half % 8
-        acc = _squared_distances(queries, coords, lo, lo + half)
-        acc += _squared_distances(queries, coords, lo + half, hi)
-        return acc
-    blocked = hi - n % 8
-
-    def lane(r):  # accumulator r: dimensions lo+r, lo+r+8, ... below `blocked`
-        acc = _squared_term(queries, coords, lo + r)
-        for j in range(lo + r + 8, blocked, 8):
-            acc += _squared_term(queries, coords, j)
-        return acc
-
-    def pair(a, b):
-        a += b
-        return a
-
-    acc = pair(
-        pair(pair(lane(0), lane(1)), pair(lane(2), lane(3))),
-        pair(pair(lane(4), lane(5)), pair(lane(6), lane(7))),
-    )
-    for j in range(blocked, hi):
-        acc += _squared_term(queries, coords, j)
-    return acc
+def _squared_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``((q[:, None] - p[None]) ** 2).sum(axis=2)`` for (n, d) queries and (m, d) points."""
+    diff = queries[:, None] - points[None]
+    diff *= diff  # the x·x that ``** 2`` computes, without a second (n, m, d) array
+    return diff.sum(axis=2)
 
 
 def _gram(coords: np.ndarray) -> np.ndarray:
@@ -221,10 +183,11 @@ class NeighborStore:
             raise ValueError(f"queries shape {queries.shape} != (n, {self.n_dim})")
         m = self._size
         coords, fit = self._coords[:, :m], self._fitness[:m]
+        points = coords.T.copy()  # (m, d), contiguous: the sum runs over the last axis as the reference's does
         k = min(k, m)
         out = np.empty(len(queries))
         block = max(1, _BLOCK_ELEMENTS // (k + 1))
-        chunk = max(_CHUNK_ROWS, _CHUNK_ELEMENTS // m)
+        chunk = max(1, _CHUNK_ELEMENTS // (m * self.n_dim))  # fallback rows per (rows, m, d) temporary
         gram = _gram(coords) if k < m else None
         max_norm = np.sqrt(gram[-1].max()) if k < m else None  # max‖p‖: once per call, not per block
         for start in range(0, len(queries), block):
@@ -235,7 +198,7 @@ class NeighborStore:
             rest = np.flatnonzero(~proven)
             for lo in range(0, len(rest), chunk):
                 rows = rest[lo : lo + chunk]
-                d2 = _squared_distances(q[rows], coords, 0, self.n_dim)
+                d2 = _squared_distances(q[rows], points)
                 order[rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
             out[start : start + block] = fit[order].mean(axis=1)
         return out

@@ -24,7 +24,6 @@ from carsopt.cli import (
     EXIT_EVALUATOR,
     EXIT_INTERRUPTED,
     STUDY_VARIANTS,
-    _cell,
     _RunSection,
     _scatter_line,
     main,
@@ -457,6 +456,20 @@ class TestResume:
         assert "corrupt log line 11: " in capsys.readouterr().err
         assert log.read_bytes() == before
 
+    def test_bad_alpha_schedule_keeps_the_log(self, tmp_path, capsys):
+        # The schedule is checked before resume cuts the log back to its
+        # whole iterations, so a rejected resume leaves the log's bytes.
+        config = Path(__file__).parents[1] / "configs" / "sphere_ring4.yaml"
+        args = ["--config", str(config), "--n-total", "400", "--out-dir", str(tmp_path)]
+        assert main(["run", *args]) == 0
+        log = tmp_path / "run.log"
+        log.write_bytes(log.read_bytes()[:20_000])
+        before = log.read_bytes()
+        capsys.readouterr()
+        assert main(["resume", "--log", str(log), "--alpha-schedule", "bogus", *args]) == EXIT_CONFIG
+        assert "bad alpha schedule 'bogus'" in capsys.readouterr().err
+        assert log.read_bytes() == before
+
     def test_geometry_mismatch_is_config_error(self, config, tmp_path):
         out = tmp_path / "out"
         main(["run", "--config", str(config), "--out-dir", str(out)])
@@ -654,6 +667,22 @@ class TestStudy:
         want = engine.iteration_stats(c.run(spec, cfg, ev).records)
         assert [float(r["fit_mean"]) for r in rows] == [s["fit_mean"] for s in want]
 
+    def test_bad_later_seed_runs_nothing(self, config, tmp_path, capsys, monkeypatch):
+        # Every (variant, seed) config is checked before the first run.
+        batches, evaluate_batch = [], c.BuiltinEvaluator.evaluate_batch
+
+        def counted(self, requests):
+            batches.append(len(requests))
+            return evaluate_batch(self, requests)
+
+        monkeypatch.setattr(c.BuiltinEvaluator, "evaluate_batch", counted)
+        out = tmp_path / "out"
+        args = ["--config", str(config), "--seeds", "0,-1", "--n-total", "100", "--out-dir", str(out)]
+        assert main(["study", *args]) == EXIT_CONFIG
+        assert "seed must be in [0, 2**63)" in capsys.readouterr().err
+        assert batches == []
+        assert not (out / "study.csv").exists()
+
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--no-pooling"], ["--no-oversampling"]])
     def test_study_refuses_flags_it_sets_itself(self, config, flag):
         with pytest.raises(SystemExit) as exc:
@@ -790,17 +819,6 @@ class TestReport:
         buf = io.StringIO()
         csv.writer(buf).writerow(scalars + [json.dumps(v) for v in values])
         assert _scatter_line(scalars + values) == buf.getvalue()
-
-    @given(
-        st.none()
-        | st.lists(st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]))
-        | st.lists(st.integers())
-        | st.lists(st.floats() | st.integers() | st.booleans() | st.none() | st.text() | st.lists(st.floats()))
-        | st.text()
-        | st.dictionaries(st.text(), st.floats())
-    )
-    def test_cell_equals_json_dumps(self, value):
-        assert _cell(value) == json.dumps(value)
 
     def test_report_missing_log(self, tmp_path, capsys):
         rc = main(["report", "--log", str(tmp_path / "none.log"), "--out-dir", str(tmp_path)])

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import carsopt
 from carsopt import knn
+from carsopt.engine import RunConfig
 from carsopt.knn import NeighborStore
 
 
@@ -257,12 +259,29 @@ class TestPrefilter:
         # row is averaged in key order and calls _squared_distances never.
         rows, squared_distances = [], knn._squared_distances
 
-        def counted(queries, coords, lo, hi):
+        def counted(queries, points):
             rows.append(len(queries))
-            return squared_distances(queries, coords, lo, hi)
+            return squared_distances(queries, points)
 
         monkeypatch.setattr(knn, "_squared_distances", counted)
         return rows
+
+    @pytest.mark.parametrize("name,n_dim,n_total", [("sphere_ring", 6, 1500), ("boost", 3, 5000)])
+    def test_seeded_runs_compute_no_exact_distance(self, name, n_dim, n_total, monkeypatch):
+        # The fallback serves degenerate inputs only: the prefilter proves
+        # every row a seeded run scores, pooling and oversampling on.
+        fallback = self.fallback_rows(monkeypatch)
+        prefiltered, prefilter = [], knn._prefilter
+
+        def counted(queries, gram, max_norm, k):
+            prefiltered.append(len(queries))
+            return prefilter(queries, gram, max_norm, k)
+
+        monkeypatch.setattr(knn, "_prefilter", counted)
+        spec, ev = carsopt.builtin_problem(name, n_dim)
+        carsopt.run(spec, RunConfig(n_total=n_total, seed=0), ev)
+        assert sum(prefiltered) > 0
+        assert fallback == []
 
     @pytest.mark.parametrize("n_dim,m,k", [(1, 20, 1), (3, 200, 7), (6, 1400, 13), (12, 500, 25)])
     def test_random_points_are_all_proven(self, n_dim, m, k, monkeypatch):
@@ -474,6 +493,20 @@ class TestStore:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+        # Lattice queries against 20,000 lattice points in 6-D all fall back;
+        # chunks of at most 65,536 (rows, m, d) difference elements, but one
+        # row, keep the peak under 4 MiB.
+        pts, queries = rng.integers(0, 3, (20_000, 6)) / 2, rng.integers(0, 3, (200, 6)) / 2
+        assert not prefilter_proves(pts, queries, 13).any()
+        s = NeighborStore(6)
+        s.extend(pts, rng.random(20_000))
+        tracemalloc.start()
+        try:
+            s.estimate_many(queries, 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_empty_batch(self):
         s = NeighborStore(2)
