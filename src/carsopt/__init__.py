@@ -8,7 +8,6 @@ surrogate problems, and a batch/CLI harness round out the toolkit.
 
 from .engine import (
     RunConfig,
-    RunState,
     heuristic_schedule,
     neighbor_count,
     oversampling_width,
@@ -18,7 +17,6 @@ from .engine import (
 from .evaluators import (
     BuiltinEvaluator,
     EvaluationRequest,
-    EvaluationResult,
     ExternalEvaluator,
     builtin_problem,
     make_evaluator,
@@ -41,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RunConfig",
-    "RunState",
     "run",
     "resume",
     "heuristic_schedule",
@@ -50,7 +47,6 @@ __all__ = [
     "BuiltinEvaluator",
     "ExternalEvaluator",
     "EvaluationRequest",
-    "EvaluationResult",
     "builtin_problem",
     "make_evaluator",
     "NormalizationConstants",

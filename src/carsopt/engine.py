@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fitness as fit
-from .evaluators import _FLOAT_MAX, EvaluationRequest, _is_number_lists
+from .evaluators import _FLOAT_MAX, EvaluationRequest, _encode, _is_number_lists
 from .knn import NeighborStore
 from .problem import ProblemError, ProblemSpec, sampled_dimensions
 from .tensor import SubdomainTensor
@@ -331,7 +331,7 @@ def open_log(path, mode: str):
     with open(path, mode) as fh:
 
         def emit(objs):
-            fh.write("".join(json.dumps(obj) + "\n" for obj in objs))
+            fh.write("".join(_encode(obj) + "\n" for obj in objs))
             fh.flush()
 
         yield emit

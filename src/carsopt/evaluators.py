@@ -32,7 +32,6 @@ __all__ = [
     "ExternalEvaluator",
     "surrogate_boost",
     "builtin_problem",
-    "BUILTIN_PROBLEMS",
     "make_evaluator",
 ]
 
@@ -145,91 +144,70 @@ def _coordinates(params: dict) -> list[float]:
     return x
 
 
-def _sphere_ring_problem(n_dim: int = 4) -> tuple[ProblemSpec, BuiltinEvaluator]:
+def _sphere_ring(x: list[float]) -> dict:
     """Sphere minimization constrained to a spherical shell.
 
     x in [-1, 1]^n; sphere = sum(x^2), radius = ||x||, boundary
     0.3 <= radius <= 0.8.  The unconstrained optimum (origin) is infeasible;
     the constrained optimum is any point at radius 0.3 with value 0.09.
     """
-
-    def fn(params):
-        s = sum(v * v for v in _coordinates(params))
-        return {"sphere": [s], "radius": [math.sqrt(s)]}
-
-    spec = ProblemSpec(
-        parameters=tuple(ParameterDef(f"x{i}", "linear", (-1.0, 1.0)) for i in range(n_dim)),
-        objectives=(ObjectiveDef("sphere", "min"),),
-        boundaries=(BoundaryDef("radius", "range", ((0.3, 0.8),)),),
-    )
-    return spec, BuiltinEvaluator(fn, "sphere_ring")
+    s = sum(v * v for v in x)
+    return {"sphere": [s], "radius": [math.sqrt(s)]}
 
 
-def _rosenbrock_box_problem(n_dim: int = 4) -> tuple[ProblemSpec, BuiltinEvaluator]:
+def _rosenbrock_box(x: list[float]) -> dict:
     """Shifted Rosenbrock with a box-radius boundary.
 
     x in [-2, 2]^n; rosen = Rosenbrock(x - 0.5), optimum 0 at x = 1.5 * ones;
     boundary max|x_i| <= 1.8 keeps the optimum feasible.
     """
-
-    def fn(params):
-        x = [v - 0.5 for v in _coordinates(params)]
-        r = sum(100.0 * (x[i + 1] - x[i] ** 2) ** 2 + (1.0 - x[i]) ** 2 for i in range(len(x) - 1))
-        return {"rosen": [r], "max_abs": [max(abs(v + 0.5) for v in x)]}
-
-    spec = ProblemSpec(
-        parameters=tuple(ParameterDef(f"x{i}", "linear", (-2.0, 2.0)) for i in range(n_dim)),
-        objectives=(ObjectiveDef("rosen", "min"),),
-        boundaries=(BoundaryDef("max_abs", "range", ((0.0, 1.8),)),),
-    )
-    return spec, BuiltinEvaluator(fn, "rosenbrock_box")
+    x = [v - 0.5 for v in x]
+    r = sum(100.0 * (x[i + 1] - x[i] ** 2) ** 2 + (1.0 - x[i]) ** 2 for i in range(len(x) - 1))
+    return {"rosen": [r], "max_abs": [max(abs(v + 0.5) for v in x)]}
 
 
-def _rastrigin_multi_problem(n_dim: int = 4) -> tuple[ProblemSpec, BuiltinEvaluator]:
+def _rastrigin_multi(x: list[float]) -> dict:
     """Shifted Rastrigin (many local basins) with a radius boundary.
 
     x in [-5.12, 5.12]^n; rastrigin = Rastrigin(x - 0.5), optimum 0 at
     x = 0.5 * ones; boundary ||x - 0.5|| <= 4.5.
     """
-
-    def fn(params):
-        x = [v - 0.5 for v in _coordinates(params)]
-        r = 10.0 * len(x) + sum(v * v - 10.0 * math.cos(2.0 * math.pi * v) for v in x)
-        return {"rastrigin": [r], "radius": [math.sqrt(sum(v * v for v in x))]}
-
-    spec = ProblemSpec(
-        parameters=tuple(
-            ParameterDef(f"x{i}", "linear", (-5.12, 5.12)) for i in range(n_dim)
-        ),
-        objectives=(ObjectiveDef("rastrigin", "min"),),
-        boundaries=(BoundaryDef("radius", "range", ((0.0, 4.5),)),),
-    )
-    return spec, BuiltinEvaluator(fn, "rastrigin_multi")
+    x = [v - 0.5 for v in x]
+    r = 10.0 * len(x) + sum(v * v - 10.0 * math.cos(2.0 * math.pi * v) for v in x)
+    return {"rastrigin": [r], "radius": [math.sqrt(sum(v * v for v in x))]}
 
 
-BUILTIN_PROBLEMS = {
-    "boost": _boost_problem,
-    "sphere_ring": _sphere_ring_problem,
-    "rosenbrock_box": _rosenbrock_box_problem,
-    "rastrigin_multi": _rastrigin_multi_problem,
+# name: (model, bounds of every x_i, minimized measurement, bounded measurement, its range)
+_ANALYTIC = {
+    "sphere_ring": (_sphere_ring, (-1.0, 1.0), "sphere", "radius", (0.3, 0.8)),
+    "rosenbrock_box": (_rosenbrock_box, (-2.0, 2.0), "rosen", "max_abs", (0.0, 1.8)),
+    "rastrigin_multi": (_rastrigin_multi, (-5.12, 5.12), "rastrigin", "radius", (0.0, 4.5)),
 }
+
+
+def _analytic_problem(name: str, n_dim: int) -> tuple[ProblemSpec, BuiltinEvaluator]:
+    model, bounds, minimized, bounded, limits = _ANALYTIC[name]
+    spec = ProblemSpec(
+        parameters=tuple(ParameterDef(f"x{i}", "linear", bounds) for i in range(n_dim)),
+        objectives=(ObjectiveDef(minimized, "min"),),
+        boundaries=(BoundaryDef(bounded, "range", (limits,)),),
+    )
+    return spec, BuiltinEvaluator(lambda params: model(_coordinates(params)), name)
 
 
 def builtin_problem(name: str, n_dim: int | None = None) -> tuple[ProblemSpec, BuiltinEvaluator]:
     """Problem spec plus evaluator for a named built-in problem.
 
     ``n_dim`` sizes the analytic problems (at least 1); boost has exactly 3
-    dimensions.  None takes the problem's default.
+    dimensions.  None takes the problem's default: 4 for the analytic ones.
     """
-    try:
-        factory = BUILTIN_PROBLEMS[name]
-    except KeyError:
-        raise ProblemError(f"unknown built-in problem {name!r}; have {sorted(BUILTIN_PROBLEMS)}") from None
-    if n_dim is None or (name == "boost" and n_dim == 3):
-        return factory()
-    if name == "boost" or n_dim < 1:
+    if name != "boost" and name not in _ANALYTIC:
+        raise ProblemError(f"unknown built-in problem {name!r}; have {sorted(['boost', *_ANALYTIC])}")
+    if name == "boost" and n_dim in (None, 3):
+        return _boost_problem()
+    if name == "boost" or (n_dim is not None and n_dim < 1):
         raise ProblemError(f"built-in problem {name!r} cannot have {n_dim} dimensions")
-    return factory(n_dim)
+    return _analytic_problem(name, 4 if n_dim is None else n_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +216,9 @@ def builtin_problem(name: str, n_dim: int | None = None) -> tuple[ProblemSpec, B
 
 _WINDOW = 16  # requests outstanding per child
 _FLOAT_MAX = int(sys.float_info.max)  # the largest int a measurement may be
+# json.dumps's bytes without its per-call circular check: carsopt encodes
+# only fresh dicts of lists, which cannot hold a cycle.
+_encode = json.JSONEncoder(check_circular=False).encode
 
 
 def _is_number_lists(meas) -> bool:
@@ -334,7 +315,7 @@ class ExternalEvaluator:
                 refill = []
                 while unsent and len(pending) < _WINDOW:
                     req = unsent.popleft()
-                    refill.append(json.dumps({"id": req.sample_id, "params": req.params}) + "\n")
+                    refill.append(_encode({"id": req.sample_id, "params": req.params}) + "\n")
                     pending[req.sample_id] = req
                 try:
                     self._proc.stdin.write("".join(refill).encode())

@@ -123,8 +123,6 @@ def nondominated_sort(objectives: np.ndarray) -> list[list[int]]:
     fronts = []
     while not assigned.all():
         front = np.flatnonzero(~assigned & (counts == 0))
-        if not len(front):  # numeric pathologies (all-NaN etc.): dump the rest
-            front = np.flatnonzero(~assigned)
         fronts.append(front.tolist())
         assigned[front] = True
         counts -= dom[front].sum(axis=0)

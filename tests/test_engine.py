@@ -334,6 +334,14 @@ class TestDeterminismAndResume:
         digest = hashlib.sha256((tmp_path / "r.log").read_bytes()).hexdigest()
         assert digest == "e88b68b69f5f93fca2da28677987595b4579892d820acd6108f8fa12464947d3"
 
+    def test_pinned_log_rastrigin(self, tmp_path):
+        # rastrigin_multi 4-D with pooling and oversampling: the digest pins
+        # its table row's spec and the model's measurement bits.
+        spec, ev = c.builtin_problem("rastrigin_multi", 4)
+        c.run(spec, RunConfig(n_total=300, seed=7), ev, log_path=tmp_path / "r.log")
+        digest = hashlib.sha256((tmp_path / "r.log").read_bytes()).hexdigest()
+        assert digest == "ff7130c089028bcbab63dcf2cb99976ec0157fcaea789f46069a98ade24ce90c"
+
     def test_pinned_log_with_failed_samples(self, tmp_path):
         # Failed, NaN-measurement and valid samples over two operating
         # points; the digest pins how each is scored, flagged and logged.

@@ -19,7 +19,7 @@ from carsopt.evaluators import (
     surrogate_boost,
 )
 from carsopt.fitness import evaluate_breakdown
-from carsopt.problem import ProblemError
+from carsopt.problem import BoundaryDef, ObjectiveDef, ParameterDef, ProblemError, ProblemSpec
 
 
 FEASIBLE_BOOST = {"C1": [1e-5], "L1": [10**-4.5], "fsw": [1e5]}
@@ -64,6 +64,94 @@ class TestSurrogateBoost:
         assert 5.0 < low["vmean"][0] < 12.0 < high["vmean"][0] < 19.0
 
 
+# The analytic problems as three hand-built factories, before they became
+# rows of one table: the oracle their specs and measurement bits must equal.
+
+
+def oracle_coordinates(params):
+    x = []
+    while (name := f"x{len(x)}") in params:
+        x.append(params[name][0])
+    return x
+
+
+def oracle_sphere_ring(n_dim):
+    def fn(params):
+        s = sum(v * v for v in oracle_coordinates(params))
+        return {"sphere": [s], "radius": [math.sqrt(s)]}
+
+    spec = ProblemSpec(
+        parameters=tuple(ParameterDef(f"x{i}", "linear", (-1.0, 1.0)) for i in range(n_dim)),
+        objectives=(ObjectiveDef("sphere", "min"),),
+        boundaries=(BoundaryDef("radius", "range", ((0.3, 0.8),)),),
+    )
+    return spec, fn
+
+
+def oracle_rosenbrock_box(n_dim):
+    def fn(params):
+        x = [v - 0.5 for v in oracle_coordinates(params)]
+        r = sum(100.0 * (x[i + 1] - x[i] ** 2) ** 2 + (1.0 - x[i]) ** 2 for i in range(len(x) - 1))
+        return {"rosen": [r], "max_abs": [max(abs(v + 0.5) for v in x)]}
+
+    spec = ProblemSpec(
+        parameters=tuple(ParameterDef(f"x{i}", "linear", (-2.0, 2.0)) for i in range(n_dim)),
+        objectives=(ObjectiveDef("rosen", "min"),),
+        boundaries=(BoundaryDef("max_abs", "range", ((0.0, 1.8),)),),
+    )
+    return spec, fn
+
+
+def oracle_rastrigin_multi(n_dim):
+    def fn(params):
+        x = [v - 0.5 for v in oracle_coordinates(params)]
+        r = 10.0 * len(x) + sum(v * v - 10.0 * math.cos(2.0 * math.pi * v) for v in x)
+        return {"rastrigin": [r], "radius": [math.sqrt(sum(v * v for v in x))]}
+
+    spec = ProblemSpec(
+        parameters=tuple(ParameterDef(f"x{i}", "linear", (-5.12, 5.12)) for i in range(n_dim)),
+        objectives=(ObjectiveDef("rastrigin", "min"),),
+        boundaries=(BoundaryDef("radius", "range", ((0.0, 4.5),)),),
+    )
+    return spec, fn
+
+
+ORACLES = {
+    "sphere_ring": oracle_sphere_ring,
+    "rosenbrock_box": oracle_rosenbrock_box,
+    "rastrigin_multi": oracle_rastrigin_multi,
+}
+
+
+class TestAnalyticTable:
+    @pytest.mark.parametrize("name", ORACLES)
+    def test_spec_equals_oracle(self, name):
+        for n_dim in range(1, 10):
+            assert builtin_problem(name, n_dim)[0] == ORACLES[name](n_dim)[0]
+        assert builtin_problem(name)[0] == ORACLES[name](4)[0]
+
+    @pytest.mark.parametrize("name", ORACLES)
+    def test_measurements_equal_oracle_bits(self, name):
+        # 50 seeded points per n_dim, each also with an extra x{n} and
+        # without its last x: the request, not the spec, fixes the dimension.
+        # repr tells every float's bits apart, and 0 from 0.0.
+        for n_dim in range(1, 10):
+            spec, ev = builtin_problem(name, n_dim)
+            _, oracle = ORACLES[name](n_dim)
+            points = np.random.default_rng(n_dim).uniform(*spec.parameters[0].bounds, (50, n_dim)).tolist()
+            requests = []
+            for point in points:
+                params = {f"x{i}": [v] for i, v in enumerate(point)}
+                requests += [params, {**params, f"x{n_dim}": [0.25]}, dict(list(params.items())[:-1])]
+            results = ev.evaluate_batch([EvaluationRequest(i, p) for i, p in enumerate(requests)])
+            for params, res in zip(requests, results):
+                try:
+                    want = (repr(oracle(params)), None)
+                except Exception as exc:  # a 1-D request without x0 has no max_abs
+                    want = (repr(None), str(exc))
+                assert (repr(res.meas), res.error) == want
+
+
 class TestAnalyticProblems:
     def test_sphere_center_infeasible(self):
         spec, ev = builtin_problem("sphere_ring", 3)
@@ -91,15 +179,19 @@ class TestAnalyticProblems:
         assert is_valid(spec, meas)
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown built-in"):
+        with pytest.raises(ValueError) as err:
             builtin_problem("nope")
+        assert str(err.value) == (
+            "unknown built-in problem 'nope'; have ['boost', 'rastrigin_multi', 'rosenbrock_box', 'sphere_ring']"
+        )
 
     @pytest.mark.parametrize(
         "name,n_dim", [("boost", 5), ("boost", 2), ("sphere_ring", 0), ("rosenbrock_box", -1), ("rastrigin_multi", 0)]
     )
     def test_dimension_it_cannot_honour_rejected(self, name, n_dim):
-        with pytest.raises(ProblemError, match="dimensions"):
+        with pytest.raises(ProblemError) as err:
             builtin_problem(name, n_dim)
+        assert str(err.value) == f"built-in problem {name!r} cannot have {n_dim} dimensions"
 
     @pytest.mark.parametrize("name,n_dim", [("boost", 3), ("boost", None), ("sphere_ring", 1), ("rastrigin_multi", 6)])
     def test_dimension_honoured(self, name, n_dim):

@@ -144,6 +144,10 @@ class TestMatchesReference:
     @given(rows=objective_rows)
     @example(rows=[[0.0, 0.0], [1.0, 1.0], [2.0, 1.0], [1.0, 2.0]])  # fronts of 2, 1 and 1 rows
     @example(rows=[[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])  # a front of duplicates
+    @example(  # ±inf rows, and rows NaN in one objective only
+        rows=[[math.inf, -math.inf], [math.inf, math.inf], [-math.inf, -math.inf], [0.0, 0.0],
+              [math.inf, 0.0], [math.nan, 1.0], [1.0, math.nan], [-math.inf, math.nan]]
+    )
     def test_fronts_and_crowding(self, rows):
         objs = np.array(rows)
         fronts = nondominated_sort(objs)
