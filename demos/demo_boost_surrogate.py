@@ -10,22 +10,23 @@ import carsopt
 from carsopt.engine import iteration_stats
 
 spec, evaluator = carsopt.builtin_problem("boost")
-state = carsopt.run(spec, carsopt.RunConfig(n_total=5000, seed=0), evaluator)
+records = []
+carsopt.run(spec, carsopt.RunConfig(n_total=5000, seed=0), evaluator, sink=records.extend)
 
 # ---------------------------------------------------------------------------
 # Valid fraction per iteration: the signature of penalty-driven focusing
 # ---------------------------------------------------------------------------
 print("iter  valid fraction")
-for s in iteration_stats(state.records):
+for s in iteration_stats(records):
     bar = "#" * int(40 * s["valid"] / s["n"])
     print(f"{s['iteration']:4d}  {s['valid'] / s['n']:.3f}  {bar}")
 
 # ---------------------------------------------------------------------------
 # The best valid design
 # ---------------------------------------------------------------------------
-valid = [r for r in state.records if r["valid"]]
+valid = [r for r in records if r["valid"]]
 best = max(valid, key=lambda r: r["fitness"])
-print(f"\nvalid designs: {len(valid)}/{len(state.records)}")
+print(f"\nvalid designs: {len(valid)}/{len(records)}")
 params, meas = best["params"], best["meas"]
 print(f"best design: C1={params['C1'][0]:.3e} F, "
       f"L1={params['L1'][0]:.3e} H, fsw={params['fsw'][0]:.3e} Hz")

@@ -20,9 +20,10 @@ for variant, overrides in STUDY_VARIANTS.items():
     first, last, stds = [], [], []
     for seed in seeds:
         cfg = RunConfig(n_total=5000, seed=seed, **overrides)
-        state = carsopt.run(spec, cfg, evaluator)
+        records = []
+        carsopt.run(spec, cfg, evaluator, sink=records.extend)
         per_iter = {}
-        for r in state.records:
+        for r in records:
             per_iter.setdefault(r["iteration"], []).append(r["fitness"])
         means = [np.mean(v) for _, v in sorted(per_iter.items())]
         first.append(means[0])

@@ -37,12 +37,13 @@ spec = ProblemSpec(
 )
 
 evaluator = ExternalEvaluator(f"{sys.executable} {child}", timeout=30.0)
+records = []
 try:
-    state = carsopt.run(spec, carsopt.RunConfig(n_total=500, seed=0), evaluator)
+    carsopt.run(spec, carsopt.RunConfig(n_total=500, seed=0), evaluator, sink=records.extend)
 finally:
     evaluator.close()
 
-best = max(state.records, key=lambda r: r["fitness"])
-print(f"samples: {len(state.records)}")
+best = max(records, key=lambda r: r["fitness"])
+print(f"samples: {len(records)}")
 print(f"best x: {best['params']['x'][0]:.4f} (optimum 0.3000)")
 print(f"best y: {best['meas']['y'][0]:.6f}")

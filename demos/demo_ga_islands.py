@@ -12,17 +12,18 @@ spec, evaluator = carsopt.builtin_problem("boost")
 config = IslandConfig(n_islands=5, population_size=20, generations=50)
 print(f"total evaluations: {config.total_evaluations}")
 
-result = run_islands(spec, config, evaluator, seed=0)
+records = []
+result = run_islands(spec, config, evaluator, seed=0, sink=records.extend)
 
 # ---------------------------------------------------------------------------
 # Merged front 0, sorted by the voltage-target objective
 # ---------------------------------------------------------------------------
 front = sorted(result.front0, key=lambda ind: -ind.objectives[0])
-valid_at = {tuple(r["unit"]): r["valid"] for r in result.records}
+valid_at = {tuple(r["unit"]): r["valid"] for r in records}
 print(f"\nfront 0 size: {len(front)} (from {config.n_islands} islands)")
 print("voltage objective   efficiency   valid")
 for ind in front[:15]:
     print(f"{ind.objectives[0]:17.4f}   {ind.objectives[1]:10.4f}   {valid_at[tuple(ind.genome.tolist())]}")
 
-valid = sum(r["valid"] for r in result.records)
-print(f"\nvalid evaluations overall: {valid}/{len(result.records)}")
+valid = sum(r["valid"] for r in records)
+print(f"\nvalid evaluations overall: {valid}/{len(records)}")

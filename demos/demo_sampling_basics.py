@@ -15,22 +15,23 @@ from carsopt.engine import iteration_stats
 # ---------------------------------------------------------------------------
 spec, evaluator = carsopt.builtin_problem("sphere_ring", 4)
 config = carsopt.RunConfig(n_total=5000, seed=0)
-state = carsopt.run(spec, config, evaluator)
+records = []
+carsopt.run(spec, config, evaluator, sink=records.extend)
 
-print(f"samples: {len(state.records)}")
-print(f"iterations: {max(r['iteration'] for r in state.records) + 1}")
+print(f"samples: {len(records)}")
+print(f"iterations: {max(r['iteration'] for r in records) + 1}")
 
 # ---------------------------------------------------------------------------
 # Fitness climbs iteration by iteration as the softmax sharpens
 # ---------------------------------------------------------------------------
 print("\niter  fit_mean  fit_max  valid")
-for s in iteration_stats(state.records):
+for s in iteration_stats(records):
     print(f"{s['iteration']:4d}  {s['fit_mean']:8.3f}  {s['fit_max']:7.3f}  {s['valid']:5d}")
 
 # ---------------------------------------------------------------------------
 # Best valid design found
 # ---------------------------------------------------------------------------
-valid = [r for r in state.records if r["valid"]]
+valid = [r for r in records if r["valid"]]
 best = max(valid, key=lambda r: r["fitness"])
 x = np.array([best["params"][f"x{i}"][0] for i in range(4)])
 print(f"\nbest valid sphere value: {best['meas']['sphere'][0]:.4f} (optimum 0.09)")

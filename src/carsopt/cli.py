@@ -23,7 +23,9 @@ import json
 import os
 import re
 import sys
+import tempfile
 import time
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -91,53 +93,53 @@ def cmd_run(args) -> int:
     out = _out_dir(args)
     spec, cfg, ga_cfg, evaluator = _load(args)
     log_path = out / "run.log"
-    try:
+    with closing(evaluator), _export(spec, out, log_path) as sink:
         if args.method == "cars":
-            engine.run(spec, cfg, evaluator, log_path=log_path)
+            engine.run(spec, cfg, evaluator, log_path=log_path, sink=sink)
         else:
-            result = run_islands(spec, ga_cfg, evaluator, seed=cfg.seed, log_path=log_path)
+            result = run_islands(spec, ga_cfg, evaluator, seed=cfg.seed, log_path=log_path, sink=sink)
             print(f"evaluations: {result.total_evaluations}")
-    finally:
-        evaluator.close()
-    return _export(spec, out, log_path)
+    return 0
 
 
 def cmd_resume(args) -> int:
     out = _out_dir(args)
     spec, cfg, _, evaluator = _load(args)
-    try:
-        engine.resume(args.log, spec, cfg, evaluator)
-    finally:
-        evaluator.close()
-    return _export(spec, out, args.log)
+    with closing(evaluator), _export(spec, out, args.log) as sink:
+        engine.resume(args.log, spec, cfg, evaluator, sink=sink)
+    return 0
 
 
-def _export(spec, out: Path, log_path) -> int:
-    """Write a run's ``valid_samples.csv`` (each valid sample's parameters
-    and measurements) and ``summary.csv`` (its ``iteration_stats``) to
-    ``out`` and print its sample counts, in one pass over its log."""
+@contextmanager
+def _export(spec, out: Path, log_path):
+    """Yield the sink of a run's samples: it writes each valid sample's
+    parameters and measurements to ``valid_samples.csv`` and folds each
+    iteration's ``iteration_stats`` for ``summary.csv``.  Both are written
+    in a temporary directory in ``out`` and moved there when the run ends,
+    which then prints its sample counts; a run that fails leaves neither."""
     params = [(p.name, op) for p in spec.parameters for op in range(p.op_count)]
     meas = [(name, op) for name in spec.measurement_names() for op in range(spec.n_operating_points)]
+    stats = []
+    with tempfile.TemporaryDirectory(dir=out) as tmp:
+        with open(Path(tmp, "valid_samples.csv"), "w", newline="") as fh:
+            valid = csv.writer(fh)
+            valid.writerow(["id", "iteration", "fitness"] + [f"{n}[{op}]" for n, op in params + meas])
 
-    def samples(valid):
-        """The log's samples; each valid one is written to ``valid`` on its way."""
-        for s in engine.iter_log(log_path):
-            if s["type"] == "sample":
-                if s["valid"]:
-                    row = [s["id"], s["iteration"], s["fitness"]] + [s["params"][n][op] for n, op in params]
-                    valid.writerow(row + [s["meas"][n][op] for n, op in meas])
-                yield s
+            def sink(batch):
+                stats.extend(engine.iteration_stats(batch))
+                for s in batch:
+                    if s["valid"]:
+                        row = [s["id"], s["iteration"], s["fitness"]] + [s["params"][n][op] for n, op in params]
+                        valid.writerow(row + [s["meas"][n][op] for n, op in meas])
 
-    with open(out / "valid_samples.csv", "w", newline="") as fh:
-        valid = csv.writer(fh)
-        valid.writerow(["id", "iteration", "fitness"] + [f"{n}[{op}]" for n, op in params + meas])
-        stats = engine.iteration_stats(samples(valid))
-    with open(out / "summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "fit_min", "fit_mean", "fit_max", "valid", "n"])
-        w.writerows(s.values() for s in stats)
+            yield sink
+        with open(Path(tmp, "summary.csv"), "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["iteration", "fit_min", "fit_mean", "fit_max", "valid", "n"])
+            w.writerows(s.values() for s in stats)
+        for name in ("valid_samples.csv", "summary.csv"):
+            os.replace(Path(tmp, name), out / name)
     print(f"samples: {sum(s['n'] for s in stats)}  valid: {sum(s['valid'] for s in stats)}  log: {log_path}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -232,18 +234,17 @@ def run_study(spec, evaluator, config: RunConfig, seeds: list[int]) -> list[dict
     ]
     rows = []
     for variant, seed, cfg in runs:
-        state = engine.run(spec, cfg, evaluator)
-        rows += ({"variant": variant, "seed": seed, **s} for s in engine.iteration_stats(state.records))
+        records = []
+        engine.run(spec, cfg, evaluator, sink=records.extend)
+        rows += ({"variant": variant, "seed": seed, **s} for s in engine.iteration_stats(records))
     return rows
 
 
 def cmd_study(args) -> int:
     out = _out_dir(args)
     spec, cfg, _, evaluator = _load(args)
-    try:
+    with closing(evaluator):
         rows = run_study(spec, evaluator, cfg, args.seeds)
-    finally:
-        evaluator.close()
     path = out / "study.csv"
     with open(path, "w", newline="") as fh:
         fields = ["variant", "seed", "iteration", "fit_min", "fit_mean", "fit_max"]

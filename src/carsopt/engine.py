@@ -152,13 +152,12 @@ class RunConfig:
 class RunState:
     """A CARS run after ``iteration`` iterations; its tensor and kNN store fold
     its samples, scored under iteration 0's normalization constants, one
-    iteration at a time.  Its samples are its log's lines; an unlogged run keeps them as ``records``."""
+    iteration at a time.  It keeps no samples: each iteration's go to the run's ``sink``."""
 
     spec: ProblemSpec
     config: RunConfig
     consts: fit.NormalizationConstants | None = None
     iteration: int = field(default=0, init=False)  # next iteration to execute
-    records: list[dict] | None = field(default=None, init=False)  # an unlogged run's samples
     kept_bytes: int = field(default=0, init=False)  # log bytes restore_state folded, kept by resume
     tensor: SubdomainTensor = field(init=False)
     store: NeighborStore = field(init=False)
@@ -173,15 +172,14 @@ class RunState:
         self.consts = self.consts or fit.NormalizationConstants.from_first_batch(self.spec, bd)
         return bd.scalar(self.consts)
 
-    def _commit(self, records: list[dict], subdomains, units, fitnesses: np.ndarray) -> None:
+    def _commit(self, records: list[dict], subdomains, units, fitnesses: np.ndarray, sink) -> None:
         """Close the open iteration on its samples: max-fold their fitnesses
         into the tensor at their sub-domains, append their unit points to
         the store (one row per sample, so ``len(store)`` counts the samples)
-        and their records to ``records`` when it is kept."""
+        and pass their records to ``sink``."""
         self.tensor.update_many(subdomains, fitnesses)
         self.store.extend(units, fitnesses)
-        if self.records is not None:
-            self.records.extend(records)
+        sink(records)
         self.iteration += 1
 
 
@@ -373,23 +371,24 @@ def run(
     evaluator,
     log_path=None,
     stop_after_iteration: int | None = None,
+    sink=lambda records: None,
     _resumed: RunState | None = None,
 ) -> RunState:
     """Execute the sampling loop for ``config.n_total`` samples.
 
-    ``stop_after_iteration`` ends the run early (the log stays resumable).
+    ``stop_after_iteration`` ends the run after that iteration (the log stays
+    resumable).  ``sink`` receives each iteration's records once, in order.
     """
     dims = _sampled_dims(spec)
     schedule = parse_alpha_schedule(config.alpha_schedule)
     sizes = iteration_sizes(config.n_total)
     state = RunState(spec, config) if _resumed is None else _resumed
-    if log_path is None:
-        state.records = []
+    end = len(sizes) if stop_after_iteration is None else min(len(sizes), stop_after_iteration + 1)
 
     with open_log(log_path, "w" if _resumed is None else "a") as emit:
         if _resumed is None:
             emit([run_header("cars", config.seed, config.n_total, dims, config)])
-        for iteration in range(state.iteration, len(sizes)):
+        for iteration in range(state.iteration, end):
             n = sizes[iteration]
             alpha = schedule(iteration)
             lines = [{"type": "iteration", "iteration": iteration, "alpha": alpha, "n_samples": n}]
@@ -401,10 +400,8 @@ def run(
                 lines.append({"type": "normalization", **state.consts.to_dict()})
 
             records = sample_records(iteration, units, mis, requests, results, bd, fitnesses)
-            state._commit(records, mis, units, fitnesses)
+            state._commit(records, mis, units, fitnesses, sink)
             emit(lines + records)
-            if stop_after_iteration is not None and iteration >= stop_after_iteration:
-                break
     return state
 
 
@@ -482,7 +479,7 @@ def read_log(path) -> list[dict]:
     return list(iter_log(path))
 
 
-def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
+def restore_state(log_path, spec: ProblemSpec, config: RunConfig, sink=lambda records: None) -> RunState:
     """Rebuild engine state from a run log (no new samples) in one pass,
     scoring each folded iteration's logged measurements as ``run`` does; the
     log's normalization line is not read.
@@ -498,7 +495,8 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
     validity is not what its measurements score; a trailing incomplete
     iteration is left out, and so are the normalization constants if that is
     iteration 0; resuming redoes it.  ``kept_bytes`` ends the last folded
-    sample line (or the run header).
+    sample line (or the run header).  ``sink`` receives each folded
+    iteration's parsed sample lines, as ``run`` passes its records.
     """
     dims = _sampled_dims(spec)
     sizes = iteration_sizes(config.n_total)
@@ -554,7 +552,7 @@ def restore_state(log_path, spec: ProblemSpec, config: RunConfig) -> RunState:
             fitnesses = state._score(bd)
             reject(fitnesses.view(np.int64) != logged.view(np.int64), "fitness is not what its measurements score")
             reject(bd.valid != [r["valid"] for r in batch], "valid is not what its measurements score")
-            state._commit(batch, subdomains, units, fitnesses)
+            state._commit(batch, subdomains, units, fitnesses, sink)
             state.kept_bytes = end
             batch, linenos = [], []
     for _ in lines:  # past the kept prefix, lines are checked, not folded
@@ -568,18 +566,20 @@ def resume(
     config: RunConfig,
     evaluator,
     stop_after_iteration: int | None = None,
+    sink=lambda records: None,
 ) -> RunState:
     """Continue a logged run up to ``config.n_total`` samples.
 
     The state is ``restore_state``'s, and per-iteration RNG streams make the
-    continuation identical to an uninterrupted one.  The log must match
+    continuation identical to an uninterrupted one; ``sink`` receives the
+    restored iterations' records, then the new ones'.  The log must match
     ``config`` except for the alpha schedule, which may change.  The log is
     cut at its ``kept_bytes`` before new iterations are appended.
     """
-    state = restore_state(log_path, spec, config)
+    state = restore_state(log_path, spec, config, sink)
     with open(log_path, "r+b") as fh:
         fh.truncate(state.kept_bytes)
         fh.seek(state.kept_bytes - 1)
         if fh.read(1) != b"\n":  # the last kept line lost only its newline
             fh.write(b"\n")
-    return run(spec, config, evaluator, log_path, stop_after_iteration, _resumed=state)
+    return run(spec, config, evaluator, log_path, stop_after_iteration, sink, _resumed=state)

@@ -24,8 +24,8 @@ by the same engine functions as a CARS iteration (``evaluate_units``,
 ``sample_records``), so both methods write the same log format: a run
 header, then per generation a ``generation`` line and its sample lines,
 island by island.  A record is its log line: the engine's sample dict with
-an ``island`` key last.  Its ``iteration`` is its generation.  As in CARS, a
-logged run keeps no records: its log holds them.
+an ``island`` key last.  Its ``iteration`` is its generation.  As in CARS,
+the run keeps no records: each generation's go to the run's ``sink``.
 
 Objectives follow the maximization convention; boundary penalties (weighted
 by rho = 10,000) are subtracted from every objective of an individual.  A
@@ -96,7 +96,6 @@ class Individual:
 
 @dataclass
 class GAResult:
-    records: list[dict] | None  # an unlogged run's samples; None for a logged run
     front0: list[Individual]
     total_evaluations: int
 
@@ -129,19 +128,18 @@ def nondominated_sort(objectives: np.ndarray) -> list[list[int]]:
     return fronts
 
 
-def crowding_distance(objectives: np.ndarray, front: np.ndarray | None = None) -> np.ndarray:
+def crowding_distance(objectives: np.ndarray, front: np.ndarray) -> np.ndarray:
     """NSGA-II crowding distance (larger = less crowded).
 
     ``front`` gives each row's front index, and rows are crowded only among
-    rows of their own front; without it all rows form one front.  A front
-    of one or two rows is all infinite.  Per objective, a front's extreme
-    rows (lowest index first among ties) are infinite and each interior row
-    adds (next - previous) / (highest - lowest); an objective constant over
-    a front, or whose range over it is not finite, adds nothing to it.
+    rows of their own front.  A front of one or two rows is all infinite.
+    Per objective, a front's extreme rows (lowest index first among ties)
+    are infinite and each interior row adds (next - previous) / (highest -
+    lowest); an objective constant over a front, or whose range over it is
+    not finite, adds nothing to it.
     """
     objectives = np.asarray(objectives, dtype=float)
     n = len(objectives)
-    front = np.zeros(n, dtype=np.intp) if front is None else np.asarray(front)
     # Sorted by (front, value), every objective puts each front at the same
     # positions: starts, ends and interiors are found once.
     sorted_front = np.sort(front)
@@ -242,14 +240,15 @@ def run_islands(
     evaluator,
     seed: int = 0,
     log_path=None,
+    sink=lambda records: None,
 ) -> GAResult:
     """Evolve the islands in lockstep and merge their non-dominated sets.
 
     Generation g of every island is one batch: one ``evaluate_units`` call,
-    one score, one set of records and one log write that starts with a
-    ``{"type": "generation", "generation": g}`` line.  Member j of island
-    i's generation g has sample id (g * n_islands + i) * population_size + j,
-    so ids run 0, 1, 2, ... in log order.
+    one score, one set of records passed to ``sink`` and one log write that
+    starts with a ``{"type": "generation", "generation": g}`` line.  Member
+    j of island i's generation g has sample id (g * n_islands + i) *
+    population_size + j, so ids run 0, 1, 2, ... in log order.
 
     Island i draws from its own stream ``iteration_rng(seed, 1_000_000 + i)``,
     so its trajectory does not depend on how many islands there are: first
@@ -261,7 +260,6 @@ def run_islands(
     dims = _sampled_dims(spec)
     size, n_dim = cfg.population_size, len(dims)
     rngs = [iteration_rng(seed, 1_000_000 + island) for island in range(cfg.n_islands)]
-    records: list[dict] | None = None if log_path else []
 
     with open_log(log_path, "w") as emit:
 
@@ -274,8 +272,7 @@ def run_islands(
             for k, rec in enumerate(batch):
                 rec["island"] = k // size
             emit([{"type": "generation", "generation": generation}, *batch])
-            if records is not None:
-                records.extend(batch)
+            sink(batch)
             return vecs.reshape(cfg.n_islands, size, -1)
 
         header = run_header("ga", seed, cfg.total_evaluations, dims, None)
@@ -300,4 +297,4 @@ def run_islands(
 
     genomes, objectives = genomes[rank == 0], objectives[rank == 0]
     front0 = [Individual(genomes[i], objectives[i]) for i in nondominated_sort(objectives)[0]]
-    return GAResult(records=records, front0=front0, total_evaluations=cfg.total_evaluations)
+    return GAResult(front0=front0, total_evaluations=cfg.total_evaluations)

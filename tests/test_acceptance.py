@@ -152,9 +152,10 @@ def _study_stats():
     for variant, overrides in STUDY_VARIANTS.items():
         for seed in range(5):
             cfg = RunConfig(n_total=5000, seed=seed, **overrides)
-            state = c.run(spec, cfg, ev)
+            records = []
+            c.run(spec, cfg, ev, sink=records.extend)
             per_iter = {}
-            for r in state.records:
+            for r in records:
                 per_iter.setdefault(r["iteration"], []).append(r["fitness"])
             stats[(variant, seed)] = [
                 (float(np.mean(v)), float(np.std(v))) for _, v in sorted(per_iter.items())
@@ -244,11 +245,12 @@ def test_08_nsga2_correctness():
 
 def test_09_constraint_focusing():
     spec, ev = c.builtin_problem("boost")
-    state = c.run(spec, RunConfig(n_total=5000, seed=0), ev)
-    n_iter = max(r["iteration"] for r in state.records) + 1
+    records = []
+    c.run(spec, RunConfig(n_total=5000, seed=0), ev, sink=records.extend)
+    n_iter = max(r["iteration"] for r in records) + 1
     tail_start = math.ceil(n_iter * 0.8)
-    tail = [r["valid"] for r in state.records if r["iteration"] >= tail_start]
-    first = [r["valid"] for r in state.records if r["iteration"] == 0]
+    tail = [r["valid"] for r in records if r["iteration"] >= tail_start]
+    first = [r["valid"] for r in records if r["iteration"] == 0]
     tail_frac = sum(tail) / len(tail)
     first_frac = sum(first) / len(first)
     ok = tail_frac >= 0.95 and first_frac <= tail_frac

@@ -1,8 +1,10 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
+import os
 import re
 import sys
 import tempfile
@@ -24,6 +26,7 @@ from carsopt.cli import (
     EXIT_EVALUATOR,
     EXIT_INTERRUPTED,
     STUDY_VARIANTS,
+    _export,
     _RunSection,
     _scatter_line,
     main,
@@ -500,6 +503,141 @@ class TestResume:
         assert log.read_bytes() == before
 
 
+def reference_export(spec, out: Path, log_path) -> int:
+    """The exports as one pass over a finished run's log: the oracle of
+    ``cli._export``'s sink."""
+    params = [(p.name, op) for p in spec.parameters for op in range(p.op_count)]
+    meas = [(name, op) for name in spec.measurement_names() for op in range(spec.n_operating_points)]
+
+    def samples(valid):
+        """The log's samples; each valid one is written to ``valid`` on its way."""
+        for s in engine.iter_log(log_path):
+            if s["type"] == "sample":
+                if s["valid"]:
+                    row = [s["id"], s["iteration"], s["fitness"]] + [s["params"][n][op] for n, op in params]
+                    valid.writerow(row + [s["meas"][n][op] for n, op in meas])
+                yield s
+
+    with open(out / "valid_samples.csv", "w", newline="") as fh:
+        valid = csv.writer(fh)
+        valid.writerow(["id", "iteration", "fitness"] + [f"{n}[{op}]" for n, op in params + meas])
+        stats = engine.iteration_stats(samples(valid))
+    with open(out / "summary.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["iteration", "fit_min", "fit_mean", "fit_max", "valid", "n"])
+        w.writerows(s.values() for s in stats)
+    print(f"samples: {sum(s['n'] for s in stats)}  valid: {sum(s['valid'] for s in stats)}  log: {log_path}")
+    return 0
+
+
+# An evaluator child for CONFIG that exits on its 31st request.
+DYING_CHILD = """\
+    import json, math, sys
+    for n, line in enumerate(sys.stdin, 1):
+        if n == 31:
+            sys.exit(1)
+        req = json.loads(line)
+        s = sum(v[0] ** 2 for v in req["params"].values())
+        print(json.dumps({"id": req["id"], "meas": {"sphere": [s], "radius": [math.sqrt(s)]}}), flush=True)
+"""
+
+
+class TestExport:
+    @staticmethod
+    def mixed_model():
+        """sphere_ring 4-D measurements as an int and a tuple where x0 > 0,
+        else as tuples of ``numpy.float64``."""
+        _, inner = c.builtin_problem("sphere_ring", 4)
+
+        def model(params):
+            meas = inner.evaluate_batch([c.EvaluationRequest(0, params)])[0].meas
+            if params["x0"][0] > 0:
+                return {"sphere": [round(meas["sphere"][0])], "radius": tuple(meas["radius"])}
+            return {k: tuple(np.float64(v) for v in vals) for k, vals in meas.items()}
+
+        return c.BuiltinEvaluator(model)
+
+    @pytest.mark.parametrize("method", ["cars", "ga", "resume"])
+    def test_sink_exports_what_the_log_does(self, tmp_path, capsys, method):
+        # The sink gets the model's own values (and, on resume, the parsed
+        # lines of the kept iterations); it writes the bytes that reading
+        # the finished log writes.
+        spec, _ = c.builtin_problem("sphere_ring", 4)
+        ev = self.mixed_model()
+        cfg = RunConfig(n_total=300, seed=2)
+        log, sunk, oracle = tmp_path / "run.log", tmp_path / "sink", tmp_path / "oracle"
+        sunk.mkdir()
+        oracle.mkdir()
+        if method == "resume":
+            c.run(spec, cfg, ev, log_path=log)
+            log.write_bytes(log.read_bytes()[: log.stat().st_size // 2])
+        with _export(spec, sunk, log) as sink:
+            if method == "cars":
+                c.run(spec, cfg, ev, log_path=log, sink=sink)
+            elif method == "ga":
+                c.run_islands(spec, c.IslandConfig(2, 10, 4), ev, seed=2, log_path=log, sink=sink)
+            else:
+                c.resume(log, spec, cfg, ev, sink=sink)
+        printed = capsys.readouterr().out
+        assert reference_export(spec, oracle, log) == 0
+        assert printed == capsys.readouterr().out
+        for name in ("summary.csv", "valid_samples.csv"):
+            assert (sunk / name).read_bytes() == (oracle / name).read_bytes()
+        spheres = [row["sphere[0]"] for row in read_csv(sunk / "valid_samples.csv")]
+        assert "0" in spheres and any("." in v for v in spheres)
+
+    def test_run_reads_no_log_and_resume_reads_it_once(self, config, tmp_path, monkeypatch):
+        calls, numbered = [], engine._numbered_log
+        monkeypatch.setattr(engine, "_numbered_log", lambda path: calls.append(path) or numbered(path))
+        out = tmp_path / "out"
+        for method in ("ga", "cars"):
+            assert main(["run", "--method", method, "--config", str(config), "--out-dir", str(out)]) == 0
+        assert calls == []
+        log = out / "run.log"
+        log.write_bytes(log.read_bytes()[: log.stat().st_size // 2])
+        assert main(["resume", "--config", str(config), "--log", str(log), "--out-dir", str(out)]) == 0
+        assert len(calls) == 1
+
+    @staticmethod
+    def failing(how, tmp_path, monkeypatch) -> tuple[list[str], int]:
+        """The flags and exit code of a run that ``how`` ends: an evaluator
+        child that exits on its 31st request, or an interrupt in the second
+        batch."""
+        if how == "child-exit":
+            child = tmp_path / "dying_child.py"
+            child.write_text(textwrap.dedent(DYING_CHILD))
+            return ["--evaluator", f"cmd:{sys.executable} {child}"], EXIT_EVALUATOR
+        calls, evaluate_batch = itertools.count(1), c.BuiltinEvaluator.evaluate_batch
+
+        def interrupted(self, requests):
+            if next(calls) == 2:
+                raise KeyboardInterrupt
+            return evaluate_batch(self, requests)
+
+        monkeypatch.setattr(c.BuiltinEvaluator, "evaluate_batch", interrupted)
+        return [], EXIT_INTERRUPTED
+
+    @pytest.mark.parametrize("how", ["child-exit", "interrupt"])
+    def test_failed_run_leaves_no_exports(self, config, tmp_path, capsys, monkeypatch, how):
+        out = tmp_path / "out"
+        flags, code = self.failing(how, tmp_path, monkeypatch)
+        assert main(["run", "--config", str(config), "--out-dir", str(out)] + flags) == code
+        assert os.listdir(out) == ["run.log"]
+        assert "samples:" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("how", ["child-exit", "interrupt"])
+    def test_failed_resume_keeps_earlier_exports(self, config, tmp_path, monkeypatch, how):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
+        exports = {name: (out / name).read_bytes() for name in ("summary.csv", "valid_samples.csv")}
+        log = out / "run.log"
+        log.write_bytes(log.read_bytes()[: log.stat().st_size // 2])
+        flags, code = self.failing(how, tmp_path, monkeypatch)
+        assert main(["resume", "--config", str(config), "--log", str(log), "--out-dir", str(out)] + flags) == code
+        assert sorted(os.listdir(out)) == ["run.log", *sorted(exports)]
+        assert {name: (out / name).read_bytes() for name in exports} == exports
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("command", ["run", "resume", "study"])
     def test_out_dir_naming_a_file_is_config_error(self, config, tmp_path, capsys, monkeypatch, command):
@@ -664,7 +802,9 @@ class TestStudy:
         rows = [r for r in read_csv(out / "study.csv") if r["variant"] == "none"]
         spec, ev = c.builtin_problem("sphere_ring", 4)
         cfg = RunConfig(n_total=100, seed=3, alpha_schedule="const:0", **STUDY_VARIANTS["none"])
-        want = engine.iteration_stats(c.run(spec, cfg, ev).records)
+        records = []
+        c.run(spec, cfg, ev, sink=records.extend)
+        want = engine.iteration_stats(records)
         assert [float(r["fit_mean"]) for r in rows] == [s["fit_mean"] for s in want]
 
     def test_bad_later_seed_runs_nothing(self, config, tmp_path, capsys, monkeypatch):

@@ -209,21 +209,24 @@ class TestHeuristics:
 class TestRun:
     def test_budget_exactness(self):
         spec, ev = c.builtin_problem("sphere_ring", 2)
-        st = c.run(spec, RunConfig(n_total=333, seed=0), ev)
-        assert len(st.records) == 333
+        records = []
+        c.run(spec, RunConfig(n_total=333, seed=0), ev, sink=records.extend)
+        assert len(records) == 333
 
     def test_in_cell_containment(self):
         spec, ev = c.builtin_problem("sphere_ring", 3)
-        st = c.run(spec, RunConfig(n_total=300, seed=1), ev)
-        for r in st.records:
+        records = []
+        c.run(spec, RunConfig(n_total=300, seed=1), ev, sink=records.extend)
+        for r in records:
             for coord, cell in zip(r["unit"], r["subdomain"]):
                 assert cell / 9 <= coord < (cell + 1) / 9
 
     def test_uniform_when_alpha_zero(self):
         spec, ev = c.builtin_problem("sphere_ring", 2)
         cfg = RunConfig(n_total=100_000, seed=5, n_pool=0, oversampling=False, alpha_schedule="const:0")
-        st = c.run(spec, cfg, ev)
-        counts = collections.Counter(tuple(r["subdomain"]) for r in st.records)
+        records = []
+        c.run(spec, cfg, ev, sink=records.extend)
+        counts = collections.Counter(tuple(r["subdomain"]) for r in records)
         observed = np.array([counts.get((i, j), 0) for i in range(9) for j in range(9)])
         expected = 100_000 / 81
         chi2 = float(((observed - expected) ** 2 / expected).sum())
@@ -233,9 +236,10 @@ class TestRun:
     def test_greedy_concentration(self, hit_problem):
         spec, ev = hit_problem
         cfg = RunConfig(n_total=2000, seed=3, n_pool=0, oversampling=False)
-        st = c.run(spec, cfg, ev)
+        records = []
+        c.run(spec, cfg, ev, sink=records.extend)
         frac = {}
-        for r in st.records:
+        for r in records:
             frac.setdefault(r["iteration"], []).append(r["subdomain"] == [0, 0])
         frac = {i: sum(v) / len(v) for i, v in frac.items()}
         assert frac[5] > frac[2]
@@ -270,9 +274,10 @@ class TestRun:
                 raise RuntimeError("diverged")
             return {"m": [params["x"][0]]}
 
-        st = c.run(spec, RunConfig(n_total=100, seed=0), BuiltinEvaluator(flaky))
-        assert len(st.records) == 100
-        failed = [r for r in st.records if r["meas"] is None]
+        records = []
+        c.run(spec, RunConfig(n_total=100, seed=0), BuiltinEvaluator(flaky), sink=records.extend)
+        assert len(records) == 100
+        failed = [r for r in records if r["meas"] is None]
         assert failed and all(r["fitness"] == 0.0 for r in failed)
 
 
@@ -295,8 +300,8 @@ class TestDeterminismAndResume:
     def test_resumed_records_equal_uninterrupted(self, tmp_path):
         # A NaN radius makes a failed sample whose measurements are logged:
         # its resumed sample line must be the one the uninterrupted run wrote.
-        # A logged run, uninterrupted or resumed, keeps no records; a run
-        # without a log keeps its log's sample lines as records.
+        # A run's sink receives its log's sample lines as records, whether
+        # the run is logged or not, uninterrupted or resumed.
         spec, inner = c.builtin_problem("sphere_ring", 2)
 
         def model(params):
@@ -305,16 +310,19 @@ class TestDeterminismAndResume:
 
         ev = BuiltinEvaluator(model, "nan_ring")
         cfg = RunConfig(n_total=100, seed=3)
-        full = c.run(spec, cfg, ev, log_path=tmp_path / "full.log")
+        full, resumed = [], []
+        c.run(spec, cfg, ev, log_path=tmp_path / "full.log", sink=full.extend)
         c.run(spec, cfg, ev, log_path=tmp_path / "part.log", stop_after_iteration=1)
-        resumed = c.resume(tmp_path / "part.log", spec, cfg, ev)
-        assert full.records is None and resumed.records is None
+        c.resume(tmp_path / "part.log", spec, cfg, ev, sink=resumed.extend)
         assert (tmp_path / "full.log").read_bytes() == (tmp_path / "part.log").read_bytes()
         samples = [e for e in read_log(tmp_path / "part.log") if e["type"] == "sample"]
         assert any(s["meas"] and math.isnan(s["meas"]["radius"][0]) and s["iteration"] <= 1 for s in samples)
         lines = sample_lines(tmp_path / "full.log")
         assert len(lines) == 100
-        assert [json.dumps(r) for r in c.run(spec, cfg, ev).records] == lines
+        unlogged = []
+        c.run(spec, cfg, ev, sink=unlogged.extend)
+        for records in (full, resumed, unlogged):
+            assert [json.dumps(r) for r in records] == lines
 
     def test_pinned_log_with_oversampling(self, tmp_path):
         # sphere_ring 6-D with pooling and oversampling: 10 iterations of 60,
@@ -400,8 +408,9 @@ class TestDeterminismAndResume:
         c.run(spec, cfg, ev, log_path=tmp_path / "full.log")
         header, iteration = (tmp_path / "full.log").read_text().splitlines()[:2]
         (tmp_path / "r.log").write_text(header + "\n" + iteration + "\n")
-        rs = restore_state(tmp_path / "r.log", spec, cfg)
-        assert rs.records is None and rs.iteration == 0 and len(rs.store) == 0
+        records = []
+        rs = restore_state(tmp_path / "r.log", spec, cfg, sink=records.extend)
+        assert records == [] and rs.iteration == 0 and len(rs.store) == 0
         values, touched = cells(rs.tensor)
         assert np.all(values == OPTIMISTIC_INIT) and not touched.any()
 
@@ -438,11 +447,12 @@ class TestDeterminismAndResume:
         full = (tmp_path / "full.log").read_bytes()
         lines = full.splitlines(keepends=True)
         (tmp_path / "r.log").write_bytes(b"".join(lines[:after] + [lines[after - 1]] + lines[after:]))
-        rs = restore_state(tmp_path / "r.log", spec, cfg)
+        records = []
+        rs = restore_state(tmp_path / "r.log", spec, cfg, sink=records.extend)
         assert rs.iteration == done
         kept = sample_lines(tmp_path / "r.log", rs.kept_bytes)
         assert kept == sample_lines(tmp_path / "full.log")[: 20 * rs.iteration]
-        assert rs.records is None and len(rs.store) == len(kept)
+        assert [json.dumps(r) for r in records] == kept and len(rs.store) == len(kept)
         c.resume(tmp_path / "r.log", spec, cfg, ev)
         assert (tmp_path / "r.log").read_bytes() == full
 
@@ -599,17 +609,90 @@ class TestDeterminismAndResume:
         assert top == (0, 0)
         assert n / len(post) > 0.9
 
+    def test_resume_stops_at_a_stop_the_log_is_past(self, tmp_path):
+        # 20 iterations of 100, logged up to iteration 4: a stop after
+        # iteration 2 runs nothing more, however often it is resumed, and
+        # a stop after iteration 6 runs up to it.
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        cfg = RunConfig(n_total=2000, seed=0)
+        log = tmp_path / "r.log"
+        c.run(spec, cfg, ev, log_path=log, stop_after_iteration=4)
+        before = log.read_bytes()
+        for _ in range(2):
+            assert c.resume(log, spec, cfg, ev, stop_after_iteration=2).iteration == 5
+            assert log.read_bytes() == before
+        assert c.resume(log, spec, cfg, ev, stop_after_iteration=6).iteration == 7
+        c.run(spec, cfg, ev, log_path=tmp_path / "full.log")
+        full = (tmp_path / "full.log").read_bytes()
+        assert full.startswith(log.read_bytes()) and len(sample_lines(log)) == 700
+
+
+class TestSink:
+    """A run's sink receives each iteration's (or generation's) records once,
+    in order; they are the log's sample lines."""
+
+    @pytest.mark.parametrize("logged", [True, False], ids=["logged", "unlogged"])
+    def test_run(self, tmp_path, logged):
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        cfg = RunConfig(n_total=400, seed=7)  # 10 iterations of 40
+        c.run(spec, cfg, ev, log_path=tmp_path / "full.log")
+        batches = []
+        c.run(spec, cfg, ev, log_path=tmp_path / "r.log" if logged else None, sink=batches.append)
+        assert [{r["iteration"] for r in b} for b in batches] == [{i} for i in range(10)]
+        assert [len(b) for b in batches] == iteration_sizes(400)
+        assert [json.dumps(r) for b in batches for r in b] == sample_lines(tmp_path / "full.log")
+
+    def test_resume_of_a_log_cut_mid_iteration(self, tmp_path):
+        # The restored iterations reach the sink before the first new
+        # batch is evaluated, then each new one after its evaluation.
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        cfg = RunConfig(n_total=400, seed=7)
+        c.run(spec, cfg, ev, log_path=tmp_path / "full.log")
+        full = (tmp_path / "full.log").read_bytes()
+        (tmp_path / "cut.log").write_bytes(full[: len(full) // 2])
+        kept = restore_state(tmp_path / "cut.log", spec, cfg).iteration
+        assert 0 < kept < 10 and len(sample_lines(tmp_path / "cut.log")) > 40 * kept
+
+        events = []
+
+        class Marking:
+            def evaluate_batch(self, requests):
+                events.append("evaluate")
+                return ev.evaluate_batch(requests)
+
+            def close(self):
+                pass
+
+        c.resume(tmp_path / "cut.log", spec, cfg, Marking(), sink=events.append)
+        assert ["evaluate" if e == "evaluate" else "batch" for e in events] == (
+            ["batch"] * kept + ["evaluate", "batch"] * (10 - kept)
+        )
+        batches = [e for e in events if e != "evaluate"]
+        assert [b[0]["iteration"] for b in batches] == list(range(10))
+        assert [json.dumps(r) for b in batches for r in b] == sample_lines(tmp_path / "full.log")
+
+    def test_ga_run(self, tmp_path):
+        spec, ev = c.builtin_problem("sphere_ring", 2)
+        cfg = c.IslandConfig(n_islands=2, population_size=5, generations=3)
+        batches = []
+        c.run_islands(spec, cfg, ev, seed=1, log_path=tmp_path / "ga.log", sink=batches.append)
+        assert [{r["iteration"] for r in b} for b in batches] == [{g} for g in range(4)]
+        assert [len(b) for b in batches] == [10] * 4
+        assert [json.dumps(r) for b in batches for r in b] == sample_lines(tmp_path / "ga.log")
+
 
 class TestLog:
     def test_read_log_round_trip(self, tmp_path):
         spec, ev = c.builtin_problem("sphere_ring", 2)
         cfg = RunConfig(n_total=60, seed=4)
-        assert c.run(spec, cfg, ev, log_path=tmp_path / "r.log").records is None
+        c.run(spec, cfg, ev, log_path=tmp_path / "r.log")
         entries = read_log(tmp_path / "r.log")
         assert entries[0]["type"] == "run"
         samples = [e for e in entries if e["type"] == "sample"]
         assert len(samples) == 60
-        assert samples == c.run(spec, cfg, ev).records
+        records = []
+        c.run(spec, cfg, ev, sink=records.extend)
+        assert samples == records
 
     def test_killed_run_keeps_complete_iterations(self, tmp_path, killed_run):
         # 10 iterations of 40 samples; the 300th evaluation is in iteration 7.
@@ -656,8 +739,8 @@ class TestLog:
         from carsopt.cli import _export
 
         spec, ev = c.builtin_problem("boost")
-        c.run(spec, RunConfig(n_total=100, seed=0), ev, log_path=tmp_path / "r.log")
-        assert _export(spec, tmp_path, tmp_path / "r.log") == 0
+        with _export(spec, tmp_path, tmp_path / "r.log") as sink:
+            c.run(spec, RunConfig(n_total=100, seed=0), ev, log_path=tmp_path / "r.log", sink=sink)
         header = (tmp_path / "summary.csv").read_text().splitlines()[0]
         assert header == "iteration,fit_min,fit_mean,fit_max,valid,n"
         n_valid = sum(e["valid"] for e in read_log(tmp_path / "r.log") if e["type"] == "sample")

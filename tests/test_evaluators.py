@@ -255,7 +255,8 @@ class TestBuiltinEvaluator:
                 return "oops"
             return inner.evaluate_batch([EvaluationRequest(0, params)])[0].meas
 
-        records = run(spec, RunConfig(n_total=60, seed=0), BuiltinEvaluator(model)).records
+        records = []
+        run(spec, RunConfig(n_total=60, seed=0), BuiltinEvaluator(model), sink=records.extend)
         bad = [r for r in records if abs(r["params"]["x0"][0]) > 0.5]
         assert len(records) == 60 and bad
         assert all(r["error"] == "malformed measurements" and not r["valid"] for r in bad)

@@ -165,19 +165,18 @@ class TestMatchesReference:
 class TestCrowding:
     def test_no_rows(self):
         assert nondominated_sort(np.empty((0, 2))) == []
-        assert crowding_distance(np.empty((0, 2))).shape == (0,)
         assert crowding_distance(np.empty((0, 2)), np.empty(0, dtype=np.intp)).shape == (0,)
 
     def test_small_front_all_infinite(self):
-        assert np.all(np.isinf(crowding_distance(np.array([[1.0, 2.0], [3.0, 0.0]]))))
+        assert np.all(np.isinf(crowding_distance(np.array([[1.0, 2.0], [3.0, 0.0]]), np.zeros(2, dtype=np.intp))))
 
     def test_middle_of_three(self):
-        d = crowding_distance(np.array([[0.0], [5.0], [10.0]]))
+        d = crowding_distance(np.array([[0.0], [5.0], [10.0]]), np.zeros(3, dtype=np.intp))
         assert np.isinf(d[0]) and np.isinf(d[2])
         assert d[1] == pytest.approx(1.0)
 
     def test_degenerate_objective_ignored(self):
-        d = crowding_distance(np.array([[0.0, 7.0], [5.0, 7.0], [10.0, 7.0]]))
+        d = crowding_distance(np.array([[0.0, 7.0], [5.0, 7.0], [10.0, 7.0]]), np.zeros(3, dtype=np.intp))
         assert d[1] == pytest.approx(1.0)
 
     def test_infinite_range_adds_nothing(self):
@@ -185,16 +184,17 @@ class TestCrowding:
         for column in ([0.0, 1.0, 2.0, np.inf], [-np.inf, 1.0, 2.0, np.inf], [-1e308, 1.0, 2.0, 1e308]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                d = crowding_distance(np.array(column)[:, None])
+                d = crowding_distance(np.array(column)[:, None], np.zeros(4, dtype=np.intp))
             assert d.tolist() == [np.inf, 0.0, 0.0, np.inf]
         # Only the objective with the infinite range drops out.
-        d = crowding_distance(np.array([[0.0, 0.0], [1.0, 5.0], [2.0, 7.0], [np.inf, 10.0]]))
+        objs = np.array([[0.0, 0.0], [1.0, 5.0], [2.0, 7.0], [np.inf, 10.0]])
+        d = crowding_distance(objs, np.zeros(4, dtype=np.intp))
         assert d[1:3].tolist() == [0.7, 0.5]
 
     def test_uneven_spacing(self):
-        d = crowding_distance(np.array([[0.0], [1.0], [10.0]]))
+        d = crowding_distance(np.array([[0.0], [1.0], [10.0]]), np.zeros(3, dtype=np.intp))
         assert d[1] == pytest.approx(1.0)  # (10 - 0) / (10 - 0)
-        d = crowding_distance(np.array([[0.0], [1.0], [2.0], [10.0]]))
+        d = crowding_distance(np.array([[0.0], [1.0], [2.0], [10.0]]), np.zeros(4, dtype=np.intp))
         assert d[1] == pytest.approx(0.2)
         assert d[2] == pytest.approx(0.9)
 
@@ -403,29 +403,34 @@ class TestRunIslands:
         assert IslandConfig(5, 20, 50).total_evaluations == 5100
         spec, ev = c.builtin_problem("sphere_ring", 2)
         cev = counting(ev)
-        res = run_islands(spec, make_cfg(n_islands=2, population_size=6, generations=2), cev, seed=0)
+        records = []
+        cfg = make_cfg(n_islands=2, population_size=6, generations=2)
+        res = run_islands(spec, cfg, cev, seed=0, sink=records.extend)
         assert cev.samples == 2 * 6 * 3
-        assert len(res.records) == cev.samples
+        assert len(records) == cev.samples
         assert res.total_evaluations == cev.samples
 
     def test_unique_sample_ids(self):
         spec, ev = c.builtin_problem("sphere_ring", 2)
-        res = run_islands(spec, make_cfg(n_islands=3, population_size=5, generations=2), ev, seed=1)
-        ids = [r["id"] for r in res.records]
+        records = []
+        run_islands(spec, make_cfg(n_islands=3, population_size=5, generations=2), ev, seed=1, sink=records.extend)
+        ids = [r["id"] for r in records]
         assert len(set(ids)) == len(ids)
 
     def test_no_variation_keeps_initial_genomes(self):
         spec, ev = c.builtin_problem("sphere_ring", 2)
         cfg = make_cfg(p_crossover=0.0, p_mutate=0.0, population_size=6, generations=3)
-        res = run_islands(spec, cfg, ev, seed=2)
-        initial = {tuple(r["unit"]) for r in res.records if r["iteration"] == 0}
-        later = {tuple(r["unit"]) for r in res.records if r["iteration"] > 0}
+        records = []
+        run_islands(spec, cfg, ev, seed=2, sink=records.extend)
+        initial = {tuple(r["unit"]) for r in records if r["iteration"] == 0}
+        later = {tuple(r["unit"]) for r in records if r["iteration"] > 0}
         assert later <= initial
 
     def test_single_objective_elitism(self):
         spec, ev = c.builtin_problem("rosenbrock_box", 2)
-        res = run_islands(spec, make_cfg(population_size=10, generations=5), ev, seed=3)
-        best_seen = max(r["fitness"] for r in res.records)
+        records = []
+        res = run_islands(spec, make_cfg(population_size=10, generations=5), ev, seed=3, sink=records.extend)
+        best_seen = max(r["fitness"] for r in records)
         best_front = max(float(ind.objectives[0]) for ind in res.front0)
         assert best_front == pytest.approx(best_seen)
 
@@ -442,13 +447,14 @@ class TestRunIslands:
         spec, ev = c.builtin_problem("sphere_ring", 2)
         cfg1 = make_cfg(n_islands=1, population_size=6, generations=2)
         cfg3 = make_cfg(n_islands=3, population_size=6, generations=2)
-        r1 = run_islands(spec, cfg1, ev, seed=5)
-        r3 = run_islands(spec, cfg3, ev, seed=5)
-        island0 = [r for r in r3.records if r["id"] // 6 % 3 == 0]
-        assert [r["island"] for r in island0] == [0] * len(r1.records)
-        assert [r["unit"] for r in island0] == [r["unit"] for r in r1.records]
-        assert [r["fitness"] for r in island0] == [r["fitness"] for r in r1.records]
-        assert [r["iteration"] for r in island0] == [r["iteration"] for r in r1.records]
+        r1, r3 = [], []
+        run_islands(spec, cfg1, ev, seed=5, sink=r1.extend)
+        run_islands(spec, cfg3, ev, seed=5, sink=r3.extend)
+        island0 = [r for r in r3 if r["id"] // 6 % 3 == 0]
+        assert [r["island"] for r in island0] == [0] * len(r1)
+        assert [r["unit"] for r in island0] == [r["unit"] for r in r1]
+        assert [r["fitness"] for r in island0] == [r["fitness"] for r in r1]
+        assert [r["iteration"] for r in island0] == [r["iteration"] for r in r1]
 
     def test_log_written(self, tmp_path):
         spec, ev = c.builtin_problem("sphere_ring", 2)
@@ -461,26 +467,29 @@ class TestRunIslands:
         assert {s["island"] for s in samples} == {0, 1}
 
     def test_records_are_log_sample_lines(self, tmp_path):
-        # A logged run keeps no records; a run without a log keeps its log's
-        # sample lines as records.
+        # A run's sink receives its log's sample lines as records, whether
+        # the run is logged or not.
         spec, ev = c.builtin_problem("sphere_ring", 2)
         cfg = make_cfg(n_islands=2, population_size=4, generations=2)
-        assert run_islands(spec, cfg, ev, seed=6, log_path=tmp_path / "ga.log").records is None
+        logged, unlogged = [], []
+        run_islands(spec, cfg, ev, seed=6, log_path=tmp_path / "ga.log", sink=logged.extend)
         lines = sample_lines(tmp_path / "ga.log")
         assert len(lines) == cfg.total_evaluations
-        records = run_islands(spec, cfg, ev, seed=6).records
-        assert [json.dumps(r) for r in records] == lines
-        assert all(list(r)[-1] == "island" for r in records)
+        run_islands(spec, cfg, ev, seed=6, sink=unlogged.extend)
+        for records in (logged, unlogged):
+            assert [json.dumps(r) for r in records] == lines
+            assert all(list(r)[-1] == "island" for r in records)
 
     @pytest.mark.parametrize("islands,size,generations", [(3, 5, 2), (1, 4, 3), (2, 7, 0)])
     def test_generation_major_log(self, tmp_path, islands, size, generations):
         spec, ev = c.builtin_problem("sphere_ring", 2)
         cfg = make_cfg(n_islands=islands, population_size=size, generations=generations)
-        res = run_islands(spec, cfg, ev, seed=7, log_path=tmp_path / "ga.log")
+        batches = []
+        run_islands(spec, cfg, ev, seed=7, log_path=tmp_path / "ga.log", sink=batches.append)
         entries = read_log(tmp_path / "ga.log")[1:]
         samples = [e for e in entries if e["type"] == "sample"]
         assert [s["id"] for s in samples] == list(range(cfg.total_evaluations))
-        assert res.records is None
+        assert [len(b) for b in batches] == [islands * size] * (generations + 1)
         block = islands * size
         assert len(entries) == (generations + 1) * (block + 1)
         for g in range(generations + 1):
