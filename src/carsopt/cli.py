@@ -22,8 +22,8 @@ import io
 import json
 import os
 import re
+import shutil
 import sys
-import tempfile
 import time
 from contextlib import closing, contextmanager
 from pathlib import Path
@@ -97,8 +97,8 @@ def cmd_run(args) -> int:
         if args.method == "cars":
             engine.run(spec, cfg, evaluator, log_path=log_path, sink=sink)
         else:
-            result = run_islands(spec, ga_cfg, evaluator, seed=cfg.seed, log_path=log_path, sink=sink)
-            print(f"evaluations: {result.total_evaluations}")
+            run_islands(spec, ga_cfg, evaluator, seed=cfg.seed, log_path=log_path, sink=sink)
+            print(f"evaluations: {ga_cfg.total_evaluations}")
     return 0
 
 
@@ -115,13 +115,18 @@ def _export(spec, out: Path, log_path):
     """Yield the sink of a run's samples: it writes each valid sample's
     parameters and measurements to ``valid_samples.csv`` and folds each
     iteration's ``iteration_stats`` for ``summary.csv``.  Both are written
-    in a temporary directory in ``out`` and moved there when the run ends,
-    which then prints its sample counts; a run that fails leaves neither."""
+    in the staging directory ``out/.export`` and moved to ``out`` when the
+    run ends, which then prints its sample counts; a run that fails leaves
+    neither.  A stale staging directory, left by a killed run, is cleared
+    first."""
     params = [(p.name, op) for p in spec.parameters for op in range(p.op_count)]
     meas = [(name, op) for name in spec.measurement_names() for op in range(spec.n_operating_points)]
     stats = []
-    with tempfile.TemporaryDirectory(dir=out) as tmp:
-        with open(Path(tmp, "valid_samples.csv"), "w", newline="") as fh:
+    stage = out / ".export"
+    shutil.rmtree(stage, ignore_errors=True)
+    stage.mkdir()
+    try:
+        with open(stage / "valid_samples.csv", "w", newline="") as fh:
             valid = csv.writer(fh)
             valid.writerow(["id", "iteration", "fitness"] + [f"{n}[{op}]" for n, op in params + meas])
 
@@ -133,12 +138,14 @@ def _export(spec, out: Path, log_path):
                         valid.writerow(row + [s["meas"][n][op] for n, op in meas])
 
             yield sink
-        with open(Path(tmp, "summary.csv"), "w", newline="") as fh:
+        with open(stage / "summary.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["iteration", "fit_min", "fit_mean", "fit_max", "valid", "n"])
             w.writerows(s.values() for s in stats)
         for name in ("valid_samples.csv", "summary.csv"):
-            os.replace(Path(tmp, name), out / name)
+            os.replace(stage / name, out / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     print(f"samples: {sum(s['n'] for s in stats)}  valid: {sum(s['valid'] for s in stats)}  log: {log_path}")
 
 
@@ -233,10 +240,9 @@ def run_study(spec, evaluator, config: RunConfig, seeds: list[int]) -> list[dict
         for seed in seeds
     ]
     rows = []
-    for variant, seed, cfg in runs:
-        records = []
-        engine.run(spec, cfg, evaluator, sink=records.extend)
-        rows += ({"variant": variant, "seed": seed, **s} for s in engine.iteration_stats(records))
+    for variant, seed, cfg in runs:  # one stats row per committed iteration, folded as it commits
+        tag = {"variant": variant, "seed": seed}
+        engine.run(spec, cfg, evaluator, sink=lambda b: rows.extend({**tag, **s} for s in engine.iteration_stats(b)))
     return rows
 
 

@@ -62,9 +62,8 @@ class BuiltinEvaluator:
     external child, a return value that is not a dict of lists of numbers
     fails its own sample with ``"malformed measurements"``."""
 
-    def __init__(self, fn, name: str = "builtin"):
+    def __init__(self, fn):
         self._fn = fn
-        self.name = name
 
     def evaluate_batch(self, requests: list[EvaluationRequest]) -> list[EvaluationResult]:
         results = []
@@ -74,8 +73,8 @@ class BuiltinEvaluator:
             except Exception as exc:  # model blew up: sample fails, batch continues
                 results.append(EvaluationResult(req.sample_id, None, str(exc)))
                 continue
-            if _is_number_lists(meas):  # kept as returned, so a model's ints log as ints
-                results.append(EvaluationResult(req.sample_id, meas))
+            if _is_number_lists(meas):  # each sequence as a list, its ints and floats as returned
+                results.append(EvaluationResult(req.sample_id, {name: list(vals) for name, vals in meas.items()}))
             else:
                 results.append(EvaluationResult(req.sample_id, None, "malformed measurements"))
         return results
@@ -129,7 +128,7 @@ def _boost_problem() -> tuple[ProblemSpec, BuiltinEvaluator]:
             BoundaryDef("vrip", "range", ((0.0, 2.0),)),
         ),
     )
-    return spec, BuiltinEvaluator(surrogate_boost, "boost")
+    return spec, BuiltinEvaluator(surrogate_boost)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +191,7 @@ def _analytic_problem(name: str, n_dim: int) -> tuple[ProblemSpec, BuiltinEvalua
         objectives=(ObjectiveDef(minimized, "min"),),
         boundaries=(BoundaryDef(bounded, "range", (limits,)),),
     )
-    return spec, BuiltinEvaluator(lambda params: model(_coordinates(params)), name)
+    return spec, BuiltinEvaluator(lambda params: model(_coordinates(params)))
 
 
 def builtin_problem(name: str, n_dim: int | None = None) -> tuple[ProblemSpec, BuiltinEvaluator]:

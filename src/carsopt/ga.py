@@ -10,7 +10,7 @@ The islands evolve in lockstep, their populations stacked along a leading
 axis: genomes (I, P, d), objectives (I, P, m), and each row's front rank and
 crowding distance (I, P).  Each island is ranked and selected on its own; a
 tournament returns row indices, and the survivors of parents plus offspring
-are one index array.  ``Individual`` exists only for the merged front 0.
+are one index array.  The run returns the merged front 0 as two arrays.
 
 Ranking is Deb et al.'s fast non-dominated sort and crowding distance in
 vectorized form: the dominance matrix is built one objective column at a
@@ -45,8 +45,6 @@ from .problem import ProblemError, ProblemSpec
 
 __all__ = [
     "IslandConfig",
-    "Individual",
-    "GAResult",
     "nondominated_sort",
     "crowding_distance",
     "gaussian_mutate",
@@ -86,18 +84,6 @@ class IslandConfig:
     @property
     def total_evaluations(self) -> int:
         return self.n_islands * self.population_size * (self.generations + 1)
-
-
-@dataclass
-class Individual:
-    genome: np.ndarray  # unit-space coordinates
-    objectives: np.ndarray
-
-
-@dataclass
-class GAResult:
-    front0: list[Individual]
-    total_evaluations: int
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +227,11 @@ def run_islands(
     seed: int = 0,
     log_path=None,
     sink=lambda records: None,
-) -> GAResult:
+) -> tuple[np.ndarray, np.ndarray]:
     """Evolve the islands in lockstep and merge their non-dominated sets.
+
+    Returns the merged front 0 as (genomes, objectives): unit-space genomes
+    (n, d) and their objective vectors (n, m), in island-then-row order.
 
     Generation g of every island is one batch: one ``evaluate_units`` call,
     one score, one set of records passed to ``sink`` and one log write that
@@ -296,5 +285,5 @@ def run_islands(
             genomes, objectives, rank, crowding = genomes[keep], objectives[keep], rank[keep], crowding[keep]
 
     genomes, objectives = genomes[rank == 0], objectives[rank == 0]
-    front0 = [Individual(genomes[i], objectives[i]) for i in nondominated_sort(objectives)[0]]
-    return GAResult(front0=front0, total_evaluations=cfg.total_evaluations)
+    front0 = nondominated_sort(objectives)[0]
+    return genomes[front0], objectives[front0]

@@ -36,8 +36,8 @@ Estimates are exact and reproducible bit for bit:
   makes a gap NaN, an infinite a the slack, and a NaN or infinite query δ.
 - **Fallback.** Every other row (k >= m, a NaN or overflowing query, a
   near-tie within the slack among its k+1 nearest) is scored by the reference
-  itself: ``((q[:, None] - p[None]) ** 2).sum(axis=2)`` over a contiguous
-  (m, d) copy of the points, then a stable full sort.
+  itself: ``((q[:, None] - p[None]) ** 2).sum(axis=2)`` over the store's own
+  (m, d) rows, then a stable full sort.
 - **Cost.** n queries against m stored points in d dimensions cost O(n·m·d)
   in the GEMM plus an O(n·m) index store and selection; a fallback row adds
   O(m·d) exact arithmetic and an O(m log m) sort.  Queries go in blocks of
@@ -132,7 +132,7 @@ class NeighborStore:
 
     def __init__(self, n_dim: int):
         self.n_dim = n_dim
-        self._coords = np.empty((n_dim, 0))  # one row per dimension, one column per point
+        self._points = np.empty((0, n_dim))  # one row per point
         self._fitness = np.empty(0)
         self._size = 0
 
@@ -156,12 +156,12 @@ class NeighborStore:
         end = self._size + b
         if end > len(self._fitness):
             cap = max(end, 2 * len(self._fitness))
-            coords = np.empty((self.n_dim, cap))
-            coords[:, : self._size] = self._coords[:, : self._size]
+            stored = np.empty((cap, self.n_dim))
+            stored[: self._size] = self._points[: self._size]
             fitness = np.empty(cap)
             fitness[: self._size] = self._fitness[: self._size]
-            self._coords, self._fitness = coords, fitness
-        self._coords[:, self._size : end] = points.T
+            self._points, self._fitness = stored, fitness
+        self._points[self._size : end] = points
         self._fitness[self._size : end] = fitnesses
         self._size = end
 
@@ -182,13 +182,12 @@ class NeighborStore:
         if queries.ndim != 2 or queries.shape[1] != self.n_dim:
             raise ValueError(f"queries shape {queries.shape} != (n, {self.n_dim})")
         m = self._size
-        coords, fit = self._coords[:, :m], self._fitness[:m]
-        points = coords.T.copy()  # (m, d), contiguous: the sum runs over the last axis as the reference's does
+        points, fit = self._points[:m], self._fitness[:m]  # rows: the sum runs over d as the reference's does
         k = min(k, m)
         out = np.empty(len(queries))
         block = max(1, _BLOCK_ELEMENTS // (k + 1))
         chunk = max(1, _CHUNK_ELEMENTS // (m * self.n_dim))  # fallback rows per (rows, m, d) temporary
-        gram = _gram(coords) if k < m else None
+        gram = _gram(points.T) if k < m else None
         max_norm = np.sqrt(gram[-1].max()) if k < m else None  # max‖p‖: once per call, not per block
         for start in range(0, len(queries), block):
             q = queries[start : start + block]

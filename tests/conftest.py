@@ -32,7 +32,7 @@ def hit_problem():
         hit = 1.0 if params["a"][0] < 1 / 9 and params["b"][0] < 1 / 9 else 0.0
         return {"hit": [hit]}
 
-    return spec, BuiltinEvaluator(fn, "hit")
+    return spec, BuiltinEvaluator(fn)
 
 
 class CountingEvaluator:

@@ -30,6 +30,7 @@ from carsopt.cli import (
     _RunSection,
     _scatter_line,
     main,
+    run_study,
 )
 from carsopt.engine import RunConfig
 from carsopt.problem import from_mapping, parse_problem
@@ -625,6 +626,22 @@ class TestExport:
         assert os.listdir(out) == ["run.log"]
         assert "samples:" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    def test_stale_staging_directory_is_cleared(self, config, tmp_path, command):
+        # A killed run leaves its staging directory behind; the next run or
+        # resume into the same out-dir clears it.
+        out = tmp_path / "out"
+        if command == "resume":
+            assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
+            log = out / "run.log"
+            log.write_bytes(log.read_bytes()[: log.stat().st_size // 2])
+        stale = out / ".export"
+        stale.mkdir(parents=True)
+        (stale / "valid_samples.csv").write_text("id,iteration\n0,")
+        args = ["--config", str(config), "--out-dir", str(out)]
+        assert main([command, *args, *(["--log", str(out / "run.log")] if command == "resume" else [])]) == 0
+        assert sorted(os.listdir(out)) == ["run.log", "summary.csv", "valid_samples.csv"]
+
     @pytest.mark.parametrize("how", ["child-exit", "interrupt"])
     def test_failed_resume_keeps_earlier_exports(self, config, tmp_path, monkeypatch, how):
         out = tmp_path / "out"
@@ -822,6 +839,18 @@ class TestStudy:
         assert "seed must be in [0, 2**63)" in capsys.readouterr().err
         assert batches == []
         assert not (out / "study.csv").exists()
+
+    def test_study_keeps_no_records(self):
+        # Each committed iteration folds into its stats row as the run goes;
+        # holding a run's 3,000 records until it ends would peak above 5 MiB.
+        spec, ev = c.builtin_problem("sphere_ring", 4)
+        tracemalloc.start()
+        try:
+            run_study(spec, ev, RunConfig(n_total=3000), [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--no-pooling"], ["--no-oversampling"]])
     def test_study_refuses_flags_it_sets_itself(self, config, flag):

@@ -169,7 +169,7 @@ def two_op_problem():
         vout = [12.0 + L, 12.0 if L < 0.7 else 12.0 + L]
         return {"eff": eff, "vout": vout, "ripple": ripple}
 
-    return spec, BuiltinEvaluator(model, "two_op")
+    return spec, BuiltinEvaluator(model)
 
 
 class TestHeuristics:
@@ -308,7 +308,7 @@ class TestDeterminismAndResume:
             meas = inner.evaluate_batch([c.EvaluationRequest(0, params)])[0].meas
             return {**meas, "radius": [math.nan]} if params["x0"][0] > 0.5 else meas
 
-        ev = BuiltinEvaluator(model, "nan_ring")
+        ev = BuiltinEvaluator(model)
         cfg = RunConfig(n_total=100, seed=3)
         full, resumed = [], []
         c.run(spec, cfg, ev, log_path=tmp_path / "full.log", sink=full.extend)

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from carsopt.engine import RunConfig, read_log, run
+from carsopt.engine import RunConfig, read_log, resume, run
 from carsopt.evaluators import (
     BuiltinEvaluator,
     EvaluationRequest,
@@ -215,8 +215,8 @@ class TestBuiltinEvaluator:
 
     def test_measurements_must_be_number_lists(self):
         # Sample i's model returns RETURNS[i]; as from an external child, only
-        # a dict of lists of numbers is a measurement.  A valid one is kept
-        # as returned: ints, numpy floats and tuples included.
+        # a dict of lists of numbers is a measurement.  A valid one keeps its
+        # ints and numpy floats as returned; a tuple becomes a list.
         returns = [
             {"y": [1, 2.5]},
             {"y": [np.sqrt(2.0)], "z": (1.0, np.float64(-3.5))},
@@ -230,8 +230,9 @@ class TestBuiltinEvaluator:
         ]
         ev = BuiltinEvaluator(lambda params: returns[int(params["i"][0])])
         res = ev.evaluate_batch([EvaluationRequest(i, {"i": [i]}) for i in range(len(returns))])
-        assert res[0].ok and res[0].meas is returns[0] and type(res[0].meas["y"][0]) is int
-        assert res[1].ok and res[1].meas is returns[1]
+        assert res[0].ok and res[0].meas == returns[0] and type(res[0].meas["y"][0]) is int
+        assert res[1].ok and res[1].meas == {"y": [np.sqrt(2.0)], "z": [1.0, -3.5]}
+        assert [type(x) for x in res[1].meas["z"]] == [float, np.float64]
         assert [(r.meas, r.error) for r in res[2:]] == [(None, "malformed measurements")] * (len(returns) - 2)
 
     def test_numpy_floats_log_as_floats(self, tmp_path):
@@ -244,6 +245,19 @@ class TestBuiltinEvaluator:
         for name, ev in (("plain", inner), ("numpy", BuiltinEvaluator(model))):
             run(spec, RunConfig(n_total=60, seed=0), ev, log_path=tmp_path / f"{name}.log")
         assert (tmp_path / "numpy.log").read_bytes() == (tmp_path / "plain.log").read_bytes()
+
+    def test_tuple_measurements_record_as_logged(self, tmp_path):
+        # A record is the dict its log line encodes, so a model returning
+        # tuples gives the same records live, in the log and once resumed.
+        spec, inner = builtin_problem("sphere_ring", 3)
+        ev = BuiltinEvaluator(lambda params: {k: tuple(v) for k, v in inner._fn(params).items()})
+        cfg, log = RunConfig(n_total=40, seed=1), tmp_path / "run.log"
+        live, resumed = [], []
+        run(spec, cfg, ev, log_path=log, sink=live.extend)
+        logged = [r for r in read_log(log) if r["type"] == "sample"]
+        log.write_bytes(log.read_bytes()[: log.stat().st_size // 2])
+        resume(log, spec, cfg, ev, sink=resumed.extend)
+        assert live == logged == resumed
 
     def test_malformed_measurements_fail_only_their_samples(self):
         spec, inner = builtin_problem("sphere_ring", 2)

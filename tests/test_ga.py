@@ -405,10 +405,10 @@ class TestRunIslands:
         cev = counting(ev)
         records = []
         cfg = make_cfg(n_islands=2, population_size=6, generations=2)
-        res = run_islands(spec, cfg, cev, seed=0, sink=records.extend)
+        run_islands(spec, cfg, cev, seed=0, sink=records.extend)
         assert cev.samples == 2 * 6 * 3
         assert len(records) == cev.samples
-        assert res.total_evaluations == cev.samples
+        assert cfg.total_evaluations == cev.samples
 
     def test_unique_sample_ids(self):
         spec, ev = c.builtin_problem("sphere_ring", 2)
@@ -429,15 +429,14 @@ class TestRunIslands:
     def test_single_objective_elitism(self):
         spec, ev = c.builtin_problem("rosenbrock_box", 2)
         records = []
-        res = run_islands(spec, make_cfg(population_size=10, generations=5), ev, seed=3, sink=records.extend)
+        _, objectives = run_islands(spec, make_cfg(population_size=10, generations=5), ev, seed=3, sink=records.extend)
         best_seen = max(r["fitness"] for r in records)
-        best_front = max(float(ind.objectives[0]) for ind in res.front0)
+        best_front = max(float(o[0]) for o in objectives)
         assert best_front == pytest.approx(best_seen)
 
     def test_front0_mutually_nondominated(self):
         spec, ev = c.builtin_problem("rastrigin_multi", 3)
-        res = run_islands(spec, make_cfg(n_islands=2, population_size=8, generations=3), ev, seed=4)
-        objs = [ind.objectives for ind in res.front0]
+        _, objs = run_islands(spec, make_cfg(n_islands=2, population_size=8, generations=3), ev, seed=4)
         for i, a in enumerate(objs):
             for j, b in enumerate(objs):
                 if i != j:

@@ -508,6 +508,21 @@ class TestStore:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_estimate_reads_stored_rows_in_place(self):
+        # 100,000 stored 6-D points are 4.6 MiB; a call that copied them into
+        # rows first would peak above 15 MiB.
+        rng = np.random.default_rng(12)
+        s = NeighborStore(6)
+        s.extend(rng.random((100_000, 6)), rng.random(100_000))
+        queries = rng.random((14, 6))
+        tracemalloc.start()
+        try:
+            s.estimate_many(queries, 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2**20
+
     def test_empty_batch(self):
         s = NeighborStore(2)
         s.extend(np.empty((0, 2)), [])
