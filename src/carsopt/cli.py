@@ -44,7 +44,9 @@ EXIT_INTERRUPTED = 4
 
 def _out_dir(args) -> Path:
     """The output directory, created; one that cannot be is a ProblemError.
-    Subcommands call it before they spawn an evaluator."""
+    Each command settles it before its work: run, resume and study in
+    ``_load``, before the evaluator starts; bench before it times a step;
+    report once ``summarize_log`` accepts the log, before it prints."""
     path = Path(args.out_dir or os.environ.get("CARSOPT_OUT_DIR") or "out")
     try:
         path.mkdir(parents=True, exist_ok=True)
@@ -73,16 +75,16 @@ class _RunSection(RunConfig):
 
 def _load(args):
     """The problem, its RunConfig (flags given over ``run:`` keys over the
-    defaults), its IslandConfig (``run.ga`` keys over the defaults) and its
-    evaluator."""
+    defaults), its IslandConfig (``run.ga`` keys over the defaults), its
+    evaluator and the output directory, settled before the evaluator is made."""
     spec = load_problem(args.config)
     flags = {f.name: v for f in dataclasses.fields(_RunSection) if (v := getattr(args, f.name, None)) is not None}
     run = from_mapping(_RunSection, spec.run, "run", **flags)
     cfg = RunConfig(**{f.name: getattr(run, f.name) for f in dataclasses.fields(RunConfig)})
     if run.evaluator is None:
         raise ProblemError("no evaluator: pass --evaluator or set run.evaluator in the config")
-    evaluator = make_evaluator(run.evaluator, timeout=args.timeout)
-    return spec, cfg, run.ga, evaluator
+    out = _out_dir(args)
+    return spec, cfg, run.ga, make_evaluator(run.evaluator, timeout=args.timeout), out
 
 
 def cmd_run(args) -> int:
@@ -90,8 +92,7 @@ def cmd_run(args) -> int:
         refused = [flag for name, flag in _CARS_FLAGS.items() if getattr(args, name) is not None]
         if refused:
             raise ProblemError(f"--method ga does not take {', '.join(refused)}")
-    out = _out_dir(args)
-    spec, cfg, ga_cfg, evaluator = _load(args)
+    spec, cfg, ga_cfg, evaluator, out = _load(args)
     log_path = out / "run.log"
     with closing(evaluator), _export(spec, out, log_path) as sink:
         if args.method == "cars":
@@ -103,8 +104,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_resume(args) -> int:
-    out = _out_dir(args)
-    spec, cfg, _, evaluator = _load(args)
+    spec, cfg, _, evaluator, out = _load(args)
     with closing(evaluator), _export(spec, out, args.log) as sink:
         engine.resume(args.log, spec, cfg, evaluator, sink=sink)
     return 0
@@ -138,15 +138,21 @@ def _export(spec, out: Path, log_path):
                         valid.writerow(row + [s["meas"][n][op] for n, op in meas])
 
             yield sink
-        with open(stage / "summary.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iteration", "fit_min", "fit_mean", "fit_max", "valid", "n"])
-            w.writerows(s.values() for s in stats)
+        _write_table(stage / "summary.csv", ["iteration", "fit_min", "fit_mean", "fit_max", "valid", "n"], stats)
         for name in ("valid_samples.csv", "summary.csv"):
             os.replace(stage / name, out / name)
     finally:
         shutil.rmtree(stage, ignore_errors=True)
     print(f"samples: {sum(s['n'] for s in stats)}  valid: {sum(s['valid'] for s in stats)}  log: {log_path}")
+
+
+def _write_table(path, fields: list[str], rows) -> None:
+    """Write the dicts ``rows`` to the CSV file ``path``: a header of
+    ``fields``, then each row's values of them; other keys are left out."""
+    with open(path, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
+        w.writeheader()
+        w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +203,9 @@ def bench_sampling(max_params: int, batch_sizes: list[int], repeats: int = 20, n
 
 
 def cmd_bench(args) -> int:
+    path = _out_dir(args) / "bench.csv"
     rows = bench_sampling(args.max_params, args.batch_sizes, repeats=args.repeats, n_sub=args.n_subdomain)
-    out = _out_dir(args)
-    path = out / "bench.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.DictWriter(
-            fh,
-            fieldnames=["n_params", "n_sub", "n_cells", "batch_size", "t_min", "t_mean", "t_max"],
-        )
-        w.writeheader()
-        w.writerows(rows)
+    _write_table(path, ["n_params", "n_sub", "n_cells", "batch_size", "t_min", "t_mean", "t_max"], rows)
     for row in rows:
         print(
             f"n_params={row['n_params']} batch={row['batch_size']}: "
@@ -247,16 +246,11 @@ def run_study(spec, evaluator, config: RunConfig, seeds: list[int]) -> list[dict
 
 
 def cmd_study(args) -> int:
-    out = _out_dir(args)
-    spec, cfg, _, evaluator = _load(args)
+    spec, cfg, _, evaluator, out = _load(args)
     with closing(evaluator):
         rows = run_study(spec, evaluator, cfg, args.seeds)
     path = out / "study.csv"
-    with open(path, "w", newline="") as fh:
-        fields = ["variant", "seed", "iteration", "fit_min", "fit_mean", "fit_max"]
-        w = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
-        w.writeheader()
-        w.writerows(rows)
+    _write_table(path, ["variant", "seed", "iteration", "fit_min", "fit_mean", "fit_max"], rows)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
@@ -298,7 +292,7 @@ def summarize_log(log_path) -> dict:
     header = next(lines)
     total = valid = 0
     best = None
-    ranges: dict[str, list] = {}  # each parameter's valid [min, max], named in order of first value
+    ranges: dict[str, tuple] = {}  # each parameter's valid (min, max), named in order of first value
     rows = []
     shapes: dict[tuple, tuple] = {}  # a sample's names, in log order -> (index, sorted names)
     row_shapes = []
@@ -312,14 +306,9 @@ def summarize_log(log_path) -> dict:
         if obj["valid"]:
             valid += 1
             for name, vals in params.items():
-                if not vals:
-                    continue
-                lohi = ranges.get(name)
-                if lohi is None:
-                    ranges[name] = [min(vals), max(vals)]
-                else:  # min() and max() over the values so far, in order
-                    lohi[0] = min(lohi[0], *vals)
-                    lohi[1] = max(lohi[1], *vals)
+                if vals:  # min() and max() over the values so far, in order; the first seeds both
+                    lo, hi = ranges.get(name, (vals[0], vals[0]))
+                    ranges[name] = (min(lo, *vals), max(hi, *vals))
         key = (tuple(params), tuple(meas) if meas else None)
         shape = shapes.get(key)
         if shape is None:
@@ -336,7 +325,7 @@ def summarize_log(log_path) -> dict:
         "total": total,
         "valid": valid,
         "best_fitness": best,
-        "param_ranges": {name: tuple(lohi) for name, lohi in ranges.items()},
+        "param_ranges": ranges,
         "shapes": [names for _, *names in shapes.values()],
         "row_shapes": row_shapes,
         "rows": rows,
@@ -372,13 +361,13 @@ def _write_scatter(summary: dict, path) -> None:
 
 def cmd_report(args) -> int:
     summary = summarize_log(args.log)
+    path = _out_dir(args) / "scatter.csv"
     print(f"method: {summary['header'].get('method')}  seed: {summary['header'].get('seed')}")
     print(f"valid: {summary['valid']}/{summary['total']}")
     if summary["best_fitness"] is not None:
         print(f"best fitness: {summary['best_fitness']:.6g}")
     for name, (lo, hi) in summary["param_ranges"].items():
         print(f"  {name}: valid range [{lo:.6g}, {hi:.6g}]")
-    path = _out_dir(args) / "scatter.csv"
     _write_scatter(summary, path)
     print(f"wrote {path}")
     return 0
@@ -465,7 +454,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ProblemError, EngineError, TensorError, FileNotFoundError) as exc:
+    except (ProblemError, EngineError, TensorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EvaluatorTransportError as exc:

@@ -322,7 +322,8 @@ def open_log(path, mode: str):
     """Yield ``emit(objs)``, which writes ``objs`` as JSON lines to ``path`` in
     one write and flushes them (a no-op without a path); the file is closed
     on exit.  Emitting once per iteration or generation means a killed
-    process loses at most the one in progress."""
+    process loses at most the one in progress.  A run emits each batch
+    before its sink gets it: a sink sees only batches the log holds."""
     if not path:
         yield lambda objs: None
         return
@@ -377,7 +378,8 @@ def run(
     """Execute the sampling loop for ``config.n_total`` samples.
 
     ``stop_after_iteration`` ends the run after that iteration (the log stays
-    resumable).  ``sink`` receives each iteration's records once, in order.
+    resumable).  ``sink`` receives each iteration's records once, in order,
+    after they are written to the log: it sees only batches the log holds.
     """
     dims = _sampled_dims(spec)
     schedule = parse_alpha_schedule(config.alpha_schedule)
@@ -400,8 +402,8 @@ def run(
                 lines.append({"type": "normalization", **state.consts.to_dict()})
 
             records = sample_records(iteration, units, mis, requests, results, bd, fitnesses)
-            state._commit(records, mis, units, fitnesses, sink)
             emit(lines + records)
+            state._commit(records, mis, units, fitnesses, sink)
     return state
 
 
@@ -413,7 +415,8 @@ def iter_log(path):
     """Yield a run log's lines one at a time, parsed and checked; raises
     EngineError on corruption: a line that is not a JSON object with a
     ``type``, a first line that is not the run header, or a sample line that
-    ``_check_sample`` rejects.
+    ``_check_sample`` rejects; also, naming ``path``, when it cannot be
+    opened (missing, a directory).
 
     A last line without its newline that does not parse is what a crash
     mid-write leaves; it is dropped.
@@ -424,7 +427,11 @@ def iter_log(path):
 def _numbered_log(path):
     """``iter_log``'s lines, each with its line number and end offset."""
     header, end = False, 0
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise EngineError(f"cannot read log {str(path)!r}: {exc.strerror or exc}") from None
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             end += len(raw)
             try:

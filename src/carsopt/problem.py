@@ -323,10 +323,13 @@ def _coerce(value, kind, key: str):
 
 
 def load_problem(path) -> ProblemSpec:
-    """Load a problem configuration from a YAML file."""
-    with open(path) as fh:
-        try:
+    """Load a problem configuration from a UTF-8 YAML file; one that cannot be
+    opened (missing, a directory), decoded or parsed is a ProblemError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ProblemError(f"{path}: not valid YAML: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ProblemError(f"{path}: not valid YAML: {exc}") from exc
+    except (OSError, UnicodeError) as exc:
+        raise ProblemError(f"cannot read config {str(path)!r}: {getattr(exc, 'strerror', None) or exc}") from None
     return parse_problem(data)

@@ -128,6 +128,27 @@ def mixed_log() -> str:
     return "".join(json.dumps(line) + "\n" for line in lines)
 
 
+def unreadable_configs(tmp_path) -> list:
+    """Config paths ``load_problem`` cannot read, each with the reason its
+    error gives: a missing file, a directory and a file of non-UTF-8 bytes."""
+    (tmp_path / "dir.yaml").mkdir()
+    (tmp_path / "latin1.yaml").write_bytes(CONFIG.encode() + b"# caf\xe9\n")
+    return [
+        (tmp_path / "nope.yaml", "No such file or directory"),
+        (tmp_path / "dir.yaml", "Is a directory"),
+        (
+            tmp_path / "latin1.yaml",
+            f"'utf-8' codec can't decode byte 0xe9 in position {len(CONFIG) + 5}: invalid continuation byte",
+        ),
+    ]
+
+
+def unreadable_logs(tmp_path) -> list:
+    """Log paths ``iter_log`` cannot open, each with the reason its error
+    gives: a missing file and a directory."""
+    return [(tmp_path / "none.log", "No such file or directory"), (tmp_path, "Is a directory")]
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -176,9 +197,13 @@ class TestRun:
         assert (tmp_path / "envout/run.log").exists()
 
     def test_missing_config(self, tmp_path, capsys):
-        rc = main(["run", "--config", str(tmp_path / "nope.yaml"), "--out-dir", str(tmp_path / "o")])
-        assert rc == EXIT_CONFIG
-        assert "error:" in capsys.readouterr().err
+        # A config that is missing, a directory or not UTF-8 is exit 2 with
+        # one line naming it, and no --out-dir is made.
+        for path, reason in unreadable_configs(tmp_path):
+            rc = main(["run", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+            assert rc == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: cannot read config {str(path)!r}: {reason}\n"
+            assert not (tmp_path / "o").exists()
 
     def test_short_measurement_list_fails_its_sample(self, config, tmp_path):
         # Sample 5's radius holds no value for the problem's one operating point.
@@ -405,6 +430,22 @@ class TestResume:
         assert rc == 0
         assert (out_part / "run.log").read_bytes() == (out_full / "run.log").read_bytes()
         assert (out_part / "summary.csv").read_bytes() == (out_full / "summary.csv").read_bytes()
+
+    def test_resume_missing_log(self, config, tmp_path, capsys):
+        # A --log that is missing or a directory, or a config that cannot be
+        # read, is exit 2 with one line naming it; a log is left as it was.
+        out = tmp_path / "out"
+        for log, reason in unreadable_logs(tmp_path):
+            rc = main(["resume", "--config", str(config), "--log", str(log), "--out-dir", str(out)])
+            assert rc == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: cannot read log {str(log)!r}: {reason}\n"
+        log = tmp_path / "run.log"
+        log.write_bytes(seeded_log("cars")[:3000])
+        for path, reason in unreadable_configs(tmp_path):
+            rc = main(["resume", "--config", str(path), "--log", str(log), "--out-dir", str(out)])
+            assert rc == EXIT_CONFIG
+            assert capsys.readouterr().err == f"error: cannot read config {str(path)!r}: {reason}\n"
+            assert log.read_bytes() == seeded_log("cars")[:3000]
 
     @pytest.mark.parametrize("method", ["cars", "ga", "resume"])
     @pytest.mark.parametrize("name", ["boost", "sphere_ring4"])
@@ -771,6 +812,17 @@ class TestBench:
         assert rc == EXIT_CONFIG
         assert flag in capsys.readouterr().err
 
+    def test_out_dir_naming_a_file_times_nothing(self, tmp_path, capsys, monkeypatch):
+        # bench settles --out-dir before it times a step.
+        calls = []
+        monkeypatch.setattr("carsopt.cli.bench_sampling", lambda *a, **kw: calls.append(a) or [])
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = main(["bench", "--max-params", "1", "--batch-sizes", "10", "--repeats", "1", "--out-dir", str(taken)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: cannot create --out-dir {str(taken)!r}")
+        assert calls == []
+
     def test_pooled_step_peak_memory_is_small(self):
         # One pooled sampling step on 9^8 = 43M cells, as bench_sampling runs
         # it, allocates with the batch, not with the cell count: even 4 bytes
@@ -990,8 +1042,23 @@ class TestReport:
         assert _scatter_line(scalars + values) == buf.getvalue()
 
     def test_report_missing_log(self, tmp_path, capsys):
-        rc = main(["report", "--log", str(tmp_path / "none.log"), "--out-dir", str(tmp_path)])
-        assert rc == EXIT_CONFIG
+        # A --log that is missing or a directory is exit 2 with one line
+        # naming it; nothing is printed and no --out-dir is made.
+        for log, reason in unreadable_logs(tmp_path):
+            rc = main(["report", "--log", str(log), "--out-dir", str(tmp_path / "out")])
+            assert rc == EXIT_CONFIG
+            assert capsys.readouterr() == ("", f"error: cannot read log {str(log)!r}: {reason}\n")
+            assert not (tmp_path / "out").exists()
+
+    def test_out_dir_naming_a_file_prints_nothing(self, tmp_path, capsys):
+        # report settles --out-dir after it accepts the log, before it prints.
+        (tmp_path / "run.log").write_bytes(seeded_log("cars"))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["report", "--log", str(tmp_path / "run.log"), "--out-dir", str(taken)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot create --out-dir {str(taken)!r}")
 
 
 @cache

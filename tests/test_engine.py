@@ -671,6 +671,29 @@ class TestSink:
         assert [b[0]["iteration"] for b in batches] == list(range(10))
         assert [json.dumps(r) for b in batches for r in b] == sample_lines(tmp_path / "full.log")
 
+    @pytest.mark.parametrize("method", ["cars", "resume", "ga"])
+    def test_sink_sees_only_logged_records(self, tmp_path, method):
+        # Each batch is in the log by the time the sink receives it.
+        spec, ev = c.builtin_problem("sphere_ring", 3)
+        cfg = RunConfig(n_total=100, seed=0)
+        log = tmp_path / "r.log"
+        seen, unlogged = [], []
+
+        def sink(batch):
+            logged = set(sample_lines(log))
+            seen.extend(batch)
+            unlogged.extend(r["id"] for r in batch if json.dumps(r) not in logged)
+
+        if method == "cars":
+            c.run(spec, cfg, ev, log_path=log, sink=sink)
+        elif method == "resume":
+            c.run(spec, cfg, ev, log_path=log, stop_after_iteration=1)
+            c.resume(log, spec, cfg, ev, sink=sink)
+        else:
+            c.run_islands(spec, c.IslandConfig(2, 5, 2), ev, seed=0, log_path=log, sink=sink)
+        assert len(seen) == (30 if method == "ga" else 100)
+        assert unlogged == []
+
     def test_ga_run(self, tmp_path):
         spec, ev = c.builtin_problem("sphere_ring", 2)
         cfg = c.IslandConfig(n_islands=2, population_size=5, generations=3)
